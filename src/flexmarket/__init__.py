@@ -10,18 +10,16 @@ and flexibility prices to track an upstream setpoint at zero profit.
 from .agent import (Bid, DeviceSchedule, FlexibilityOffer, best_response,
                     build_mpo, agent_welfare, solve_flexibility)
 from .bnb import BnbConfig, MixedIntegerQp, MiqpSolution, solve_miqp
-from .devices import (BatteryParams, DeviceState, EvParams, HpParams,
-                      ObjectiveWeights, PvParams, battery_soc_step,
-                      der_objective, feasible_power_interval,
-                      hp_temperature_step, utilization_objective)
+from .devices import (BatteryParams, EvParams, HpParams, ObjectiveWeights,
+                      PvParams, battery_soc_step, feasible_power_interval,
+                      hp_temperature_step)
 from .market import (ClearingResult, EquilibriumReport, SimulationTrace,
                      clear_market, run_simulation, verify_equilibrium)
 from .pricing import (AggregateFlex, PriceSignal, PositivityRegion,
                       aggregate_offers, check_budget_balance,
-                      check_no_saturation, operator_utility, compute_prices,
-                      positivity_region, saturation_cap)
-from .qp import (KktReport, QpSolution, QuadraticProgram, check_kkt,
-                 dump_qp, solve_qp)
+                      operator_utility, compute_prices, positivity_region,
+                      saturation_cap)
+from .qp import QpSolution, QuadraticProgram, check_kkt, solve_qp
 from .scenario import (AgentSpec, ExogenousSeries, HorizonView, Scenario,
                        SetpointPolicy, TimeGrid, load_scenario,
                        save_scenario, slice_horizon)

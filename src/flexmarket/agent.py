@@ -71,10 +71,6 @@ class FlexibilityOffer:
             raise AgentError(
                 f"offer ordering violated: {self.p_lo} <= {self.p0} <= {self.p_hi}")
 
-    @property
-    def span(self) -> float:
-        return self.p_hi - self.p0
-
 
 @dataclass(frozen=True)
 class Bid:

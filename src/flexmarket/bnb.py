@@ -17,11 +17,13 @@ what guarantees bit-identical results for identical inputs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .qp import AdmmSolver, QpSolution, QuadraticProgram
+
+INT_TOL = 1e-6                       # a relaxation this close to 0/1 is integral
 
 
 class MiqpError(ValueError):
@@ -63,10 +65,7 @@ class BnbConfig:
     gap_tol: float = 1e-6            # relative optimality gap at termination
     qp_tol: float = 1e-6             # tolerance for node relaxations
     final_tol: float = 1e-6          # tolerance for the returned leaf re-solve
-    qp_max_iter: int = 20000
-    int_tol: float = 1e-6
     polish_nodes: bool = True        # polish node relaxations (off = fast search)
-    keep_node_log: bool = False
 
 
 @dataclass
@@ -80,11 +79,18 @@ class MiqpSolution:
     gap: float
     nodes: int
     qp_solution: QpSolution | None = None
-    node_log: list = field(default_factory=list)   # (parent_bound, child_bound)
 
 
 def _fractionality(zvals):
     return np.abs(zvals - np.round(zvals))
+
+
+def _warm_start(ws: AdmmSolver, sol: QpSolution | None):
+    """Primal, row values and duals of an optimal solve, to start another."""
+    if sol is None or sol.status != "optimal":
+        return None
+    y = np.concatenate([sol.dual_bounds, sol.dual_eq, sol.dual_ineq])
+    return (sol.primal, ws.S @ sol.primal, y)
 
 
 def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSolution:
@@ -94,7 +100,13 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
     bins = np.array(miqp.binary_vars, dtype=int)
     if base.n == 0 or len(bins) == 0:
         ws = AdmmSolver(base)
-        sol = ws.solve(tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
+        sol = ws.solve(tol=cfg.qp_tol)
+        if sol.status == "optimal" and not sol.polished:
+            # a loose unpolished solve meets its rows only relative to the
+            # largest row value; re-solve tight, as for the winning leaf below
+            tight = ws.solve(warm=_warm_start(ws, sol), tol=cfg.final_tol)
+            if tight.status == "optimal":
+                sol = tight
         status = "optimal" if sol.status == "optimal" else (
             "infeasible" if sol.status == "infeasible" else "node_limit")
         return MiqpSolution(sol.primal, (), sol.objective, status, 0.0, 1, sol)
@@ -110,28 +122,19 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
             lo[j] = max(lo[j], v)
             hi[j] = min(hi[j], v)
         sol = ws.solve(lo, hi, warm=warm, tol=tol or cfg.qp_tol,
-                       max_iter=cfg.qp_max_iter,
                        polish=cfg.polish_nodes if polish is None else polish)
         if sol.status == "iteration_limit" and warm is not None:
             # a bad inherited starting point can stall; a cold solve of the
             # same node usually settles it
             sol = ws.solve(lo, hi, tol=tol or cfg.qp_tol,
-                           max_iter=cfg.qp_max_iter,
                            polish=cfg.polish_nodes if polish is None else polish)
         return sol
-
-    def warm_of(sol):
-        if sol is None or sol.status != "optimal":
-            return None
-        y = np.concatenate([sol.dual_bounds, sol.dual_eq, sol.dual_ineq])
-        return (sol.primal, ws.S @ sol.primal, y)
 
     root = solve_node({}, None)
     nodes = 1
     if root.status == "infeasible":
         return MiqpSolution(np.full(base.n, np.nan), (), np.nan, "infeasible",
                             np.inf, nodes)
-    node_log: list = []
     incumbent: QpSolution | None = None
     inc_fix: dict = {}
 
@@ -155,7 +158,7 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
             chosen = confident if confident else [min(free, key=lambda k: frac[k])]
             for k in chosen:
                 fix[int(bins[k])] = float(np.round(zv[k]))
-            cur = solve_node(fix, warm_of(cur))
+            cur = solve_node(fix, _warm_start(ws, cur))
             nodes += 1
         if cur.status == "optimal":
             try_incumbent(cur, fix)
@@ -176,12 +179,12 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
             continue
         if rel.status == "optimal":
             frac = _fractionality(rel.primal[bins])
-            if np.max(frac) <= cfg.int_tol:
+            if np.max(frac) <= INT_TOL:
                 # relaxation already integral: fix exactly and accept
                 leaf_fix = dict(fix)
                 for j in bins:
                     leaf_fix[int(j)] = float(np.round(rel.primal[j]))
-                leaf = solve_node(leaf_fix, warm_of(rel))
+                leaf = solve_node(leaf_fix, _warm_start(ws, rel))
                 nodes += 1
                 try_incumbent(leaf, leaf_fix)
                 continue
@@ -203,7 +206,7 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
         for val in (near, 1.0 - near):
             child_fix = dict(fix)
             child_fix[branch_j] = val
-            child = solve_node(child_fix, warm_of(rel))
+            child = solve_node(child_fix, _warm_start(ws, rel))
             nodes += 1
             if child.status == "infeasible":
                 continue
@@ -216,17 +219,15 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
                 child_bound = max(bound, child_bound)
             else:
                 child_bound = bound
-            if cfg.keep_node_log:
-                node_log.append((bound, child_bound))
             if child.status == "optimal" and np.max(
-                    _fractionality(child.primal[bins])) <= cfg.int_tol:
+                    _fractionality(child.primal[bins])) <= INT_TOL:
                 leaf_fix = dict(child_fix)
                 for j in bins:
                     leaf_fix[int(j)] = float(np.round(child.primal[j]))
                 if leaf_fix == child_fix:
                     try_incumbent(child, child_fix)
                 else:
-                    leaf = solve_node(leaf_fix, warm_of(child))
+                    leaf = solve_node(leaf_fix, _warm_start(ws, child))
                     nodes += 1
                     try_incumbent(leaf, leaf_fix)
                 continue
@@ -241,14 +242,14 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
             # search exhausted without either a feasible point or an
             # infeasibility proof: report the budget problem, not infeasibility
             return MiqpSolution(np.full(base.n, np.nan), (), np.nan, "node_limit",
-                                np.inf, nodes, node_log=node_log)
+                                np.inf, nodes)
         return MiqpSolution(np.full(base.n, np.nan), (), np.nan, "infeasible",
-                            np.inf, nodes, node_log=node_log)
+                            np.inf, nodes)
 
     if cfg.final_tol < cfg.qp_tol or not cfg.polish_nodes:
         # tight re-solve of the winning leaf so the returned schedule is
         # feasible to polish accuracy even when the search ran loose
-        final = solve_node(inc_fix, warm_of(incumbent), tol=cfg.final_tol,
+        final = solve_node(inc_fix, _warm_start(ws, incumbent), tol=cfg.final_tol,
                            polish=True)
         if final.status == "optimal":
             incumbent = final
@@ -264,7 +265,7 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
     assignment = tuple(int(round(inc_fix.get(int(j), incumbent.primal[j])))
                        for j in bins)
     return MiqpSolution(incumbent.primal, assignment, incumbent.objective,
-                        status, gap, nodes, incumbent, node_log)
+                        status, gap, nodes, incumbent)
 
 
 def enumerate_binaries(miqp: MixedIntegerQp, cfg: BnbConfig | None = None):
@@ -295,14 +296,14 @@ def enumerate_binaries(miqp: MixedIntegerQp, cfg: BnbConfig | None = None):
         lo, hi = bounds_for(bits)
         if np.any(lo > hi + 1e-12):
             continue
-        sol = ws.solve(lo, hi, tol=cfg.qp_tol, max_iter=cfg.qp_max_iter)
+        sol = ws.solve(lo, hi, tol=cfg.qp_tol)
         if sol.status != "optimal":
             continue
         if best[1] is None or sol.objective < best[0]:
             best = (sol.objective, bits, sol)
     if best[1] is not None and cfg.final_tol < cfg.qp_tol:
         lo, hi = bounds_for(best[1])
-        tight = ws.solve(lo, hi, tol=cfg.final_tol, max_iter=cfg.qp_max_iter)
+        tight = ws.solve(lo, hi, tol=cfg.final_tol)
         if tight.status == "optimal":
             best = (tight.objective, best[1], tight)
     return best

@@ -13,10 +13,10 @@ import sys
 from pathlib import Path
 
 from .agent import FlexibilityOffer
-from .market import (AgentClearing, ClearingResult, MarketError,
-                     run_simulation, verify_equilibrium)
-from .pricing import PriceSignal, aggregate_offers, check_budget_balance
-from .scenario import ScenarioError, ScenarioFileError, scenario_from_dict
+from .market import (MarketError, clear_market, run_simulation,
+                     verify_equilibrium)
+from .pricing import check_budget_balance
+from .scenario import ScenarioError, read_scenario_doc, scenario_from_dict
 from .traceio import TraceIoError, read_trace, write_report, write_trace
 
 
@@ -50,10 +50,7 @@ def _apply_overrides(doc: dict, overrides) -> dict:
 
 def _load(args):
     path = Path(args.scenario)
-    if not path.exists():
-        raise ScenarioFileError(f"scenario not found: {path}")
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_scenario_doc(path)
     _apply_overrides(doc, [_parse_override(o) for o in args.override])
     return scenario_from_dict(doc, base_dir=path.parent)
 
@@ -77,30 +74,24 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _clearings_from_trace(data) -> list:
-    """Rebuild per-clearing objects from trace rows for verification."""
+def _recleared(data) -> list:
+    """Re-clear every clearing of a written trace from its recorded offers,
+    types, setpoint and upstream price. Each result comes with the names
+    of the recorded quantities it does not reproduce exactly (floats are
+    written with repr, so an intact trace reproduces every bit)."""
     out = []
     for c in data.clearings:
         rows = data.agent_rows(c["step"])
         offers = [FlexibilityOffer(r["agent_id"], r["p0"], r["p_lo"],
                                    r["p_hi"], {}) for r in rows]
         gammas = [r["gamma"] for r in rows]
-        agg = aggregate_offers(offers, gammas)
-        prices = PriceSignal(mu=c["mu"], mu_tilde=c["mu_tilde"],
-                             positivity_ok=c["positivity_ok"],
-                             saturation_ok=c["saturation_ok"])
-        agents = tuple(AgentClearing(
-            agent_id=r["agent_id"], p0=r["p0"], p_lo=r["p_lo"],
-            p_hi=r["p_hi"], bid=r["bid"], pay_flex=r["pay_flex"],
-            pay_energy=r["pay_energy"]) for r in rows)
-        total = sum(r["bid"] for r in rows)
-        cr = ClearingResult(
-            step=c["step"], prices=prices, p_tilde=c["p_tilde"], agg=agg,
-            agents=agents, lem_settlement=c["pi"] * total,
-            budget_residual=c["budget_residual"],
-            tracking_error=abs(total - c["p_tilde"]), pi=c["pi"],
-            degenerate=c["degenerate"])
-        out.append((cr, offers, gammas))
+        cr = clear_market(offers, gammas, c["p_tilde"], c["pi"], step=c["step"])
+        recorded = {"bid": tuple(r["bid"] for r in rows), "mu": c["mu"],
+                    "mu_tilde": c["mu_tilde"]}
+        recleared = {"bid": cr.bids, "mu": cr.prices.mu,
+                     "mu_tilde": cr.prices.mu_tilde}
+        differs = [k for k in recorded if recorded[k] != recleared[k]]
+        out.append((cr, offers, gammas, ",".join(differs) or "ok"))
     return out
 
 
@@ -111,32 +102,31 @@ def cmd_verify(args) -> int:
         gammas = [a.gamma for a in s.agents]
         if args.out:
             write_trace(trace, args.out, gammas)
-        triples = []
+        checks = []
         for cr in trace.clearings:
             offers = [FlexibilityOffer(r.agent_id, r.p0, r.p_lo, r.p_hi, {})
                       for r in cr.agents]
-            triples.append((cr, offers, gammas))
+            checks.append((cr, offers, gammas, "-"))
     else:
         if not args.out:
             print("verify: give --scenario to run inline or --out with a trace",
                   file=sys.stderr)
             return 2
-        triples = _clearings_from_trace(read_trace(args.out))
+        checks = _recleared(read_trace(args.out))
 
     failures = []
     print(f"{'step':>4} {'nash':>6} {'stackelberg':>12} {'budget':>10} "
-          f"{'max_improvement':>16}")
-    for cr, offers, gammas in triples:
+          f"{'max_improvement':>16} {'trace':>12}")
+    for cr, offers, gammas, replay in checks:
         rep = verify_equilibrium(cr, offers, gammas,
                                  grid_points=args.grid_points, tol=args.tol)
-        budget = check_budget_balance(cr.prices, [a.bid for a in cr.agents],
-                                      cr.agg, cr.pi, tol=args.tol)
-        ok = rep.passed and budget.ok
-        if not ok:
+        budget = check_budget_balance(cr.prices, cr.bids, cr.agg, cr.pi,
+                                      tol=args.tol)
+        if not (rep.passed and budget.ok and replay in ("ok", "-")):
             failures.append(cr.step)
         impr = max(rep.improvements.values()) if rep.improvements else 0.0
         print(f"{cr.step:>4} {str(rep.nash_ok):>6} {str(rep.stackelberg_ok):>12} "
-              f"{str(budget.ok):>10} {impr:>16.3e}")
+              f"{str(budget.ok):>10} {impr:>16.3e} {replay:>12}")
     if failures:
         print(f"FAILED clearings: {failures}")
         return 1
@@ -170,9 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="dotted-path scenario override (repeatable)")
-        p.add_argument("--grid-points", type=int, default=10000)
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--agent", default=None, help="agent id for reports")
 
     p_run = sub.add_parser("run", help="simulate a scenario and export the trace")
     common(p_run, scenario_required=True)
@@ -180,10 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="check every clearing's equilibrium")
     common(p_ver, scenario_required=False)
+    p_ver.add_argument("--grid-points", type=int, default=10000)
+    p_ver.add_argument("--tol", type=float, default=1e-6)
     p_ver.set_defaults(func=cmd_verify, out_required=False)
 
     p_rep = sub.add_parser("report", help="emit plot-ready CSV reports")
     common(p_rep, scenario_required=False)
+    p_rep.add_argument("--agent", default=None, help="agent id for reports")
     p_rep.set_defaults(func=cmd_report, out_required=True)
     return ap
 
@@ -202,9 +192,6 @@ def main(argv=None) -> int:
     except MarketError as exc:
         print(f"pipeline failure: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: cannot parse input: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

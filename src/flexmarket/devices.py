@@ -1,4 +1,4 @@
-"""DER device models: parameters, one-step dynamics, limits, cost terms.
+"""DER device models: parameters, one-step dynamics, limits.
 
 Sign convention, used everywhere in the package: power P is net
 injection, so P > 0 means generation into the grid and P < 0 means
@@ -16,10 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
-
-if TYPE_CHECKING:                      # pragma: no cover
-    from .scenario import HorizonView
 
 BATTERY = "battery"
 EV = "ev"
@@ -145,30 +141,6 @@ class PvParams:
 
 
 @dataclass(frozen=True)
-class DeviceState:
-    """Tagged state value: SOC for storage, indoor temperature for the
-    heat pump, None for stateless PV."""
-
-    kind: str
-    value: Optional[float]
-
-    def check(self, device) -> "DeviceState":
-        """Validate the value against the owning device's bounds."""
-        if device.kind != self.kind:
-            raise DeviceValidationError("kind", f"state tagged {self.kind!r} "
-                                        f"checked against {device.kind!r}")
-        if self.kind in (BATTERY, EV):
-            _require(device.soc_min <= self.value <= device.soc_max,
-                     "value", "SOC outside the device's bounds")
-        elif self.kind == HEAT_PUMP:
-            _require(device.t_min <= self.value <= device.t_max,
-                     "value", "temperature outside the device's bounds")
-        elif self.kind == PV:
-            _require(self.value is None, "value", "PV carries no state")
-        return self
-
-
-@dataclass(frozen=True)
 class ObjectiveWeights:
     """Weights of the multiperiod objective's cost terms."""
 
@@ -235,66 +207,26 @@ def feasible_power_interval(device, t: int, alpha_pv: float = 0.0):
     raise ValueError(f"unknown device kind {kind!r}")
 
 
-def der_objective(device, schedule: Sequence[float], states: Sequence[float],
-                  weights: ObjectiveWeights, horizon: "HorizonView") -> float:
-    """Quadratic cost of one device's schedule over a horizon window.
+_STORAGE_FIELDS = ("self_discharge", "efficiency", "capacity_kwh", "p_min_kw",
+                   "p_max_kw", "soc_min", "soc_max", "soc_init")
 
-    schedule holds the injections for each horizon step; states holds the
-    matching state values (SOC or temperature; empty for PV). The EV
-    charge-target term is included only when the target step falls inside
-    the window.
-    """
-    kind = device.kind
-    H = horizon.length
-    if len(schedule) != H:
-        raise ValueError(f"schedule has {len(schedule)} entries, horizon has {H}")
-    if kind in (BATTERY, EV, HEAT_PUMP) and len(states) != H:
-        raise ValueError(f"states has {len(states)} entries, horizon has {H}")
-
-    if kind in (BATTERY, EV):
-        cost = weights.alpha_cyc * sum(
-            (schedule[k + 1] - schedule[k]) ** 2 for k in range(H - 1))
-        if kind == EV:
-            k_star = device.target_step - horizon.t_start
-            if 0 <= k_star < H:
-                cost += weights.xi_ev * (states[k_star] - device.soc_target) ** 2
-        return cost
-    if kind == HEAT_PUMP:
-        return weights.xi_ac * sum((tv - device.t_setpoint) ** 2 for tv in states)
-    if kind == PV:
-        return weights.xi_pv * sum(
-            (horizon.irradiance_frac[k] * device.p_rated_kw - schedule[k]) ** 2
-            for k in range(H))
-    raise ValueError(f"unknown device kind {kind!r}")
-
-
-def utilization_objective(pv: Sequence[float], bs: Sequence[float],
-                          ev: Sequence[float], weight: float) -> float:
-    """weight * sum over steps of (P_pv + P_bs + P_ev)^2."""
-    if not (len(pv) == len(bs) == len(ev)):
-        raise ValueError("utilization sequences must have equal lengths")
-    return weight * sum((a + b + c) ** 2 for a, b, c in zip(pv, bs, ev))
+# config fields of each device kind, in constructor order
+_DEVICE_FIELDS = {
+    BATTERY: (BatteryParams, _STORAGE_FIELDS),
+    EV: (EvParams, _STORAGE_FIELDS + ("away_start", "away_end", "soc_target",
+                                      "target_step")),
+    HEAT_PUMP: (HpParams, ("r_th", "c_th", "cop", "p_rated_kw", "t_min",
+                           "t_max", "t_setpoint", "t_init")),
+    PV: (PvParams, ("p_rated_kw",)),
+}
 
 
 def device_from_dict(kind: str, data: dict):
     """Build a device parameter record from a config mapping."""
-    ctors = {
-        BATTERY: (BatteryParams, (
-            "self_discharge", "efficiency", "capacity_kwh", "p_min_kw",
-            "p_max_kw", "soc_min", "soc_max", "soc_init")),
-        EV: (EvParams, (
-            "self_discharge", "efficiency", "capacity_kwh", "p_min_kw",
-            "p_max_kw", "soc_min", "soc_max", "soc_init", "away_start",
-            "away_end", "soc_target", "target_step")),
-        HEAT_PUMP: (HpParams, (
-            "r_th", "c_th", "cop", "p_rated_kw", "t_min", "t_max",
-            "t_setpoint", "t_init")),
-        PV: (PvParams, ("p_rated_kw",)),
-    }
-    if kind not in ctors:
+    if kind not in _DEVICE_FIELDS:
         raise DeviceValidationError(
             "kind", f"unknown device kind {kind!r}; expected one of {DEVICE_KINDS}")
-    ctor, fields = ctors[kind]
+    ctor, fields = _DEVICE_FIELDS[kind]
     unknown = set(data) - set(fields)
     if unknown:
         raise DeviceValidationError(
@@ -311,14 +243,5 @@ def device_from_dict(kind: str, data: dict):
 
 
 def device_to_dict(device) -> dict:
-    fields = {
-        BATTERY: ("self_discharge", "efficiency", "capacity_kwh", "p_min_kw",
-                  "p_max_kw", "soc_min", "soc_max", "soc_init"),
-        EV: ("self_discharge", "efficiency", "capacity_kwh", "p_min_kw",
-             "p_max_kw", "soc_min", "soc_max", "soc_init", "away_start",
-             "away_end", "soc_target", "target_step"),
-        HEAT_PUMP: ("r_th", "c_th", "cop", "p_rated_kw", "t_min", "t_max",
-                    "t_setpoint", "t_init"),
-        PV: ("p_rated_kw",),
-    }[device.kind]
-    return {f: getattr(device, f) for f in fields}
+    """The config mapping device_from_dict reads back to an equal record."""
+    return {f: getattr(device, f) for f in _DEVICE_FIELDS[device.kind][1]}

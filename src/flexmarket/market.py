@@ -20,7 +20,7 @@ Runs are deterministic: identical scenarios produce identical traces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -225,11 +225,7 @@ def run_simulation(s: Scenario, solver_cfg: Optional[BnbConfig] = None) -> Simul
         states = new_states
 
     meta = {
-        "weights": {
-            "alpha_cyc": s.weights.alpha_cyc, "xi_ev": s.weights.xi_ev,
-            "xi_ac": s.weights.xi_ac, "xi_pv": s.weights.xi_pv,
-            "utilization": s.weights.utilization,
-        },
+        "weights": asdict(s.weights),
         "solver": {
             "node_limit": cfg.node_limit, "gap_tol": cfg.gap_tol,
             "qp_tol": cfg.qp_tol, "final_tol": cfg.final_tol,

@@ -169,12 +169,6 @@ def compute_prices(agg: AggregateFlex, p_tilde: float, pi: float) -> PriceSignal
                                      agg.agent_spans))
 
 
-def check_no_saturation(prices: PriceSignal, gammas: Sequence[float],
-                        offers: Sequence[FlexibilityOffer]) -> bool:
-    return _saturation_ok(prices.mu + prices.mu_tilde, gammas,
-                          [o.p_hi - o.p0 for o in offers])
-
-
 def saturation_cap(agg: AggregateFlex) -> float:
     """Largest setpoint that keeps every agent's best response interior.
 

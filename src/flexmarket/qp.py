@@ -494,7 +494,8 @@ class AdmmSolver:
 
         Least squares on the active gradients, iteratively dropping
         columns whose multiplier lands on the wrong side; the survivors
-        must explain the objective gradient to the acceptance scale.
+        must explain the objective gradient to the acceptance scale. A
+        least-squares solve that fails to converge counts as no repair.
         """
         qp = self.qp
         idx = np.flatnonzero(act_low | act_up)
@@ -511,7 +512,10 @@ class AdmmSolver:
             cols = np.flatnonzero(keep)
             if not len(cols):
                 return None
-            sol, *_ = np.linalg.lstsq(A_full[:, cols], g, rcond=None)
+            try:
+                sol, *_ = np.linalg.lstsq(A_full[:, cols], g, rcond=None)
+            except np.linalg.LinAlgError:
+                return None
             lam = np.zeros(len(idx))
             lam[cols] = sol
             wrong = (~free) & keep & ((low & (lam > good)) | (~low & (lam < -good)))
@@ -588,34 +592,6 @@ def check_kkt(qp: QuadraticProgram, sol: QpSolution, tol: float = DEFAULT_TOL) -
         slack = qp.b_le - qp.A_le @ x
         comp = max(comp, _inf_norm(np.maximum(sol.dual_ineq, 0.0) * slack))
     return KktReport(stationarity, primal, dual, comp, tol)
-
-
-def dump_qp(qp: QuadraticProgram, stream) -> None:
-    """Write a plain-text canonical listing for external cross-checking."""
-    w = stream.write
-    w(f"vars {qp.n} eq {qp.n_eq} le {qp.n_le} c0 {qp.c0!r}\n")
-    coo = qp.Q.tocoo()
-    w("Q (row col value):\n")
-    order = np.lexsort((coo.col, coo.row))
-    for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-        if v != 0.0:
-            w(f"  {i} {j} {v!r}\n")
-    w("c:\n")
-    for i, v in enumerate(qp.c):
-        if v != 0.0:
-            w(f"  {i} {v!r}\n")
-    w("bounds (idx lb ub):\n")
-    for i in range(qp.n):
-        if np.isfinite(qp.lb[i]) or np.isfinite(qp.ub[i]):
-            w(f"  {i} {qp.lb[i]!r} {qp.ub[i]!r}\n")
-    for name, A, b in (("eq", qp.A_eq, qp.b_eq), ("le", qp.A_le, qp.b_le)):
-        w(f"{name} rows:\n")
-        A = A.tocsr()
-        for r in range(A.shape[0]):
-            row = A.getrow(r).tocoo()
-            terms = " ".join(f"{v!r}*x{j}" for j, v in zip(row.col, row.data))
-            sym = "=" if name == "eq" else "<="
-            w(f"  {terms} {sym} {b[r]!r}\n")
 
 
 def _inf_norm(v) -> float:

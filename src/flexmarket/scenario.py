@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -187,7 +187,6 @@ class HorizonView:
     length: int
     outdoor_temp: tuple
     irradiance_frac: tuple
-    lem_price: tuple
     device_states: Mapping[str, Mapping[str, Optional[float]]]
     reaches_end: bool           # window touches the simulation end
 
@@ -213,7 +212,6 @@ def slice_horizon(s: Scenario, t_start: int,
         length=H,
         outdoor_temp=s.series.outdoor_temp[sl],
         irradiance_frac=s.series.irradiance_frac[sl],
-        lem_price=s.series.lem_price[sl],
         device_states={aid: dict(m) for aid, m in states.items()},
         reaches_end=t_start + H >= grid.total_steps)
 
@@ -301,7 +299,7 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
         raise ScenarioParseError(f"time: {exc}") from exc
 
     weights_sec = _section(doc, "weights", required=False)
-    known = {"alpha_cyc", "xi_ev", "xi_ac", "xi_pv", "utilization"}
+    known = {f.name for f in fields(ObjectiveWeights)}
     bad = set(weights_sec) - known
     if bad:
         raise ScenarioValidationError(f"weights.{sorted(bad)[0]}", "unknown weight")
@@ -379,8 +377,8 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
                     policy=policy, weights=weights)
 
 
-def load_scenario(path) -> Scenario:
-    """Read, parse, and fully validate a scenario file."""
+def read_scenario_doc(path) -> dict:
+    """Read a scenario file's JSON document, which must be an object."""
     path = Path(path)
     if not path.exists():
         raise ScenarioFileError(f"scenario not found: {path}")
@@ -393,7 +391,13 @@ def load_scenario(path) -> Scenario:
         raise ScenarioFileError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a JSON object")
-    return scenario_from_dict(doc, base_dir=path.parent)
+    return doc
+
+
+def load_scenario(path) -> Scenario:
+    """Read, parse, and fully validate a scenario file."""
+    path = Path(path)
+    return scenario_from_dict(read_scenario_doc(path), base_dir=path.parent)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -406,13 +410,7 @@ def scenario_to_dict(s: Scenario) -> dict:
             "horizon_len": grid.horizon_len,
             "temperature_unit": grid.temperature_unit,
         },
-        "weights": {
-            "alpha_cyc": s.weights.alpha_cyc,
-            "xi_ev": s.weights.xi_ev,
-            "xi_ac": s.weights.xi_ac,
-            "xi_pv": s.weights.xi_pv,
-            "utilization": s.weights.utilization,
-        },
+        "weights": asdict(s.weights),
         "policy": {
             "beta": list(s.policy.beta),
             "clip_to_positivity": s.policy.clip_to_positivity,

@@ -99,17 +99,8 @@ class TraceData:
     devices: list
     metadata: dict
 
-    def steps(self) -> list:
-        return [c["step"] for c in self.clearings]
-
     def agent_rows(self, step: int) -> list:
         return [r for r in self.agents if r["step"] == step]
-
-    def clearing_row(self, step: int) -> dict:
-        for c in self.clearings:
-            if c["step"] == step:
-                return c
-        raise TraceIoError(f"no clearing row for step {step}")
 
 
 def _read_csv(path: Path, columns, converters) -> list:

@@ -35,6 +35,22 @@ def test_run_missing_scenario(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_run_scenario_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_run_rejects_audit_options(tmp_path):
+    # --grid-points and --tol belong to verify, --agent to report
+    for extra in (["--tol", "1e-3"], ["--grid-points", "200"], ["--agent", "a1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", MINI, "--out", str(tmp_path / "o")] + extra)
+        assert exc.value.code == 2
+
+
 def test_run_invalid_override(tmp_path, capsys):
     code = main(["run", "--scenario", MINI, "--out", str(tmp_path / "o"),
                  "--override", "agents.0.eps_hi=0.005"])
@@ -82,7 +98,10 @@ def test_verify_corrupted_bid_fails(mini_run, tmp_path, capsys):
         csv.writer(fh).writerows(rows)
     code = main(["verify", "--out", str(corrupted)])
     assert code == 1
-    assert "FAILED clearings" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAILED clearings: [1]" in out
+    # re-clearing the recorded offers does not reproduce the edited bid
+    assert out.splitlines()[2].split()[-1] == "bid"
 
 
 def test_verify_empty_trace_errors(tmp_path, capsys):

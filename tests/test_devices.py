@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from flexmarket import devices as dev
+from flexmarket.agent import build_mpo
 from flexmarket.devices import (BatteryParams, DeviceValidationError, EvParams,
                                 HpParams, ObjectiveWeights, PvParams,
-                                battery_soc_step, der_objective,
-                                feasible_power_interval, hp_temperature_step,
-                                utilization_objective)
+                                battery_soc_step, feasible_power_interval,
+                                hp_temperature_step)
+from flexmarket.scenario import AgentSpec, HorizonView
 
 
 def battery(**kw):
@@ -33,12 +34,29 @@ def hp(**kw):
     return HpParams(**base)
 
 
-class FakeView:
-    def __init__(self, t_start=0, irr=(0.0,) * 4, dt=1.0):
-        self.t_start = t_start
-        self.irradiance_frac = irr
-        self.length = len(irr)
-        self.dt_hours = dt
+def window_cost(devices, powers, weights, states=None, irr=None, t_start=0):
+    """Cost terms of the agent's window objective (build_mpo) at a given
+    schedule: the objective less its linear rewards, with zero
+    flexibility and no fixed load. powers maps device kind to one
+    injection per step; states maps kind to the state at each step's
+    start, the first being the window's starting state."""
+    states = states or {}
+    H = len(next(iter(powers.values())))
+    spec = AgentSpec("a", 1.0, tuple(devices), (0.0,) * (t_start + H))
+    view = HorizonView(
+        t_start=t_start, dt_hours=1.0, length=H, outdoor_temp=(80.0,) * H,
+        irradiance_frac=irr or (0.0,) * H,
+        device_states={"a": {k: v[0] for k, v in states.items()}},
+        reaches_end=False)
+    miqp = build_mpo(spec, view, weights)
+    x = np.zeros(miqp.base.n)
+    for kind, ps in powers.items():
+        for k, p in enumerate(ps):
+            x[miqp.layout.P[kind, k]] = p
+    for kind, vals in states.items():
+        for k in range(1, H):
+            x[miqp.layout.state[kind, k]] = vals[k]
+    return miqp.base.objective_value(x) + sum(map(sum, powers.values()))
 
 
 # --- one-step dynamics ------------------------------------------------------
@@ -137,70 +155,71 @@ def test_battery_interval():
     assert feasible_power_interval(battery(), 5) == (-3.0, 3.0)
 
 
-# --- objectives -------------------------------------------------------------
+# --- cost terms of the window objective -----------------------------------
+
+NO_UTIL = ObjectiveWeights(utilization=0.0)
+
 
 def test_constant_battery_schedule_zero_cost():
-    w = ObjectiveWeights()
-    v = der_objective(battery(), (1.0, 1.0, 1.0, 1.0), (0.5,) * 4, w, FakeView())
-    assert v == 0.0
+    v = window_cost([battery()], {"battery": (1.0,) * 4}, NO_UTIL)
+    assert v == pytest.approx(0.0, abs=1e-12)
 
 
 def test_battery_cycling_single_step():
-    w = ObjectiveWeights(alpha_cyc=0.1)
-    view = FakeView(irr=(0.0, 0.0))
+    w = ObjectiveWeights(alpha_cyc=0.1, utilization=0.0)
     # brute-force sum over the single difference
-    v = der_objective(battery(), (0.0, 2.0), (0.5, 0.5), w, view)
+    v = window_cost([battery()], {"battery": (0.0, 2.0)}, w)
     assert v == pytest.approx(0.1 * (2.0 - 0.0) ** 2)
 
 
 def test_hp_perfect_tracking_zero_cost():
-    w = ObjectiveWeights()
-    v = der_objective(hp(), (-1.0,) * 4, (70.0,) * 4, w, FakeView())
-    assert v == 0.0
+    v = window_cost([hp()], {"heat_pump": (-1.0,) * 4}, ObjectiveWeights(),
+                    states={"heat_pump": (70.0,) * 4})
+    assert v == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ev_tracking_term_only_in_window():
-    w = ObjectiveWeights(alpha_cyc=0.0, xi_ev=10.0)
+    w = ObjectiveWeights(alpha_cyc=0.0, xi_ev=10.0, utilization=0.0)
     e = ev(target_step=2, soc_target=0.9)
-    states = (0.5, 0.6, 0.7, 0.8)
-    inside = der_objective(e, (0.0,) * 4, states, w, FakeView(t_start=0))
+    states = {"ev": (0.5, 0.6, 0.7, 0.8)}
+    powers = {"ev": (0.0,) * 4}
+    inside = window_cost([e], powers, w, states=states, t_start=0)
     assert inside == pytest.approx(10.0 * (0.7 - 0.9) ** 2)
-    outside = der_objective(e, (0.0,) * 4, states, w, FakeView(t_start=3))
-    assert outside == 0.0
+    # target at the window's first step: the known starting state counts
+    first = window_cost([e], powers, w, states=states, t_start=2)
+    assert first == pytest.approx(10.0 * (0.5 - 0.9) ** 2)
+    outside = window_cost([e], powers, w, states=states, t_start=3)
+    assert outside == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pv_curtailment_cost():
-    w = ObjectiveWeights(xi_pv=1.0)
-    view = FakeView(irr=(0.5, 1.0))
-    v = der_objective(PvParams(4.0), (2.0, 3.0), (), w, view)
+    w = ObjectiveWeights(xi_pv=1.0, utilization=0.0)
+    v = window_cost([PvParams(4.0)], {"pv": (2.0, 3.0)}, w, irr=(0.5, 1.0))
     assert v == pytest.approx((0.5 * 4 - 2.0) ** 2 + (1.0 * 4 - 3.0) ** 2)
 
 
 def test_objectives_nonnegative_random():
     rng = np.random.default_rng(2)
     w = ObjectiveWeights()
-    view = FakeView(irr=tuple(rng.uniform(0, 1, 4)))
     for _ in range(30):
         sched = tuple(rng.uniform(-3, 3, 4))
         states = tuple(rng.uniform(0, 1, 4))
-        assert der_objective(battery(), sched, states, w, view) >= 0.0
+        assert window_cost([battery()], {"battery": sched}, w,
+                           states={"battery": states}) >= 0.0
         temps = tuple(rng.uniform(60, 80, 4))
         hp_sched = tuple(-rng.uniform(0, 3, 4))
-        assert der_objective(hp(), hp_sched, temps, w, view) >= 0.0
+        assert window_cost([hp()], {"heat_pump": hp_sched}, w,
+                           states={"heat_pump": temps}) >= 0.0
 
 
 def test_utilization_objective():
-    assert utilization_objective((2.0,) * 3, (-2.0,) * 3, (0.0,) * 3, 1.0) == 0.0
-    assert utilization_objective((0.0,), (0.0,), (0.0,), 5.0) == 0.0
-    assert utilization_objective((3.0,), (-1.0,), (0.0,), 1.0) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        utilization_objective((1.0, 2.0), (0.0,), (0.0,), 1.0)
-
-
-def test_length_mismatch():
-    w = ObjectiveWeights()
-    with pytest.raises(ValueError):
-        der_objective(battery(), (0.0,) * 3, (0.5,) * 4, w, FakeView())
+    def util(pv, bs, weight):
+        w = ObjectiveWeights(alpha_cyc=0.0, xi_pv=0.0, utilization=weight)
+        return window_cost([battery(), PvParams(4.0)],
+                           {"battery": bs, "pv": pv}, w, irr=(1.0,) * len(pv))
+    assert util((2.0,) * 3, (-2.0,) * 3, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert util((0.0,), (0.0,), 5.0) == pytest.approx(0.0, abs=1e-12)
+    assert util((3.0,), (-1.0,), 1.0) == pytest.approx(4.0)
 
 
 # --- parameter validation ---------------------------------------------------
@@ -235,23 +254,6 @@ def test_hp_validation():
         hp(t_setpoint=80.0)
     with pytest.raises(DeviceValidationError):
         hp(t_init=60.0)
-
-
-def test_device_state_check():
-    from flexmarket.devices import DeviceState
-    b = battery()
-    assert DeviceState("battery", 0.5).check(b).value == 0.5
-    with pytest.raises(DeviceValidationError):
-        DeviceState("battery", 1.5).check(b)
-    with pytest.raises(DeviceValidationError):
-        DeviceState("heat_pump", 70.0).check(b)
-    assert DeviceState("pv", None).check(PvParams(4.0)).value is None
-    with pytest.raises(DeviceValidationError):
-        DeviceState("pv", 1.0).check(PvParams(4.0))
-    h = hp()
-    assert DeviceState("heat_pump", 70.0).check(h).kind == "heat_pump"
-    with pytest.raises(DeviceValidationError):
-        DeviceState("heat_pump", 90.0).check(h)
 
 
 def test_device_from_dict_roundtrip_and_errors():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from flexmarket.agent import FlexibilityOffer, best_response
 from flexmarket.pricing import (AggregateFlex, PricingError, aggregate_offers,
-                                check_budget_balance, check_no_saturation,
-                                operator_utility, compute_prices, positivity_region,
-                                saturation_cap)
+                                check_budget_balance, operator_utility,
+                                compute_prices, positivity_region, saturation_cap)
 
 
 def offer(p0, p_lo, p_hi, aid="a"):
@@ -215,15 +216,42 @@ def test_budget_perturbation_linearity():
     assert rep.residual == pytest.approx(0.9)
 
 
-def test_no_saturation_inequality():
-    offers = [offer(-4.0, -6.0, -2.0, a) for a in "abc"]   # span 2 each
-    gammas = [1.0, 1.0, 1.0]
-    from flexmarket.pricing import PriceSignal
-    assert check_no_saturation(PriceSignal(1.0, 1.0, True, True), gammas, offers)
-    assert not check_no_saturation(PriceSignal(3.0, 3.0, True, True), gammas, offers)
-    # zero-range agents are exempt
-    passive = [offer(-2.0, -2.0, -2.0)]
-    assert check_no_saturation(PriceSignal(3.0, 3.0, True, True), [1.0], passive)
+_agent = st.tuples(st.floats(0.1, 5.0),      # gamma
+                   st.floats(0.05, 3.0),     # upward span
+                   st.floats(0.1, 5.0))      # load beyond the span
+
+
+@settings(derandomize=True, deadline=None)
+@given(agents=st.lists(_agent, min_size=1, max_size=5),
+       passive=st.lists(st.floats(0.1, 5.0), max_size=2),
+       net_load=st.booleans(), pi=st.floats(0.01, 1.0),
+       below=st.floats(0.0, 1.0 - 1e-9), above=st.floats(0.0, 1.0))
+@example(agents=[(1.0, 2.0, 2.0)] * 3, passive=[1.0], net_load=True, pi=0.1,
+         below=0.5, above=0.5)
+def test_no_saturation_inequality(agents, passive, net_load, pi, below, above):
+    """compute_prices flags saturation exactly past saturation_cap: the
+    prices satisfy mu + mu_tilde = 2*(P - p0_t)/gamma_t, so the cap is
+    where the least flexible responsive agent reaches its ceiling.
+    Zero-range agents are present but exempt."""
+    sign = -1.0 if net_load else 1.0
+    offers, gammas = [], []
+    for g, span, load in agents:
+        p0 = -(load + span) if net_load else load
+        offers.append(offer(p0, p0 - span, p0 + span))
+        gammas.append(g)
+    for g in passive:
+        offers.append(offer(sign, sign, sign))
+        gammas.append(g)
+    agg = aggregate_offers(offers, gammas)
+    cap = saturation_cap(agg)
+    reach = cap - agg.p0_t
+    p_in = agg.p0_t + reach * below
+    assume(p_in != agg.p0_t)
+    assert compute_prices(agg, p_in, pi).saturation_ok
+    lo_out = agg.p0_t + reach * (1.0 + 1e-9)
+    assume(lo_out < agg.p_hi_t)
+    p_out = lo_out + (agg.p_hi_t - lo_out) * above
+    assert not compute_prices(agg, p_out, pi).saturation_ok
 
 
 def test_saturation_cap_keeps_everyone_interior():

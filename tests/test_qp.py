@@ -1,10 +1,8 @@
-import io
-
 import numpy as np
 import pytest
 
 from flexmarket.qp import (AdmmSolver, QpBuilder, QpError, QuadraticProgram,
-                           check_kkt, dump_qp, solve_qp)
+                           check_kkt, solve_qp)
 
 
 def test_interior_minimum():
@@ -137,21 +135,6 @@ def test_empty_program():
     sol = solve_qp(qp)
     assert sol.status == "optimal"
     assert sol.objective == 4.5
-
-
-def test_dump_listing():
-    b = QpBuilder()
-    x = b.add_var(0.0, 2.0)
-    y = b.add_var()
-    b.add_square([(x, 1.0)], -1.0, 1.0)
-    b.add_eq([(x, 1.0), (y, 1.0)], 2.0)
-    b.add_le([(x, 1.0), (y, -1.0)], 3.0)
-    qp = b.build()
-    buf = io.StringIO()
-    dump_qp(qp, buf)
-    text = buf.getvalue()
-    assert "vars 2 eq 1 le 1" in text
-    assert "<=" in text and "=" in text
 
 
 def test_builder_square_expansion():

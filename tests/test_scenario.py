@@ -133,7 +133,7 @@ def test_slice_window_basic():
     s = scenario_from_dict(minimal_doc())
     v = slice_horizon(s, 0)
     assert v.length == 3
-    assert len(v.lem_price) == 3
+    assert len(v.outdoor_temp) == len(v.irradiance_frac) == 3
     assert v.t_start == 0
     assert not v.reaches_end
 
