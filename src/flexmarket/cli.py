@@ -31,20 +31,29 @@ def _parse_override(text: str):
     return key.strip(), value
 
 
+def _subscript(node, part: str, key: str):
+    """The dict key or list index that one step of override `key` names."""
+    if isinstance(node, dict):
+        return part
+    if not isinstance(node, list):
+        raise ValueError(f"override {key!r}: cannot step into {part!r} of a "
+                         f"{type(node).__name__} value")
+    if not (part.isdecimal() and int(part) < len(node)):
+        raise ValueError(f"override {key!r}: {part!r} is not an index of a "
+                         f"list of {len(node)} items")
+    return int(part)
+
+
 def _apply_overrides(doc: dict, overrides) -> dict:
     for key, value in overrides:
-        parts = key.split(".")
+        *path, leaf = key.split(".")
         node = doc
-        for p in parts[:-1]:
-            if isinstance(node, list):
-                node = node[int(p)]
-            else:
-                node = node.setdefault(p, {})
-        leaf = parts[-1]
-        if isinstance(node, list):
-            node[int(leaf)] = value
-        else:
-            node[leaf] = value
+        for p in path:
+            i = _subscript(node, p, key)
+            if isinstance(node, dict):
+                node.setdefault(i, {})
+            node = node[i]
+        node[_subscript(node, leaf, key)] = value
     return doc
 
 

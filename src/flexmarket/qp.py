@@ -16,12 +16,16 @@ After the residual test passes, an active-set polish step re-solves the
 equality-constrained KKT system on the detected active rows, which
 typically drives residuals to near machine precision.
 
-Changing only lb/ub (as branch-and-bound does when fixing binaries) does
-not change the KKT matrix, so one factorization serves a whole search
-tree. All arithmetic is deterministic; repeated solves of the same data
-give bit-identical results. solve_qp builds a private workspace per call
-and is reentrant; an AdmmSolver instance carries solver state (penalty
-scale, factorization) and belongs to one thread at a time.
+Each workspace scales its data and assembles its KKT matrix once, on the
+index/value triplets of Q and S rather than through scipy.sparse
+arithmetic. A penalty change rewrites only the KKT's lower-right
+diagonal before refactorizing, and changing only lb/ub (as
+branch-and-bound does when fixing binaries) changes nothing, so one
+factorization serves a whole search tree. All arithmetic is
+deterministic; repeated solves of the same data give bit-identical
+results. solve_qp builds a private workspace per call and is reentrant;
+an AdmmSolver instance carries solver state (penalty scale,
+factorization) and belongs to one thread at a time.
 """
 
 from __future__ import annotations
@@ -198,56 +202,66 @@ class AdmmSolver:
         self._rho_scale = 1.0
         self.rho = rho_vec
         self._lu = None
+        self._polish_data = None
         if self.n:
             self._factorize()
 
     def _factorize(self):
+        """Write the current penalties into the KKT diagonal and refactorize."""
         self.rho = self._rho_base * self._rho_scale
-        kkt = sp.bmat(
-            [[self.Qs + self.sigma * sp.identity(self.n), self.Ss.T],
-             [self.Ss, -sp.diags(1.0 / self.rho)]],
-            format="csc")
-        self._lu = spla.splu(kkt)
+        self._kkt.data[self._rho_pos] = -1.0 / self.rho
+        self._lu = spla.splu(self._kkt)
 
     def _equilibrate(self):
         """Modified Ruiz scaling of [[Q, S'], [S, 0]] plus cost scaling.
 
         Produces variable scales d, row scales e, and a cost scale cost_c
         so that the iteration runs on well-conditioned data; solutions
-        and termination tests are mapped back to original units.
+        and termination tests are mapped back to original units. Then
+        assembles the scaled KKT matrix [[cost_c Q + sigma I, S'],
+        [S, -diag(1/rho)]] once; `_factorize` fills its lower-right
+        diagonal, whose positions in the CSC data are `_rho_pos`. Works
+        on the nonzero triplets, with the same floating-point products
+        as diag(dd) @ Q @ diag(dd), so results match those bit for bit.
         """
         n, m = self.n, self.m
         d = np.ones(n)
         e = np.ones(m)
         if n == 0:
-            self.d, self.e, self.cost_c = d, e, 1.0
-            self.Qs, self.Ss, self.cs = self.qp.Q, self.S, self.qp.c
-            self.SsT = self.Ss.T.tocsc()
+            self.d, self.e, self.cost_c, self.cs = d, e, 1.0, self.qp.c
             return
-        Q = self.qp.Q.copy()
-        S = self.S.copy()
+        qi, qj, qv = _nonzero_triplets(self.qp.Q)
+        si, sj, sv = _nonzero_triplets(self.S)
         for _ in range(_RUIZ_ITERS):
-            qcol = np.abs(Q).max(axis=0).toarray().ravel() if Q.nnz else np.zeros(n)
-            scol = np.abs(S).max(axis=0).toarray().ravel() if S.nnz else np.zeros(n)
-            srow = np.abs(S).max(axis=1).toarray().ravel() if S.nnz else np.zeros(m)
+            qcol = _abs_max(qj, qv, n)
+            scol = _abs_max(sj, sv, n)
+            srow = _abs_max(si, sv, m)
             dd = 1.0 / np.sqrt(np.maximum(np.maximum(qcol, scol), 1e-8))
             de = 1.0 / np.sqrt(np.maximum(srow, 1e-8))
             dd = np.clip(dd, 1e-4, 1e4)
             de = np.clip(de, 1e-4, 1e4)
-            Dd = sp.diags(dd)
-            Q = Dd @ Q @ Dd
-            S = sp.diags(de) @ S @ Dd
+            qv = dd[qi] * qv * dd[qj]
+            sv = de[si] * sv * dd[sj]
             d *= dd
             e *= de
         cs = d * self.qp.c
-        qnorm = np.max(np.abs(cs)) if n else 0.0
-        pnorm = np.abs(Q).max(axis=0).toarray().ravel().mean() if Q.nnz else 0.0
+        qnorm = np.max(np.abs(cs))
+        pnorm = _abs_max(qj, qv, n).mean() if len(qv) else 0.0
         cost_c = 1.0 / max(1e-6, max(qnorm, pnorm))
         self.d, self.e, self.cost_c = d, e, cost_c
-        self.Qs = (cost_c * Q).tocsc()
-        self.Ss = S.tocsc()
-        self.SsT = S.T.tocsc()
         self.cs = cost_c * cs
+        # sigma lands on Q's diagonal as a duplicate entry, summed by the
+        # CSC conversion; the penalty diagonal is a placeholder until
+        # _factorize
+        diag_n, diag_m = np.arange(n), n + np.arange(m)
+        self._kkt = sp.csc_matrix(
+            (np.concatenate([cost_c * qv, np.full(n, self.sigma), sv, sv, np.ones(m)]),
+             (np.concatenate([qi, diag_n, n + si, sj, diag_m]),
+              np.concatenate([qj, diag_n, sj, n + si, diag_m]))),
+            shape=(n + m, n + m))
+        # the conversion sorts each column's rows: column n+i holds rows
+        # of S' (all < n) and then its diagonal entry
+        self._rho_pos = self._kkt.indptr[n + 1:] - 1
 
     def _bounds(self, lb, ub):
         l = self._l0.copy()
@@ -282,7 +296,7 @@ class AdmmSolver:
             zh[~np.isfinite(zh)] = 0.0
             yh = np.zeros(self.m)
 
-        Ss, sigma, alpha = self.Ss, self.sigma, self.alpha
+        sigma, alpha = self.sigma, self.alpha
         cs = self.cs
         x = d * xh
         y = e * yh / cc
@@ -373,6 +387,28 @@ class AdmmSolver:
             return False
         return _inf_norm(self.ST @ d) < tol
 
+    def _polish_kkt(self, idx):
+        """KKT [[Q + reg I, S_act'], [S_act, -reg I]] of the rows idx of S.
+
+        Assembled from triplets cached per workspace. S keeps its
+        explicit zeros, as the row selection S[idx, :] does.
+        """
+        if self._polish_data is None:
+            P = (self.qp.Q + _POLISH_REG * sp.identity(self.n)).tocoo()
+            S = self.S.tocoo()
+            self._polish_data = (P.row, P.col, P.data, S.row, S.col, S.data)
+        pi, pj, pv, si, sj, sv = self._polish_data
+        n, k = self.n, len(idx)
+        pos = np.full(self.m, -1)
+        pos[idx] = np.arange(k)
+        sel = pos[si] >= 0
+        r, c, v = n + pos[si[sel]], sj[sel], sv[sel]
+        diag_k = n + np.arange(k)
+        return sp.csc_matrix(
+            (np.concatenate([pv, v, v, np.full(k, -_POLISH_REG)]),
+             (np.concatenate([pi, c, r, diag_k]), np.concatenate([pj, r, c, diag_k]))),
+            shape=(n + k, n + k))
+
     def _solve_active(self, act_low, act_up, l, u):
         """KKT solve with the given rows pinned at their bounds."""
         qp = self.qp
@@ -380,11 +416,7 @@ class AdmmSolver:
         b_act = np.where(act_up[idx], u[idx], l[idx])
         S_act = self.S[idx, :]
         k = len(idx)
-        kkt = sp.bmat(
-            [[qp.Q + _POLISH_REG * sp.identity(self.n),
-              S_act.T],
-             [S_act, -_POLISH_REG * sp.identity(k) if k else None]],
-            format="csc") if k else (qp.Q + _POLISH_REG * sp.identity(self.n)).tocsc()
+        kkt = self._polish_kkt(idx)
         rhs = np.concatenate([-qp.c, b_act]) if k else -qp.c
         try:
             lu = spla.splu(kkt)
@@ -597,6 +629,20 @@ def check_kkt(qp: QuadraticProgram, sol: QpSolution, tol: float = DEFAULT_TOL) -
 def _inf_norm(v) -> float:
     v = np.asarray(v)
     return float(np.max(np.abs(v))) if v.size else 0.0
+
+
+def _nonzero_triplets(mat):
+    """Row, column and value arrays of a sparse matrix's nonzero entries."""
+    coo = mat.tocoo()
+    keep = coo.data != 0.0
+    return coo.row[keep], coo.col[keep], coo.data[keep]
+
+
+def _abs_max(index, values, size) -> np.ndarray:
+    """Largest |value| per index, 0 where an index has no entry."""
+    out = np.zeros(size)
+    np.maximum.at(out, index, np.abs(values))
+    return out
 
 
 class QpBuilder:

@@ -58,6 +58,18 @@ def test_run_invalid_override(tmp_path, capsys):
     assert "eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", ["agents.5.gamma", "agents.-1.gamma",
+                                  "agents.x.gamma", "time.dt_hours.x",
+                                  "agents.0.gamma.x"])
+def test_run_malformed_override_path(tmp_path, capsys, path):
+    # an index outside the list, or a step through a number, is a
+    # validation error that names the override
+    code = main(["run", "--scenario", MINI, "--out", str(tmp_path / "o"),
+                 "--override", f"{path}=0.5"])
+    assert code == 2
+    assert path in capsys.readouterr().err
+
+
 def test_run_requires_out(capsys):
     assert main(["run", "--scenario", MINI]) == 2
 
