@@ -108,7 +108,6 @@ class _MpoLayout:
     minus: dict = field(default_factory=dict)
     z: dict = field(default_factory=dict)
     binaries: list = field(default_factory=list)
-    bigm_rows: list = field(default_factory=list)
     mode_signs: dict = field(default_factory=dict)
     kinds: tuple = ()
     H: int = 0
@@ -155,7 +154,7 @@ def build_mpo(spec: AgentSpec, view: HorizonView,
 
     _add_objective(b, lay, spec, view, weights)
     qp = b.build(validate_psd=False)    # PSD by construction: sums of squares
-    miqp = MixedIntegerQp(qp, lay.binaries, lay.bigm_rows)
+    miqp = MixedIntegerQp(qp, lay.binaries)
     miqp.layout = lay
     return miqp
 
@@ -180,10 +179,8 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
         # split P = P+ - P- with binary gating making |P| = P+ + P- exact
         b.add_eq([(lay.P[kind, k], 1.0), (lay.plus[kind, k], -1.0),
                   (lay.minus[kind, k], 1.0)], 0.0)
-        lay.bigm_rows.append(b.add_le(
-            [(lay.plus[kind, k], 1.0), (lay.z[kind, k], -pmax)], 0.0))
-        lay.bigm_rows.append(b.add_le(
-            [(lay.minus[kind, k], 1.0), (lay.z[kind, k], -pmin)], -pmin))
+        b.add_le([(lay.plus[kind, k], 1.0), (lay.z[kind, k], -pmax)], 0.0)
+        b.add_le([(lay.minus[kind, k], 1.0), (lay.z[kind, k], -pmin)], -pmin)
         # eps band on flexibility: eps_lo*|P| <= delta <= eps_hi*|P|
         b.add_le([(lay.plus[kind, k], spec.eps_lo), (lay.minus[kind, k], spec.eps_lo),
                   (lay.delta[kind, k], -1.0)], 0.0)

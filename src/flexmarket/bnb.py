@@ -27,20 +27,15 @@ INT_TOL = 1e-6                       # a relaxation this close to 0/1 is integra
 
 
 class MiqpError(ValueError):
-    """Malformed mixed-integer QP (bad binary indices, bad big-M rows)."""
+    """Malformed mixed-integer QP (bad binary indices or bounds)."""
 
 
 class MixedIntegerQp:
-    """A QuadraticProgram plus a designated set of binary variables.
+    """A QuadraticProgram plus a designated set of binary variables."""
 
-    bigm_rows lists the indices (into the <= block) of the gating rows;
-    each must involve exactly one binary variable.
-    """
-
-    def __init__(self, base: QuadraticProgram, binary_vars, bigm_rows=()):
+    def __init__(self, base: QuadraticProgram, binary_vars):
         self.base = base
         self.binary_vars = tuple(int(i) for i in binary_vars)
-        self.bigm_rows = tuple(int(r) for r in bigm_rows)
         seen = set()
         for i in self.binary_vars:
             if not 0 <= i < base.n:
@@ -50,13 +45,6 @@ class MixedIntegerQp:
             seen.add(i)
             if base.lb[i] < -1e-12 or base.ub[i] > 1.0 + 1e-12:
                 raise MiqpError(f"binary variable {i} must have bounds within [0, 1]")
-        A = base.A_le.tocsr()
-        for r in self.bigm_rows:
-            if not 0 <= r < base.n_le:
-                raise MiqpError(f"big-M row {r} out of range")
-            support = set(A.getrow(r).tocoo().col)
-            if len(support & seen) != 1:
-                raise MiqpError(f"big-M row {r} must reference exactly one binary")
 
 
 @dataclass
@@ -78,7 +66,6 @@ class MiqpSolution:
     status: str                      # "optimal" | "node_limit" | "infeasible"
     gap: float
     nodes: int
-    qp_solution: QpSolution | None = None
 
 
 def _fractionality(zvals):
@@ -109,7 +96,7 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
                 sol = tight
         status = "optimal" if sol.status == "optimal" else (
             "infeasible" if sol.status == "infeasible" else "node_limit")
-        return MiqpSolution(sol.primal, (), sol.objective, status, 0.0, 1, sol)
+        return MiqpSolution(sol.primal, (), sol.objective, status, 0.0, 1)
 
     ws = AdmmSolver(base, stiff_vars=bins)
     lb0 = base.lb.copy()
@@ -246,7 +233,7 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
         return MiqpSolution(np.full(base.n, np.nan), (), np.nan, "infeasible",
                             np.inf, nodes)
 
-    if cfg.final_tol < cfg.qp_tol or not cfg.polish_nodes:
+    if not incumbent.polished:
         # tight re-solve of the winning leaf so the returned schedule is
         # feasible to polish accuracy even when the search ran loose
         final = solve_node(inc_fix, _warm_start(ws, incumbent), tol=cfg.final_tol,
@@ -265,7 +252,7 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
     assignment = tuple(int(round(inc_fix.get(int(j), incumbent.primal[j])))
                        for j in bins)
     return MiqpSolution(incumbent.primal, assignment, incumbent.objective,
-                        status, gap, nodes, incumbent)
+                        status, gap, nodes)
 
 
 def enumerate_binaries(miqp: MixedIntegerQp, cfg: BnbConfig | None = None):
@@ -273,8 +260,8 @@ def enumerate_binaries(miqp: MixedIntegerQp, cfg: BnbConfig | None = None):
 
     Returns (best objective, best assignment, best QpSolution) over all
     2^k assignments, or (nan, None, None) when every leaf is infeasible.
-    The winning leaf is re-solved at the tight final tolerance so the
-    reported value matches what solve_miqp reports for the same leaf.
+    An unpolished winning leaf is re-solved at the final tolerance, as
+    solve_miqp does, so the reported values match for the same leaf.
     Intended for small k as an independent check of solve_miqp.
     """
     cfg = cfg or BnbConfig()
@@ -301,7 +288,7 @@ def enumerate_binaries(miqp: MixedIntegerQp, cfg: BnbConfig | None = None):
             continue
         if best[1] is None or sol.objective < best[0]:
             best = (sol.objective, bits, sol)
-    if best[1] is not None and cfg.final_tol < cfg.qp_tol:
+    if best[1] is not None and not best[2].polished:
         lo, hi = bounds_for(best[1])
         tight = ws.solve(lo, hi, tol=cfg.final_tol)
         if tight.status == "optimal":

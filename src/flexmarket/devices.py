@@ -210,6 +210,8 @@ def feasible_power_interval(device, t: int, alpha_pv: float = 0.0):
 _STORAGE_FIELDS = ("self_discharge", "efficiency", "capacity_kwh", "p_min_kw",
                    "p_max_kw", "soc_min", "soc_max", "soc_init")
 
+_STEP_FIELDS = ("away_start", "away_end", "target_step")
+
 # config fields of each device kind, in constructor order
 _DEVICE_FIELDS = {
     BATTERY: (BatteryParams, _STORAGE_FIELDS),
@@ -229,16 +231,20 @@ def device_from_dict(kind: str, data: dict):
     ctor, fields = _DEVICE_FIELDS[kind]
     unknown = set(data) - set(fields)
     if unknown:
-        raise DeviceValidationError(
-            f"{kind}.{sorted(unknown)[0]}", "unknown parameter")
+        raise DeviceValidationError(sorted(unknown)[0], "unknown parameter")
     missing = [f for f in fields if f not in data]
     if missing:
-        raise DeviceValidationError(f"{kind}.{missing[0]}", "missing parameter")
-    try:
-        vals = {f: (int(data[f]) if f in ("away_start", "away_end", "target_step")
-                    else float(data[f])) for f in fields}
-    except (TypeError, ValueError) as exc:
-        raise DeviceValidationError(kind, f"non-numeric parameter: {exc}") from exc
+        raise DeviceValidationError(missing[0], "missing parameter")
+    vals = {}
+    for f in fields:
+        try:
+            vals[f] = float(data[f])
+        except (TypeError, ValueError) as exc:
+            raise DeviceValidationError(f, f"not a number: {data[f]!r}") from exc
+        if f in _STEP_FIELDS:
+            # a step index is never truncated: 3.7 is an error, 3.0 is step 3
+            _require(vals[f].is_integer(), f, f"must be an integer, got {data[f]!r}")
+            vals[f] = int(vals[f])
     return ctor(**vals)
 
 

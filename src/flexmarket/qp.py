@@ -180,24 +180,21 @@ class AdmmSolver:
     of the variable bounds plus an optional warm start.
     """
 
-    def __init__(self, qp: QuadraticProgram, rho=_RHO, sigma=_SIGMA, alpha=_ALPHA,
-                 stiff_vars=()):
+    def __init__(self, qp: QuadraticProgram, stiff_vars=()):
         self.qp = qp
         self.n = qp.n
-        self.sigma = sigma
-        self.alpha = alpha
         self.S, self._l0, self._u0 = _stack(qp)
         self.m = self.S.shape[0]
         self.ST = self.S.T.tocsc()
         self._equilibrate()
-        rho_vec = np.full(self.m, rho)
+        rho_vec = np.full(self.m, _RHO)
         # equality rows need a stiff penalty to converge tightly; the same
         # goes for box rows a caller will pin to a point (fixed binaries)
         rho_vec[qp.n:qp.n + qp.n_eq] *= _RHO_EQ_BOOST
         for j in stiff_vars:
             rho_vec[j] *= _RHO_EQ_BOOST
         if qp.n:
-            rho_vec[:qp.n][qp.lb == qp.ub] = rho * _RHO_EQ_BOOST
+            rho_vec[:qp.n][qp.lb == qp.ub] = _RHO * _RHO_EQ_BOOST
         self._rho_base = rho_vec
         self._rho_scale = 1.0
         self.rho = rho_vec
@@ -255,7 +252,7 @@ class AdmmSolver:
         # _factorize
         diag_n, diag_m = np.arange(n), n + np.arange(m)
         self._kkt = sp.csc_matrix(
-            (np.concatenate([cost_c * qv, np.full(n, self.sigma), sv, sv, np.ones(m)]),
+            (np.concatenate([cost_c * qv, np.full(n, _SIGMA), sv, sv, np.ones(m)]),
              (np.concatenate([qi, diag_n, n + si, sj, diag_m]),
               np.concatenate([qj, diag_n, sj, n + si, diag_m]))),
             shape=(n + m, n + m))
@@ -296,7 +293,7 @@ class AdmmSolver:
             zh[~np.isfinite(zh)] = 0.0
             yh = np.zeros(self.m)
 
-        sigma, alpha = self.sigma, self.alpha
+        sigma, alpha = _SIGMA, _ALPHA
         cs = self.cs
         x = d * xh
         y = e * yh / cc
@@ -445,13 +442,10 @@ class AdmmSolver:
         Starting from the rows the iterate pins or prices, repeatedly
         solve the equality-constrained KKT system, add rows the solve
         violates, and drop rows whose multiplier has the wrong sign.
-        Redundantly pinned rows (a fixed binary makes its gating row and
-        the variable box coincide) can leave the LU dual split
-        sign-ambiguous, so a failed sign check falls back to a dual
-        repair: bounded least squares for sign-feasible multipliers at
-        the candidate point. Accepted only when the result passes a
-        strict optimality check (~1e-8 scale), which by convexity
-        certifies a global optimum; otherwise the ADMM iterate stands.
+        Accepted only when a round's result is feasible with correctly
+        signed multipliers and passes a strict optimality check (~1e-8
+        scale), which by convexity certifies a global optimum; otherwise
+        the ADMM iterate stands.
         """
         qp = self.qp
         Sx = self.S @ x
@@ -469,8 +463,6 @@ class AdmmSolver:
         act_up &= ~act_low
         scale = 1.0 + max(_inf_norm(qp.c), _inf_norm(Sx))
         good = 1e-8 * scale
-        clean = None
-        fallback = None
         seen = set()
         for _ in range(max_rounds):
             sig = (act_low.tobytes(), act_up.tobytes())
@@ -500,66 +492,14 @@ class AdmmSolver:
             feasible = not (viol_lo.any() or viol_hi.any()) \
                 and self._prim_res(Sxp, l, u) <= good
             if feasible and not (wrong_lo.any() or wrong_hi.any()):
-                clean = (xp, yp)
-                break
-            if feasible:
-                fallback = (xp, act_low.copy(), act_up.copy())
+                if _inf_norm(qp.Q @ xp + qp.c + self.ST @ yp) > good:
+                    break
+                return xp, yp, True
             act_low |= viol_lo
             act_up |= viol_hi
             act_low &= ~wrong_lo
             act_up &= ~wrong_hi
-        if clean is None and fallback is not None:
-            repaired = self._repair_duals(*fallback, l, u, eq, good)
-            if repaired is not None:
-                clean = repaired
-        if clean is None:
-            return x, y, False
-        xp, yp = clean
-        if self._prim_res(self.S @ xp, l, u) > good:
-            return x, y, False
-        if _inf_norm(qp.Q @ xp + qp.c + self.ST @ yp) > good:
-            return x, y, False
-        return xp, yp, True
-
-    def _repair_duals(self, xp, act_low, act_up, l, u, eq, good):
-        """Sign-feasible multipliers for a fixed candidate point, if any.
-
-        Least squares on the active gradients, iteratively dropping
-        columns whose multiplier lands on the wrong side; the survivors
-        must explain the objective gradient to the acceptance scale. A
-        least-squares solve that fails to converge counts as no repair.
-        """
-        qp = self.qp
-        idx = np.flatnonzero(act_low | act_up)
-        if not len(idx):
-            return None
-        g = -(qp.Q @ xp + qp.c)
-        A_full = self.ST[:, idx].toarray()
-        both = (l == u) & np.isfinite(l)
-        free = np.array([bool(eq[i] or both[i]) for i in idx])
-        low = np.array([bool(act_low[i]) for i in idx]) & ~free
-        keep = np.ones(len(idx), dtype=bool)
-        lam = np.zeros(len(idx))
-        for _ in range(8):
-            cols = np.flatnonzero(keep)
-            if not len(cols):
-                return None
-            try:
-                sol, *_ = np.linalg.lstsq(A_full[:, cols], g, rcond=None)
-            except np.linalg.LinAlgError:
-                return None
-            lam = np.zeros(len(idx))
-            lam[cols] = sol
-            wrong = (~free) & keep & ((low & (lam > good)) | (~low & (lam < -good)))
-            if not wrong.any():
-                break
-            keep &= ~wrong
-        lam[~keep] = 0.0
-        if _inf_norm(A_full @ lam - g) > good:
-            return None
-        yp = np.zeros(self.m)
-        yp[idx] = lam
-        return xp, yp
+        return x, y, False
 
     def _package(self, x, y, status, iters) -> QpSolution:
         qp = self.qp

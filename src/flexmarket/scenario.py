@@ -285,18 +285,29 @@ def _section(doc: dict, key: str, required: bool = True) -> dict:
     return sec
 
 
+def _number(value, name: str, integer: bool = False):
+    """A document value as a float, or as an int for a step count; a
+    fractional step count is an error, not truncated."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioParseError(f"{name}: not a number: {value!r}") from exc
+    if not integer:
+        return x
+    if not x.is_integer():
+        raise ScenarioParseError(f"{name}: must be an integer, got {value!r}")
+    return int(x)
+
+
 def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
     time_sec = _section(doc, "time")
-    try:
-        grid = TimeGrid(
-            dt_hours=float(time_sec.get("dt_hours", 1.0)),
-            total_steps=int(time_sec.get("total_steps", 24)),
-            horizon_len=int(time_sec.get("horizon_len", 24)),
-            temperature_unit=str(time_sec.get("temperature_unit", "F")))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioParseError(f"time: {exc}") from exc
+    grid = TimeGrid(
+        dt_hours=_number(time_sec.get("dt_hours", 1.0), "time.dt_hours"),
+        total_steps=_number(time_sec.get("total_steps", 24), "time.total_steps",
+                            integer=True),
+        horizon_len=_number(time_sec.get("horizon_len", 24), "time.horizon_len",
+                            integer=True),
+        temperature_unit=str(time_sec.get("temperature_unit", "F")))
 
     weights_sec = _section(doc, "weights", required=False)
     known = {f.name for f in fields(ObjectiveWeights)}
@@ -304,7 +315,8 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
     if bad:
         raise ScenarioValidationError(f"weights.{sorted(bad)[0]}", "unknown weight")
     try:
-        weights = ObjectiveWeights(**{k: float(v) for k, v in weights_sec.items()})
+        weights = ObjectiveWeights(**{k: _number(v, f"weights.{k}")
+                                      for k, v in weights_sec.items()})
     except dev.DeviceValidationError as exc:
         raise ScenarioValidationError(f"weights.{exc.field}", "must be nonnegative") from exc
 
@@ -326,9 +338,11 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
     else:
         beta = tuple(float(b) for b in
                      _series_values(beta_ref, base_dir, "policy.beta"))
-    policy = SetpointPolicy(
-        beta=beta,
-        clip_to_positivity=bool(policy_sec.get("clip_to_positivity", True)))
+    clip = policy_sec.get("clip_to_positivity", True)
+    # only a JSON boolean: bool("False") would be true
+    _check(isinstance(clip, bool), "policy.clip_to_positivity",
+           f"must be true or false, got {clip!r}")
+    policy = SetpointPolicy(beta=beta, clip_to_positivity=clip)
 
     agents_sec = doc.get("agents")
     if not isinstance(agents_sec, list) or not agents_sec:
@@ -338,13 +352,9 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
         if not isinstance(a, dict):
             raise ScenarioParseError(f"agents[{idx}] must be an object")
         aid = str(a.get("id", f"agent{idx + 1}"))
-        gamma = a.get("gamma")
-        if gamma is None:
+        if a.get("gamma") is None:
             raise ScenarioParseError(f"agents.{aid}.gamma is required")
-        try:
-            gamma = float(gamma)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioParseError(f"agents.{aid}.gamma: {exc}") from exc
+        gamma = _number(a["gamma"], f"agents.{aid}.gamma")
         fixed_ref = a.get("fixed_load", 0.0)
         fixed = _series_values(fixed_ref, base_dir, f"agents.{aid}.fixed_load") \
             if not isinstance(fixed_ref, (int, float)) \
@@ -368,8 +378,8 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
             agents.append(AgentSpec(
                 id=aid, gamma=gamma, devices=tuple(devs),
                 fixed_load=pad_series(fixed, grid, f"agents.{aid}.fixed_load"),
-                eps_lo=float(a.get("eps_lo", 0.01)),
-                eps_hi=float(a.get("eps_hi", 0.5))))
+                eps_lo=_number(a.get("eps_lo", 0.01), f"agents.{aid}.eps_lo"),
+                eps_hi=_number(a.get("eps_hi", 0.5), f"agents.{aid}.eps_hi")))
         except dev.DeviceValidationError as exc:
             raise ScenarioValidationError(f"agents.{aid}.{exc.field}", str(exc)) from exc
 

@@ -52,7 +52,10 @@ def test_binary_count_battery_plus_ev():
     s = make_scenario({"battery": BS, "ev": EVD}, H=4)
     miqp = build_mpo(s.agents[0], slice_horizon(s, 0), s.weights)
     assert len(miqp.binary_vars) == 2 * 4
-    assert len(miqp.bigm_rows) == 2 * len(miqp.binary_vars)
+    # each binary gates its P+ and its P- row and appears nowhere else
+    A_le = miqp.base.A_le.tocsc()
+    for j in miqp.binary_vars:
+        assert A_le.indptr[j + 1] - A_le.indptr[j] == 2
 
 
 def test_degenerate_agent_rejected():

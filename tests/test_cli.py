@@ -156,3 +156,17 @@ def test_outputs_deterministic(tmp_path):
     assert main(["run", "--scenario", MINI, "--out", str(out2)]) == 0
     for name in ("clearings.csv", "agents.csv", "devices.csv"):
         assert (out1 / name).read_text() == (out2 / name).read_text()
+
+
+def test_run_clip_override_needs_json_boolean(tmp_path, capsys):
+    # `False` is not JSON, so it arrives as a string and must not count as true
+    code = main(["run", "--scenario", MINI, "--out", str(tmp_path / "bad"),
+                 "--override", "policy.clip_to_positivity=False"])
+    assert code == 2
+    assert "policy.clip_to_positivity" in capsys.readouterr().err
+    out = tmp_path / "o"
+    code = main(["run", "--scenario", MINI, "--out", str(out),
+                 "--override", "policy.clip_to_positivity=false"])
+    assert code == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["policy"]["clip_to_positivity"] is False

@@ -14,7 +14,7 @@ def _bigm_instance(rng, n_pairs):
     """Toy with the flexibility structure: split P into P+/P- gated by z,
     reward the half-width delta bounded by a band of |P|."""
     b = QpBuilder()
-    bins, rows = [], []
+    bins = []
     for _ in range(n_pairs):
         pmax = float(rng.uniform(1.0, 4.0))
         pmin = -float(rng.uniform(1.0, 4.0))
@@ -25,15 +25,15 @@ def _bigm_instance(rng, n_pairs):
         z = b.add_var(0.0, 1.0)
         bins.append(z)
         b.add_eq([(P, 1.0), (Pp, -1.0), (Pm, 1.0)], 0.0)
-        rows.append(b.add_le([(Pp, 1.0), (z, -pmax)], 0.0))
-        rows.append(b.add_le([(Pm, 1.0), (z, -pmin)], -pmin))
+        b.add_le([(Pp, 1.0), (z, -pmax)], 0.0)
+        b.add_le([(Pm, 1.0), (z, -pmin)], -pmin)
         b.add_le([(Pp, 0.01), (Pm, 0.01), (d, -1.0)], 0.0)
         b.add_le([(d, 1.0), (Pp, -0.5), (Pm, -0.5)], 0.0)
         b.add_le([(P, 1.0), (d, 1.0)], pmax)
         b.add_ge([(P, 1.0), (d, -1.0)], pmin)
         b.add_linear(d, -1.0)
         b.add_square([(P, 1.0)], -float(rng.normal()), float(rng.uniform(0.2, 1.5)))
-    return MixedIntegerQp(b.build(), bins, rows)
+    return MixedIntegerQp(b.build(), bins)
 
 
 def test_tight_relaxation_equals_qp():
@@ -41,10 +41,10 @@ def test_tight_relaxation_equals_qp():
     b = QpBuilder()
     x = b.add_var(-1.0, 1.0)
     z = b.add_var(1.0, 1.0)
-    row = b.add_le([(x, 1.0), (z, -1.0)], 0.0)
+    b.add_le([(x, 1.0), (z, -1.0)], 0.0)
     b.add_square([(x, 1.0)], -2.0, 1.0)
     qp = b.build()
-    mi = MixedIntegerQp(qp, [z], [row])
+    mi = MixedIntegerQp(qp, [z])
     got = solve_miqp(mi)
     ref = solve_qp(qp)
     assert got.status == "optimal"
@@ -76,10 +76,10 @@ def test_forced_contradiction_infeasible():
     b = QpBuilder()
     x = b.add_var(0.0, 1.0)
     z = b.add_var(1.0, 1.0)          # bounds force z = 1
-    row = b.add_le([(x, 1.0), (z, -1.0)], 0.0)
+    b.add_le([(x, 1.0), (z, -1.0)], 0.0)
     b.add_eq([(z, 1.0)], 0.0)        # equality forces z = 0
     b.add_square([(x, 1.0)], 0.0, 1.0)
-    mi = MixedIntegerQp(b.build(), [z], [row])
+    mi = MixedIntegerQp(b.build(), [z])
     assert solve_miqp(mi).status == "infeasible"
 
 
@@ -113,29 +113,19 @@ def test_validation_errors():
     b = QpBuilder()
     x = b.add_var(0.0, 1.0)
     z = b.add_var(0.0, 1.0)
-    row = b.add_le([(x, 1.0), (z, -1.0)], 0.0)
-    both = b.add_le([(x, 1.0), (z, -1.0)], 1.0)
+    b.add_le([(x, 1.0), (z, -1.0)], 0.0)
+    b.add_le([(x, 1.0), (z, -1.0)], 1.0)
     b.add_square([(x, 1.0)], 0.0, 1.0)
     qp = b.build()
     with pytest.raises(MiqpError):
-        MixedIntegerQp(qp, [5], [row])
+        MixedIntegerQp(qp, [5])
     with pytest.raises(MiqpError):
-        MixedIntegerQp(qp, [z, z], [row])
-    with pytest.raises(MiqpError):
-        MixedIntegerQp(qp, [z], [99])
+        MixedIntegerQp(qp, [z, z])
     with pytest.raises(MiqpError):
         bad = QpBuilder()
         w = bad.add_var(0.0, 5.0)    # bounds exceed [0, 1]
-        r = bad.add_le([(w, 1.0)], 1.0)
-        MixedIntegerQp(bad.build(), [w], [r])
-    # big-M row referencing no binary
-    b2 = QpBuilder()
-    x2 = b2.add_var(0.0, 1.0)
-    z2 = b2.add_var(0.0, 1.0)
-    r2 = b2.add_le([(x2, 1.0)], 1.0)
-    b2.add_square([(x2, 1.0)], 0.0, 1.0)
-    with pytest.raises(MiqpError):
-        MixedIntegerQp(b2.build(), [z2], [r2])
+        bad.add_le([(w, 1.0)], 1.0)
+        MixedIntegerQp(bad.build(), [w])
 
 
 def test_deterministic():
@@ -148,27 +138,22 @@ def test_deterministic():
     assert np.array_equal(a.primal, b.primal)
 
 
-def test_dual_repair_failure_keeps_admm_iterate(mini_scenario, monkeypatch):
-    # this window's polish falls back to the dual repair once; a failing
-    # least-squares solve there must not escape the solver
-    s = mini_scenario
-    miqp = build_mpo(s.agent("a1"), slice_horizon(s, 1), s.weights)
-    repairs = []
-    repair = AdmmSolver._repair_duals
+def test_polished_winner_is_not_resolved(monkeypatch):
+    # the returned point is re-solved at final_tol only when unpolished;
+    # a polished winner is exact already, so every solve is a node
+    mi = _bigm_instance(np.random.default_rng(5), 3)
+    calls = []
+    solve = AdmmSolver.solve
 
-    def counted(self, *args):
-        repairs.append(1)
-        return repair(self, *args)
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
 
-    def lstsq(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(AdmmSolver, "_repair_duals", counted)
-    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
-    got = solve_miqp(miqp, BnbConfig())
-    assert repairs
-    assert got.status in ("optimal", "node_limit")
-    assert np.all(np.isfinite(got.primal))
+    monkeypatch.setattr(AdmmSolver, "solve", counted)
+    got = solve_miqp(mi, BnbConfig(qp_tol=1e-5, final_tol=1e-7, polish_nodes=True))
+    assert got.status == "optimal"
+    assert got.nodes == 16
+    assert len(calls) == got.nodes
 
 
 def _row_violation(qp, x):

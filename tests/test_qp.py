@@ -6,8 +6,8 @@ import scipy.sparse as sp
 
 from flexmarket.agent import build_mpo
 from flexmarket.devices import HpParams, PvParams
-from flexmarket.qp import (AdmmSolver, QpBuilder, QpError, QuadraticProgram,
-                           check_kkt, solve_qp)
+from flexmarket.qp import (_SIGMA, AdmmSolver, QpBuilder, QpError,
+                           QuadraticProgram, check_kkt, solve_qp)
 from flexmarket.scenario import AgentSpec, slice_horizon
 
 
@@ -49,6 +49,28 @@ def test_kkt_self_consistency_and_perturbation():
     rep = check_kkt(qp, sol, 1e-6)
     assert rep.primal >= 9e-6
     assert not rep.ok
+
+
+def test_kkt_row_terms_on_a_window(day_scenario):
+    # home1's bundled-day window at t=0 exercises the equality and <= row
+    # terms of every residual
+    qp = build_mpo(day_scenario.agents[0], slice_horizon(day_scenario, 0),
+                   day_scenario.weights).base
+    assert (qp.n, qp.n_eq, qp.n_le) == (136, 40, 165)
+    sol = AdmmSolver(qp).solve(tol=1e-6)
+    assert sol.status == "optimal" and sol.polished
+    assert check_kkt(qp, sol, 1e-6).ok
+    # a wrongly signed <= multiplier breaks stationarity and the dual test
+    flipped = dataclasses.replace(sol, dual_ineq=sol.dual_ineq.copy())
+    i = int(np.argmax(flipped.dual_ineq))
+    assert flipped.dual_ineq[i] > 1e-3
+    flipped.dual_ineq[i] = -flipped.dual_ineq[i]
+    rep = check_kkt(qp, flipped, 1e-6)
+    assert rep.stationarity > 1e-6 and rep.dual > 1e-6 and not rep.ok
+    # a shifted primal breaks the rows and their complementarity
+    shifted = dataclasses.replace(sol, primal=sol.primal + 1e-3)
+    rep = check_kkt(qp, shifted, 1e-6)
+    assert rep.primal > 1e-6 and rep.complementarity > 1e-6 and not rep.ok
 
 
 def test_zero_problem_any_point_stationary():
@@ -174,7 +196,7 @@ def _sparse_reference(ws):
     cs = d * ws.qp.c
     pnorm = abs(Q).max(axis=0).toarray().ravel().mean() if Q.nnz else 0.0
     cost_c = 1.0 / max(1e-6, max(np.max(np.abs(cs)), pnorm))
-    kkt = sp.bmat([[(cost_c * Q).tocsc() + ws.sigma * sp.identity(n), S.tocsc().T],
+    kkt = sp.bmat([[(cost_c * Q).tocsc() + _SIGMA * sp.identity(n), S.tocsc().T],
                    [S.tocsc(), -sp.diags(1.0 / ws.rho)]], format="csc")
     return d, e, cost_c, cost_c * cs, kkt
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from flexmarket.scenario import (ScenarioFileError,
+from flexmarket.scenario import (ScenarioError, ScenarioFileError,
                                  ScenarioParseError, ScenarioValidationError,
                                  load_scenario, save_scenario,
                                  scenario_from_dict, slice_horizon)
@@ -215,3 +215,59 @@ def test_unknown_device_kind_rejected():
     doc["agents"][0]["devices"] = {"flux_capacitor": {}}
     with pytest.raises(ScenarioValidationError):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", ["False", "false", "no", 0])
+def test_clip_to_positivity_must_be_boolean(value):
+    # bool() of any non-empty string is true, so only JSON booleans load
+    doc = minimal_doc()
+    doc["policy"]["clip_to_positivity"] = value
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_from_dict(doc)
+    assert err.value.field == "policy.clip_to_positivity"
+
+
+EV_DOC = {"self_discharge": 0.0, "efficiency": 1.0, "capacity_kwh": 8.0,
+          "p_min_kw": -2.0, "p_max_kw": 2.0, "soc_min": 0.1, "soc_max": 0.9,
+          "soc_init": 0.4, "away_start": 2, "away_end": 3, "soc_target": 0.8,
+          "target_step": 4}
+
+
+def _with_value(path, value):
+    doc = minimal_doc()
+    doc["agents"][0]["devices"] = {"ev": dict(EV_DOC)}
+    *steps, leaf = path.split(".")
+    node = doc
+    for step in steps:
+        node = node[int(step)] if isinstance(node, list) else node.setdefault(step, {})
+    node[leaf] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value, field", [
+    ("agents.0.eps_lo", "abc", "agents.a1.eps_lo"),
+    ("agents.0.eps_hi", "abc", "agents.a1.eps_hi"),
+    ("agents.0.gamma", [1.0], "agents.a1.gamma"),
+    ("weights.xi_ev", "abc", "weights.xi_ev"),
+    ("time.total_steps", 6.5, "time.total_steps"),
+    ("time.horizon_len", 2.5, "time.horizon_len"),
+    ("agents.0.devices.ev.away_start", 3.7, "agents.a1.devices.ev.away_start"),
+    ("agents.0.devices.ev.away_end", 3.2, "agents.a1.devices.ev.away_end"),
+    ("agents.0.devices.ev.target_step", 4.5, "agents.a1.devices.ev.target_step"),
+    ("agents.0.devices.ev.soc_min", "low", "agents.a1.devices.ev.soc_min"),
+])
+def test_wrong_number_type_names_field(path, value, field):
+    # a non-number, or a fractional step count or index, names its field
+    # rather than surfacing as a bare ValueError or being truncated
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(_with_value(path, value))
+    assert str(err.value).startswith(field + ":")
+
+
+def test_integral_floats_load_as_steps():
+    doc = _with_value("agents.0.devices.ev.away_start", 2.0)
+    doc["time"]["total_steps"] = 6.0
+    s = scenario_from_dict(doc)
+    assert s.time_grid.total_steps == 6 and isinstance(s.time_grid.total_steps, int)
+    ev = s.agents[0].devices[0]
+    assert ev.away_start == 2 and isinstance(ev.away_start, int)
