@@ -196,11 +196,16 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
                   (lay.P[kind, k], coeff)], 0.0)
     # anchor the window end: equality when the window reaches the
     # simulation end (start-equals-end over the whole day), otherwise an
-    # anti-depletion floor at the configured initial SOC
+    # anti-depletion floor at the configured initial SOC, lowered to the
+    # SOC that charging at full power at every step can reach
     if view.reaches_end:
         b.add_eq([(lay.state[kind, H], 1.0)], d.soc_init)
     else:
-        b.add_ge([(lay.state[kind, H], 1.0)], d.soc_init)
+        reach = soc0
+        for k in range(H):
+            lo, _ = dev.feasible_power_interval(d, t0 + k)
+            reach = min(keep * reach - coeff * lo, d.soc_max)
+        b.add_ge([(lay.state[kind, H], 1.0)], min(d.soc_init, reach))
     # executed-step robustness: an upward settlement deviation within
     # delta must keep the next state feasible
     b.add_ge([(lay.P[kind, 0], -coeff), (lay.delta[kind, 0], -coeff)],

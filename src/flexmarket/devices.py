@@ -237,6 +237,8 @@ def device_from_dict(kind: str, data: dict):
         raise DeviceValidationError(missing[0], "missing parameter")
     vals = {}
     for f in fields:
+        if isinstance(data[f], bool):
+            raise DeviceValidationError(f, f"not a number: {data[f]!r}")
         try:
             vals[f] = float(data[f])
         except (TypeError, ValueError) as exc:

@@ -1,4 +1,4 @@
-"""Convex quadratic programming via operator splitting.
+"""Convex quadratic programming by an exact dual active-set method.
 
 Canonical problem shape used throughout the package:
 
@@ -7,25 +7,27 @@ Canonical problem shape used throughout the package:
                 A_eq x  = b_eq
                 A_le x <= b_le
 
-The solver stacks box, equality, and inequality rows into a single
-constraint operator S = [I; A_eq; A_le] with row bounds l <= S x <= u and
-runs ADMM: a proximal quadratic step (one KKT solve with a cached sparse
-LU factorization) followed by projection onto the row bounds and a dual
-update. Equality rows get a boosted penalty so they converge tightly.
-After the residual test passes, an active-set polish step re-solves the
-equality-constrained KKT system on the detected active rows, which
-typically drives residuals to near machine precision.
+The solver stacks the rows C = [A_eq; A_le; I] with row bounds
+l <= C x <= u and works in the dual (Goldfarb & Idnani 1983): a working
+set of rows held at one of their bounds, with multipliers y such that
+Q x + c + C' y = 0. A violated row joins the set; a row whose multiplier
+would take the wrong sign leaves it. A violated row that depends
+linearly on the working set and that no multiplier blocks certifies
+infeasibility. Q need only be positive semidefinite: an outer
+proximal-point loop (as in DAQP, Arnstrom, Bemporad & Axehill 2022)
+solves strictly convex problems with Q + eps*I and the term
+-eps*x_c'x, moving the centre x_c to each result until it stops moving.
+Every optimal solve is exact: its rows hold to 1e-9 relative and its
+multipliers have the right signs.
 
-Each workspace scales its data and assembles its KKT matrix once, on the
-index/value triplets of Q and S rather than through scipy.sparse
-arithmetic. A penalty change rewrites only the KKT's lower-right
-diagonal before refactorizing, and changing only lb/ub (as
-branch-and-bound does when fixing binaries) changes nothing, so one
-factorization serves a whole search tree. All arithmetic is
-deterministic; repeated solves of the same data give bit-identical
-results. solve_qp builds a private workspace per call and is reentrant;
-an AdmmSolver instance carries solver state (penalty scale,
-factorization) and belongs to one thread at a time.
+Each workspace factors Q + eps*I and forms K = C (Q + eps*I)^-1 C' once.
+Changing only lb/ub (as branch-and-bound does when fixing binaries)
+changes only right-hand sides, so one workspace serves a whole search
+tree, and a warm start begins from the active set read off a previous
+solution's multipliers. All arithmetic is deterministic; repeated
+solves of the same data give bit-identical results. solve_qp builds a
+private workspace per call and is reentrant; an AdmmSolver instance
+belongs to one thread at a time.
 """
 
 from __future__ import annotations
@@ -35,24 +37,20 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 INF = np.inf
 
-# default ADMM parameters
-DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITER = 20000
-_RHO = 0.02
-_RHO_EQ_BOOST = 1e3
-_SIGMA = 1e-6
-_ALPHA = 1.6
-_CHECK_EVERY = 25
-_POLISH_REG = 1e-9
-_RUIZ_ITERS = 10
+DEFAULT_TOL = 1e-6                   # default tolerance of check_kkt
+DEFAULT_MAX_ITER = 20000             # active-set changes, and proximal rounds
+_EPS = 1e-3                          # proximal weight; 1e-6 made K too ill-conditioned
+_ROW_TOL = 1e-9                      # relative row violation that adds a row
+_DEP_TOL = 1e-8                      # relative Schur complement of a dependent row
+_STEP_TOL = 1e-10                    # relative proximal step that ends the solve
 
 
 class QpError(ValueError):
-    """Malformed quadratic program (dimension mismatch, non-PSD objective)."""
+    """Malformed quadratic program (dimension mismatch, non-PSD objective),
+    or a working set the solver could not factorize."""
 
 
 def _as_csc(mat, shape) -> sp.csc_matrix:
@@ -139,8 +137,8 @@ class QpSolution:
     dual_ineq: np.ndarray
     objective: float
     status: str                      # "optimal" | "infeasible" | "iteration_limit"
-    iterations: int = 0
-    polished: bool = False
+    iterations: int = 0              # active-set changes
+    polished: bool = False           # true on every optimal solve
 
 
 @dataclass
@@ -159,371 +157,178 @@ class KktReport:
                 and self.dual <= self.tol and self.complementarity <= self.tol)
 
 
-def _stack(qp: QuadraticProgram):
-    """Row operator S = [I; A_eq; A_le] and its bound vectors."""
-    blocks = [sp.identity(qp.n, format="csc")]
-    if qp.n_eq:
-        blocks.append(qp.A_eq)
-    if qp.n_le:
-        blocks.append(qp.A_le)
-    S = sp.vstack(blocks, format="csc")
-    l = np.concatenate([qp.lb, qp.b_eq, np.full(qp.n_le, -INF)])
-    u = np.concatenate([qp.ub, qp.b_eq, qp.b_le])
-    return S, l, u
-
-
 class AdmmSolver:
     """Reusable workspace: factorize once, solve for many bound vectors.
 
     Branch-and-bound fixes binaries by shrinking their box bounds, which
-    leaves the KKT matrix untouched; `solve` accepts per-call overrides
-    of the variable bounds plus an optional warm start.
+    changes only right-hand sides; `solve` accepts per-call overrides of
+    the variable bounds plus an optional warm start. The class keeps the
+    name of the former ADMM engine, and the `stiff_vars` it took is
+    accepted and ignored.
     """
 
     def __init__(self, qp: QuadraticProgram, stiff_vars=()):
         self.qp = qp
-        self.n = qp.n
-        self.S, self._l0, self._u0 = _stack(qp)
-        self.m = self.S.shape[0]
-        self.ST = self.S.T.tocsc()
-        self._equilibrate()
-        rho_vec = np.full(self.m, _RHO)
-        # equality rows need a stiff penalty to converge tightly; the same
-        # goes for box rows a caller will pin to a point (fixed binaries)
-        rho_vec[qp.n:qp.n + qp.n_eq] *= _RHO_EQ_BOOST
-        for j in stiff_vars:
-            rho_vec[j] *= _RHO_EQ_BOOST
-        if qp.n:
-            rho_vec[:qp.n][qp.lb == qp.ub] = _RHO * _RHO_EQ_BOOST
-        self._rho_base = rho_vec
-        self._rho_scale = 1.0
-        self.rho = rho_vec
-        self._lu = None
-        self._polish_data = None
-        if self.n:
-            self._factorize()
-
-    def _factorize(self):
-        """Write the current penalties into the KKT diagonal and refactorize."""
-        self.rho = self._rho_base * self._rho_scale
-        self._kkt.data[self._rho_pos] = -1.0 / self.rho
-        self._lu = spla.splu(self._kkt)
-
-    def _equilibrate(self):
-        """Modified Ruiz scaling of [[Q, S'], [S, 0]] plus cost scaling.
-
-        Produces variable scales d, row scales e, and a cost scale cost_c
-        so that the iteration runs on well-conditioned data; solutions
-        and termination tests are mapped back to original units. Then
-        assembles the scaled KKT matrix [[cost_c Q + sigma I, S'],
-        [S, -diag(1/rho)]] once; `_factorize` fills its lower-right
-        diagonal, whose positions in the CSC data are `_rho_pos`. Works
-        on the nonzero triplets, with the same floating-point products
-        as diag(dd) @ Q @ diag(dd), so results match those bit for bit.
-        """
-        n, m = self.n, self.m
-        d = np.ones(n)
-        e = np.ones(m)
+        self.n = n = qp.n
+        self._l0 = np.concatenate([qp.b_eq, np.full(qp.n_le, -INF), qp.lb])
+        self._u0 = np.concatenate([qp.b_eq, qp.b_le, qp.ub])
+        self.m = len(self._l0)
         if n == 0:
-            self.d, self.e, self.cost_c, self.cs = d, e, 1.0, self.qp.c
             return
-        qi, qj, qv = _nonzero_triplets(self.qp.Q)
-        si, sj, sv = _nonzero_triplets(self.S)
-        for _ in range(_RUIZ_ITERS):
-            qcol = _abs_max(qj, qv, n)
-            scol = _abs_max(sj, sv, n)
-            srow = _abs_max(si, sv, m)
-            dd = 1.0 / np.sqrt(np.maximum(np.maximum(qcol, scol), 1e-8))
-            de = 1.0 / np.sqrt(np.maximum(srow, 1e-8))
-            dd = np.clip(dd, 1e-4, 1e4)
-            de = np.clip(de, 1e-4, 1e4)
-            qv = dd[qi] * qv * dd[qj]
-            sv = de[si] * sv * dd[sj]
-            d *= dd
-            e *= de
-        cs = d * self.qp.c
-        qnorm = np.max(np.abs(cs))
-        pnorm = _abs_max(qj, qv, n).mean() if len(qv) else 0.0
-        cost_c = 1.0 / max(1e-6, max(qnorm, pnorm))
-        self.d, self.e, self.cost_c = d, e, cost_c
-        self.cs = cost_c * cs
-        # sigma lands on Q's diagonal as a duplicate entry, summed by the
-        # CSC conversion; the penalty diagonal is a placeholder until
-        # _factorize
-        diag_n, diag_m = np.arange(n), n + np.arange(m)
-        self._kkt = sp.csc_matrix(
-            (np.concatenate([cost_c * qv, np.full(n, _SIGMA), sv, sv, np.ones(m)]),
-             (np.concatenate([qi, diag_n, n + si, sj, diag_m]),
-              np.concatenate([qj, diag_n, sj, n + si, diag_m]))),
-            shape=(n + m, n + m))
-        # the conversion sorts each column's rows: column n+i holds rows
-        # of S' (all < n) and then its diagonal entry
-        self._rho_pos = self._kkt.indptr[n + 1:] - 1
+        self._C = sp.vstack([qp.A_eq, qp.A_le, sp.identity(n, format="csc")],
+                            format="csr")
+        self._chol = _cholesky(qp.Q.toarray() + _EPS * np.eye(n))
+        if self._chol is None:
+            raise QpError("quadratic term not positive semidefinite")
+        # G = H^-1 C' maps working multipliers to the primal, K = C G
+        # maps them to row values
+        self._G = _chol_solve(self._chol, self._C.T.toarray())
+        K = np.asarray(self._C @ self._G)
+        self._K = 0.5 * (K + K.T)
 
     def _bounds(self, lb, ub):
         l = self._l0.copy()
         u = self._u0.copy()
         if lb is not None:
-            l[:self.n] = lb
+            l[self.m - self.n:] = lb
         if ub is not None:
-            u[:self.n] = ub
+            u[self.m - self.n:] = ub
         return l, u
 
-    def solve(self, lb=None, ub=None, warm=None,
-              tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-              polish=True) -> QpSolution:
-        qp = self.qp
-        if self.n == 0:
+    def solve(self, lb=None, ub=None, warm=None, tol=None,
+              max_iter=DEFAULT_MAX_ITER) -> QpSolution:
+        """Exact minimizer under the given variable bounds.
+
+        `warm` is an optimal QpSolution of the same program under other
+        bounds: the rows its multipliers price start the working set,
+        and its primal is the first proximal centre. `tol` is accepted
+        for callers of the former ADMM engine and unused. `max_iter`
+        bounds both the active-set changes and the proximal rounds; a
+        solve that exceeds it ends with status "iteration_limit".
+        """
+        qp, n = self.qp, self.n
+        if n == 0:
             return QpSolution(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0),
-                              qp.c0, "optimal")
+                              qp.c0, "optimal", polished=True)
         l, u = self._bounds(lb, ub)
-        if np.any(l[:self.n] > u[:self.n] + 1e-12):
+        if np.any(l > u + 1e-12):
             # proven-empty bound pair
-            return self._empty(np.nan, "infeasible")
-        d, e, cc = self.d, self.e, self.cost_c
-        ls = e * l
-        us = e * u
-        if warm is not None:
-            xh = warm[0] / d
-            zh = e * warm[1]
-            yh = cc * warm[2] / e
-        else:
-            xh = np.zeros(self.n)
-            zh = np.clip(np.zeros(self.m), ls, us)
-            zh[~np.isfinite(zh)] = 0.0
-            yh = np.zeros(self.m)
-
-        sigma, alpha = _SIGMA, _ALPHA
-        cs = self.cs
-        x = d * xh
-        y = e * yh / cc
-        y_chk = y
+            return self._empty("infeasible")
+        free = l >= u                        # equality rows: y of either sign
+        hi_lim = u + _ROW_TOL * (1.0 + np.abs(u))
+        lo_lim = l - _ROW_TOL * (1.0 + np.abs(l))
+        K, G = self._K, self._G
+        y = np.zeros(self.m)
+        side = np.zeros(self.m)              # +1 at u, -1 at l, 0 free
+        work: list = []
+        x_c = np.zeros(n)
+        if warm is not None and warm.status == "optimal":
+            yw = np.concatenate([warm.dual_eq, warm.dual_ineq, warm.dual_bounds])
+            sw = np.sign(yw)
+            work = np.flatnonzero(((sw > 0) & np.isfinite(u))
+                                  | ((sw < 0) & np.isfinite(l))).tolist()
+            side[work] = np.where(free[work], 0.0, sw[work])
+            y[work] = yw[work]
+            x_c = warm.primal
+        target = np.where(side < 0, l, u)
         iters = 0
-        polished = False
-        # opportunistic polish: aggressive when polish is requested, a
-        # late rescue hatch otherwise
-        next_polish = 100 if polish else 2500
-        adaptions = 0
-        status = "iteration_limit"
-        while iters < max_iter:
-            rho = self.rho
-            for _ in range(_CHECK_EVERY):
-                rhs = np.concatenate([sigma * xh - cs, zh - yh / rho])
-                sol = self._lu.solve(rhs)
-                xt = sol[:self.n]
-                zt = zh + (sol[self.n:] - yh) / rho
-                xh = alpha * xt + (1.0 - alpha) * xh
-                zr = alpha * zt + (1.0 - alpha) * zh
-                z_new = np.clip(zr + yh / rho, ls, us)
-                yh = yh + rho * (zr - z_new)
-                zh = z_new
-                iters += 1
-            # termination is tested in original units
-            x = d * xh
-            y = e * yh / cc
-            Sx = self.S @ x
-            Qx = qp.Q @ x
-            STy = self.ST @ y
-            r_prim = self._prim_res(Sx, l, u)
-            r_dual = np.max(np.abs(Qx + qp.c + STy))
-            eps_prim = tol + tol * max(_inf_norm(Sx), _inf_norm(zh / e))
-            eps_dual = tol + tol * max(_inf_norm(Qx), _inf_norm(qp.c), _inf_norm(STy))
-            if r_prim <= eps_prim and r_dual <= eps_dual:
-                status = "optimal"
-                break
-            dy = y - y_chk
-            if self._primal_infeasible(dy, l, u, tol):
-                return self._empty(np.nan, "infeasible", iters)
-            y_chk = y
-            # adaptive penalty: rebalance when the residuals drift apart
-            ratio = (r_prim / max(eps_prim, 1e-300)) \
-                / max(r_dual / max(eps_dual, 1e-300), 1e-300)
-            if (ratio > 25.0 or ratio < 0.04) and adaptions < 12:
-                scale = float(np.clip(np.sqrt(ratio), 1e-3, 1e3))
-                new_scale = float(np.clip(self._rho_scale * scale, 1e-8, 1e8))
-                if new_scale != self._rho_scale:
-                    adaptions += 1
-                    self._rho_scale = new_scale
-                    self._factorize()
-            if iters >= next_polish:
-                # the active set often settles long before the iterates
-                # converge; a verified polish is exact, so finish early
-                # (worth attempting regardless of the polish flag)
-                next_polish *= 2
-                px, py, ok = self._polish(x, y, l, u, tol, max_rounds=6)
-                if ok:
-                    sol = self._package(px, py, "optimal", iters)
-                    sol.polished = True
-                    return sol
-
-        if status == "optimal" and polish:
-            px, py, polished = self._polish(x, y, l, u, tol)
-            if polished:
-                x, y = px, py
-        sol = self._package(x, y, status, iters)
-        sol.polished = polished
-        return sol
-
-    def _prim_res(self, Sx, l, u):
-        below = np.where(np.isfinite(l), l - Sx, -INF)
-        above = np.where(np.isfinite(u), Sx - u, -INF)
-        return max(0.0, float(np.max(np.maximum(below, above))))
-
-    def _primal_infeasible(self, dy, l, u, tol) -> bool:
-        nrm = _inf_norm(dy)
-        if nrm <= tol:
-            return False
-        d = dy / nrm
-        pos, neg = np.maximum(d, 0.0), np.minimum(d, 0.0)
-        # unbounded rows in the certificate direction rule it out
-        if np.any(pos[~np.isfinite(u)] > tol) or np.any(neg[~np.isfinite(l)] < -tol):
-            return False
-        gap = float(np.sum(u[np.isfinite(u)] * pos[np.isfinite(u)])
-                    + np.sum(l[np.isfinite(l)] * neg[np.isfinite(l)]))
-        if gap >= -tol:
-            return False
-        return _inf_norm(self.ST @ d) < tol
-
-    def _polish_kkt(self, idx):
-        """KKT [[Q + reg I, S_act'], [S_act, -reg I]] of the rows idx of S.
-
-        Assembled from triplets cached per workspace. S keeps its
-        explicit zeros, as the row selection S[idx, :] does.
-        """
-        if self._polish_data is None:
-            P = (self.qp.Q + _POLISH_REG * sp.identity(self.n)).tocoo()
-            S = self.S.tocoo()
-            self._polish_data = (P.row, P.col, P.data, S.row, S.col, S.data)
-        pi, pj, pv, si, sj, sv = self._polish_data
-        n, k = self.n, len(idx)
-        pos = np.full(self.m, -1)
-        pos[idx] = np.arange(k)
-        sel = pos[si] >= 0
-        r, c, v = n + pos[si[sel]], sj[sel], sv[sel]
-        diag_k = n + np.arange(k)
-        return sp.csc_matrix(
-            (np.concatenate([pv, v, v, np.full(k, -_POLISH_REG)]),
-             (np.concatenate([pi, c, r, diag_k]), np.concatenate([pj, r, c, diag_k]))),
-            shape=(n + k, n + k))
-
-    def _solve_active(self, act_low, act_up, l, u):
-        """KKT solve with the given rows pinned at their bounds."""
-        qp = self.qp
-        idx = np.flatnonzero(act_low | act_up)
-        b_act = np.where(act_up[idx], u[idx], l[idx])
-        S_act = self.S[idx, :]
-        k = len(idx)
-        kkt = self._polish_kkt(idx)
-        rhs = np.concatenate([-qp.c, b_act]) if k else -qp.c
-        try:
-            lu = spla.splu(kkt)
-        except RuntimeError:
-            return None, None
-        sol = lu.solve(rhs)
-        if not np.all(np.isfinite(sol)):
-            return None, None
-        for _ in range(2):
-            if k:
-                res = np.concatenate([
-                    qp.Q @ sol[:self.n] + qp.c + S_act.T @ sol[self.n:],
-                    S_act @ sol[:self.n] - b_act])
-            else:
-                res = qp.Q @ sol[:self.n] + qp.c
-            sol = sol - lu.solve(res)
-        xp = sol[:self.n]
-        yp = np.zeros(self.m)
-        if k:
-            yp[idx] = sol[self.n:]
-        return xp, yp
-
-    def _polish(self, x, y, l, u, tol, max_rounds=15):
-        """Active-set refinement from the ADMM iterate.
-
-        Starting from the rows the iterate pins or prices, repeatedly
-        solve the equality-constrained KKT system, add rows the solve
-        violates, and drop rows whose multiplier has the wrong sign.
-        Accepted only when a round's result is feasible with correctly
-        signed multipliers and passes a strict optimality check (~1e-8
-        scale), which by convexity certifies a global optimum; otherwise
-        the ADMM iterate stands.
-        """
-        qp = self.qp
-        Sx = self.S @ x
-        eq = np.zeros(self.m, dtype=bool)
-        eq[qp.n:qp.n + qp.n_eq] = True
-        fin_l = np.isfinite(l)
-        fin_u = np.isfinite(u)
-        tol_eff = 10.0 * max(tol, 1e-9)
-        near_l = tol_eff * (1.0 + np.abs(np.where(fin_l, l, 0.0)))
-        near_u = tol_eff * (1.0 + np.abs(np.where(fin_u, u, 0.0)))
-        act_low = ((y < -tol) | (Sx <= l + near_l)) & fin_l
-        act_up = ((y > tol) | (Sx >= u - near_u)) & fin_u
-        both = (l == u) & fin_l
-        act_low |= eq | both
-        act_up &= ~act_low
-        scale = 1.0 + max(_inf_norm(qp.c), _inf_norm(Sx))
-        good = 1e-8 * scale
-        seen = set()
-        for _ in range(max_rounds):
-            sig = (act_low.tobytes(), act_up.tobytes())
-            if sig in seen:
-                break
-            seen.add(sig)
-            xp, yp = self._solve_active(act_low, act_up, l, u)
-            if xp is None:
-                break
-            Sxp = self.S @ xp
-            # pins that cannot all hold mean the seed guessed wrong: drop
-            # the worst-satisfied droppable pin and retry
-            pin_res = np.zeros(self.m)
-            pin_res[act_low] = np.abs(Sxp[act_low] - l[act_low])
-            pin_res[act_up] = np.abs(Sxp[act_up] - u[act_up])
-            droppable = (act_low | act_up) & ~eq & ~both
-            if pin_res.max(initial=0.0) > good and droppable.any():
-                worst = int(np.argmax(np.where(droppable, pin_res, -1.0)))
-                if pin_res[worst] > good:
-                    act_low[worst] = False
-                    act_up[worst] = False
-                    continue
-            viol_lo = fin_l & ~(act_low | act_up) & (Sxp < l - good)
-            viol_hi = fin_u & ~(act_low | act_up) & (Sxp > u + good)
-            wrong_lo = act_low & ~eq & ~both & (yp > good)
-            wrong_hi = act_up & (yp < -good)
-            feasible = not (viol_lo.any() or viol_hi.any()) \
-                and self._prim_res(Sxp, l, u) <= good
-            if feasible and not (wrong_lo.any() or wrong_hi.any()):
-                if _inf_norm(qp.Q @ xp + qp.c + self.ST @ yp) > good:
+        fac = None                           # Cholesky of K[work, work]
+        x = x_c
+        for _ in range(max_iter):
+            xu = _chol_solve(self._chol, _EPS * x_c - qp.c)
+            Cu = self._C @ xu
+            while iters <= max_iter:
+                W = np.array(work, dtype=int)
+                if len(W) and fac is None:
+                    fac = _cholesky(K[W][:, W])
+                    if fac is None:
+                        raise QpError("working rows are linearly dependent")
+                if len(W):
+                    ys = _chol_solve(fac, Cu[W] - target[W])
+                    wrong = side[W] * ys < 0.0
+                    if wrong.any():
+                        # step toward ys until the first multiplier
+                        # reaches zero, and drop that row
+                        yW = y[W]
+                        ratio = yW[wrong] / (yW[wrong] - ys[wrong])
+                        k = int(np.flatnonzero(wrong)[np.argmin(ratio)])
+                        y[W] = yW + ratio.min() * (ys - yW)
+                        y[work.pop(k)] = 0.0
+                        fac = None
+                        iters += 1
+                        continue
+                    y[W] = ys
+                    s = Cu - K[:, W] @ ys
+                else:
+                    s = Cu
+                over = s - hi_lim
+                under = lo_lim - s
+                viol = np.maximum(over, under)
+                viol[W] = -INF
+                j = int(np.argmax(viol))
+                if not viol[j] > 0.0:
                     break
-                return xp, yp, True
-            act_low |= viol_lo
-            act_up |= viol_hi
-            act_low &= ~wrong_lo
-            act_up &= ~wrong_hi
-        return x, y, False
+                sj = 1.0 if over[j] > 0.0 else -1.0
+                kj = K[W, j]
+                r = _chol_solve(fac, kj) if len(W) else kj
+                if len(W) == n or K[j, j] - kj @ r <= _DEP_TOL * K[j, j]:
+                    # row j depends on the working set: move the
+                    # multipliers along the null direction (-sj r, sj),
+                    # which leaves x in place, until one reaches zero
+                    p = -sj * r
+                    block = side[W] * p < -_DEP_TOL * max(1.0, _inf_norm(p))
+                    if not block.any():
+                        return self._empty("infeasible", iters)
+                    ratio = -y[W][block] / p[block]
+                    k = int(np.flatnonzero(block)[np.argmin(ratio)])
+                    y[W] += ratio.min() * p
+                    y[j] = ratio.min() * sj
+                    y[work.pop(k)] = 0.0
+                    iters += 1
+                work.append(j)
+                side[j] = 0.0 if free[j] else sj
+                target[j] = l[j] if sj < 0 else u[j]
+                fac = None
+                iters += 1
+            x = xu - G @ y
+            if iters > max_iter:
+                break
+            if len(W):
+                # one refinement step: K[W, W] can be ill-conditioned,
+                # so pin the working rows on x itself
+                dy = _chol_solve(fac, (self._C @ x)[W] - target[W])
+                y[W] += dy
+                x -= G[:, W] @ dy
+            if _inf_norm(x - x_c) <= _STEP_TOL * (1.0 + _inf_norm(x)):
+                sol = self._package(x, y, "optimal", iters)
+                sol.polished = True
+                return sol
+            x_c = x
+        return self._package(x, y, "iteration_limit", iters)
 
     def _package(self, x, y, status, iters) -> QpSolution:
         qp = self.qp
+        n_row = qp.n_eq + qp.n_le
         return QpSolution(
             primal=x,
-            dual_bounds=y[:qp.n].copy(),
-            dual_eq=y[qp.n:qp.n + qp.n_eq].copy(),
-            dual_ineq=y[qp.n + qp.n_eq:].copy(),
+            dual_bounds=y[n_row:].copy(),
+            dual_eq=y[:qp.n_eq].copy(),
+            dual_ineq=y[qp.n_eq:n_row].copy(),
             objective=qp.objective_value(x),
             status=status,
             iterations=iters)
 
-    def _empty(self, obj, status, iters=0) -> QpSolution:
+    def _empty(self, status, iters=0) -> QpSolution:
         nan = np.full(self.n, np.nan)
         return QpSolution(nan, np.full(self.n, np.nan),
                           np.full(self.qp.n_eq, np.nan),
                           np.full(self.qp.n_le, np.nan),
-                          obj, status, iterations=iters)
+                          np.nan, status, iterations=iters)
 
 
-def solve_qp(qp: QuadraticProgram, tol: float = DEFAULT_TOL,
-             max_iter: int = DEFAULT_MAX_ITER) -> QpSolution:
+def solve_qp(qp: QuadraticProgram, max_iter: int = DEFAULT_MAX_ITER) -> QpSolution:
     """Solve one QP. For repeated solves with varying bounds use AdmmSolver."""
-    return AdmmSolver(qp).solve(tol=tol, max_iter=max_iter)
+    return AdmmSolver(qp).solve(max_iter=max_iter)
 
 
 def check_kkt(qp: QuadraticProgram, sol: QpSolution, tol: float = DEFAULT_TOL) -> KktReport:
@@ -566,23 +371,20 @@ def check_kkt(qp: QuadraticProgram, sol: QpSolution, tol: float = DEFAULT_TOL) -
     return KktReport(stationarity, primal, dual, comp, tol)
 
 
+def _cholesky(a):
+    """Lower Cholesky factor of a symmetric matrix, or None if it is not
+    positive definite."""
+    fac, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=0)
+    return fac if info == 0 else None
+
+
+def _chol_solve(fac, b):
+    return scipy.linalg.lapack.dpotrs(fac, b, lower=1)[0]
+
+
 def _inf_norm(v) -> float:
     v = np.asarray(v)
     return float(np.max(np.abs(v))) if v.size else 0.0
-
-
-def _nonzero_triplets(mat):
-    """Row, column and value arrays of a sparse matrix's nonzero entries."""
-    coo = mat.tocoo()
-    keep = coo.data != 0.0
-    return coo.row[keep], coo.col[keep], coo.data[keep]
-
-
-def _abs_max(index, values, size) -> np.ndarray:
-    """Largest |value| per index, 0 where an index has no entry."""
-    out = np.zeros(size)
-    np.maximum.at(out, index, np.abs(values))
-    return out
 
 
 class QpBuilder:

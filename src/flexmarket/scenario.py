@@ -269,9 +269,10 @@ def _series_values(ref, base_dir: Path, name: str) -> list:
     if isinstance(ref, (int, float)):
         raise ScenarioParseError(f"{name}: scalar is not a series; use a list")
     try:
-        return [float(v) for v in ref]
-    except (TypeError, ValueError) as exc:
+        values = list(ref)
+    except TypeError as exc:
         raise ScenarioParseError(f"{name}: expected list or file path: {exc}") from exc
+    return [_number(v, f"{name}.{i}") for i, v in enumerate(values)]
 
 
 def _section(doc: dict, key: str, required: bool = True) -> dict:
@@ -287,7 +288,10 @@ def _section(doc: dict, key: str, required: bool = True) -> dict:
 
 def _number(value, name: str, integer: bool = False):
     """A document value as a float, or as an int for a step count; a
-    fractional step count is an error, not truncated."""
+    fractional step count is an error, not truncated, and a JSON boolean
+    is not a number."""
+    if isinstance(value, bool):
+        raise ScenarioParseError(f"{name}: not a number: {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError) as exc:
@@ -334,10 +338,9 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
     policy_sec = _section(doc, "policy", required=False)
     beta_ref = policy_sec.get("beta", 0.0)
     if isinstance(beta_ref, (int, float)):
-        beta = tuple(float(beta_ref) for _ in range(grid.total_steps))
+        beta = (_number(beta_ref, "policy.beta"),) * grid.total_steps
     else:
-        beta = tuple(float(b) for b in
-                     _series_values(beta_ref, base_dir, "policy.beta"))
+        beta = tuple(_series_values(beta_ref, base_dir, "policy.beta"))
     clip = policy_sec.get("clip_to_positivity", True)
     # only a JSON boolean: bool("False") would be true
     _check(isinstance(clip, bool), "policy.clip_to_positivity",
@@ -358,7 +361,7 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
         fixed_ref = a.get("fixed_load", 0.0)
         fixed = _series_values(fixed_ref, base_dir, f"agents.{aid}.fixed_load") \
             if not isinstance(fixed_ref, (int, float)) \
-            else [float(fixed_ref)] * grid.total_steps
+            else [_number(fixed_ref, f"agents.{aid}.fixed_load")] * grid.total_steps
         devs = []
         dev_sec = a.get("devices", {})
         if not isinstance(dev_sec, dict):

@@ -20,8 +20,7 @@ from flexmarket.market import verify_equilibrium
 from flexmarket.pricing import AggregateFlex, compute_prices, positivity_region
 from flexmarket.scenario import scenario_from_dict, slice_horizon
 
-EXACT_CFG = BnbConfig(node_limit=200000, gap_tol=1e-9, qp_tol=1e-5,
-                      final_tol=1e-8, polish_nodes=True)
+EXACT_CFG = BnbConfig(node_limit=200000, gap_tol=1e-9)
 
 
 def _ok(n, label, detail=""):
@@ -199,7 +198,7 @@ def test_criterion_5_miqp_matches_enumeration():
         n_bins_max = max(n_bins_max, len(miqp.binary_vars))
         assert len(miqp.binary_vars) <= 8
         got = solve_miqp(miqp, EXACT_CFG)
-        ref_obj, ref_bits, _ = enumerate_binaries(miqp, EXACT_CFG)
+        ref_obj, ref_bits, _ = enumerate_binaries(miqp)
         if ref_bits is None:
             assert got.status == "infeasible", f"instance {i}"
             continue

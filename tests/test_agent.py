@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.optimize import LinearConstraint, minimize
+from scipy.optimize import Bounds, LinearConstraint, milp, minimize
 
 from flexmarket.agent import (AgentError, DegenerateAgentError,
                               InfeasibleMpoError, best_response, build_mpo,
@@ -9,7 +9,7 @@ from flexmarket.bnb import BnbConfig, enumerate_binaries, solve_miqp
 from flexmarket.devices import BATTERY, EV, HEAT_PUMP, battery_soc_step
 from flexmarket.scenario import scenario_from_dict, slice_horizon
 
-EXACT_CFG = BnbConfig(qp_tol=1e-5, final_tol=1e-7, polish_nodes=True)
+EXACT_CFG = BnbConfig()
 
 
 def make_scenario(devices, total=6, H=4, fixed=2.0, irr=None, **agent_kw):
@@ -119,7 +119,7 @@ def test_offer_battery_matches_enumeration():
     view = slice_horizon(s, 0)
     offer = solve_flexibility(s.agents[0], view, s.weights, EXACT_CFG)
     miqp = build_mpo(s.agents[0], view, s.weights)
-    ref_obj, _, ref_sol = enumerate_binaries(miqp, EXACT_CFG)
+    ref_obj, _, ref_sol = enumerate_binaries(miqp)
     got = solve_miqp(miqp, EXACT_CFG)
     assert got.objective == pytest.approx(ref_obj, rel=1e-6, abs=1e-8)
     lay = miqp.layout
@@ -131,7 +131,9 @@ def test_offer_symmetry_exact():
     s = make_scenario({"battery": BS, "pv": PVD, "heat_pump": HPD})
     offer = solve_flexibility(s.agents[0], slice_horizon(s, 0), s.weights,
                               EXACT_CFG)
-    assert offer.p_hi - offer.p0 == offer.p0 - offer.p_lo  # by construction
+    # by construction: p0 plus and minus the same first-step half-width
+    span = sum(sched.delta_kw[0] for sched in offer.schedules.values())
+    assert offer.p_hi == offer.p0 + span and offer.p_lo == offer.p0 - span
     assert offer.p_lo <= offer.p0 <= offer.p_hi
 
 
@@ -181,6 +183,25 @@ def test_infeasible_mpo_raises():
     s = make_scenario({"battery": bad}, total=4, H=4)
     with pytest.raises(InfeasibleMpoError):
         solve_flexibility(s.agents[0], slice_horizon(s, 0), s.weights)
+
+
+@pytest.mark.parametrize("t, soc", [(9, 0.5464), (10, 0.5459)])
+def test_away_ev_window_end_floor_is_reachable(day_scenario, t, soc):
+    # home3's EV is away for the whole window and self-discharge keeps it
+    # below soc_init, so a floor at soc_init had no feasible point; HiGHS
+    # checks the MIQP's own rows, apart from the program's solver
+    home3 = day_scenario.agent("home3")
+    view = slice_horizon(day_scenario, t, {"home3": {EV: soc}})
+    assert all(home3.device(EV).is_away(t + k) for k in range(view.length))
+    miqp = build_mpo(home3, view, day_scenario.weights)
+    qp = miqp.base
+    integrality = np.zeros(qp.n)
+    integrality[list(miqp.binary_vars)] = 1
+    res = milp(np.zeros(qp.n), integrality=integrality,
+               bounds=Bounds(qp.lb, qp.ub),
+               constraints=[LinearConstraint(qp.A_eq.toarray(), qp.b_eq, qp.b_eq),
+                            LinearConstraint(qp.A_le.toarray(), -np.inf, qp.b_le)])
+    assert res.status == 0
 
 
 # --- stage II best response -------------------------------------------------

@@ -70,6 +70,14 @@ def test_run_malformed_override_path(tmp_path, capsys, path):
     assert path in capsys.readouterr().err
 
 
+def test_run_boolean_override_is_not_a_number(tmp_path, capsys):
+    # `true` parses as JSON, and a boolean must not load as gamma 1.0
+    code = main(["run", "--scenario", MINI, "--out", str(tmp_path / "o"),
+                 "--override", "agents.0.gamma=true"])
+    assert code == 2
+    assert "gamma: not a number: True" in capsys.readouterr().err
+
+
 def test_run_requires_out(capsys):
     assert main(["run", "--scenario", MINI]) == 2
 

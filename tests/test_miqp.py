@@ -1,13 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import flexmarket.agent as agent
 from flexmarket.agent import build_mpo
 from flexmarket.bnb import (BnbConfig, MiqpError, MixedIntegerQp,
                             enumerate_binaries, solve_miqp)
 from flexmarket.devices import HpParams, PvParams
-from flexmarket.market import default_solver_config
+from flexmarket.market import default_solver_config, run_simulation
 from flexmarket.qp import AdmmSolver, QpBuilder, solve_qp
-from flexmarket.scenario import AgentSpec, slice_horizon
+from flexmarket.scenario import (AgentSpec, read_scenario_doc, scenario_from_dict,
+                                 slice_horizon)
+
+DAY = Path(__file__).resolve().parent.parent / "scenarios" / "three_agent_day.json"
 
 
 def _bigm_instance(rng, n_pairs):
@@ -138,9 +144,8 @@ def test_deterministic():
     assert np.array_equal(a.primal, b.primal)
 
 
-def test_polished_winner_is_not_resolved(monkeypatch):
-    # the returned point is re-solved at final_tol only when unpolished;
-    # a polished winner is exact already, so every solve is a node
+def test_every_qp_solve_is_a_node(monkeypatch):
+    # node solves are exact, so the returned point is never re-solved
     mi = _bigm_instance(np.random.default_rng(5), 3)
     calls = []
     solve = AdmmSolver.solve
@@ -150,7 +155,7 @@ def test_polished_winner_is_not_resolved(monkeypatch):
         return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(AdmmSolver, "solve", counted)
-    got = solve_miqp(mi, BnbConfig(qp_tol=1e-5, final_tol=1e-7, polish_nodes=True))
+    got = solve_miqp(mi, BnbConfig())
     assert got.status == "optimal"
     assert got.nodes == 16
     assert len(calls) == got.nodes
@@ -177,3 +182,41 @@ def test_binary_free_window_meets_rows_tightly(day_scenario):
     got = solve_miqp(miqp, default_solver_config())
     assert got.status == "optimal"
     assert _row_violation(miqp.base, got.primal) <= 1e-6
+
+
+def test_bundled_day_schedules_meet_their_rows(day_scenario, monkeypatch):
+    # every schedule the default config returns on the bundled day meets
+    # its own rows and bounds, with integral binaries
+    solves = []
+    solve = agent.solve_miqp
+
+    def recorded(miqp, cfg):
+        sol = solve(miqp, cfg)
+        solves.append((miqp, sol))
+        return sol
+
+    monkeypatch.setattr(agent, "solve_miqp", recorded)
+    run_simulation(day_scenario)
+    assert len(solves) == 72
+    for miqp, sol in solves:
+        assert _row_violation(miqp.base, sol.primal) <= 1e-6
+        z = sol.primal[list(miqp.binary_vars)]
+        assert np.max(np.abs(z - np.round(z))) <= 1e-9
+
+
+def test_exact_mode_closes_battery_and_ev_window():
+    # home1's battery and EV together in a 3-step window: six binaries
+    doc = read_scenario_doc(DAY)
+    home1 = doc["agents"][0]
+    devices = {k: dict(home1["devices"][k]) for k in ("battery", "ev")}
+    devices["ev"]["target_step"] = min(devices["ev"]["target_step"], 7)
+    doc["time"].update(total_steps=8, horizon_len=3)
+    doc["policy"]["beta"] = doc["policy"]["beta"][:8]
+    doc["agents"] = [dict(home1, devices=devices)]
+    s = scenario_from_dict(doc, base_dir=DAY.parent)
+    miqp = build_mpo(s.agents[0], slice_horizon(s, 0), s.weights)
+    assert len(miqp.binary_vars) == 6
+    got = solve_miqp(miqp, BnbConfig())
+    assert got.status == "optimal" and got.gap == 0.0
+    ref_obj, _, _ = enumerate_binaries(miqp)
+    assert abs(got.objective - ref_obj) <= 1e-6 * max(1.0, abs(ref_obj))

@@ -2,13 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from flexmarket.agent import build_mpo
-from flexmarket.devices import HpParams, PvParams
-from flexmarket.qp import (_SIGMA, AdmmSolver, QpBuilder, QpError,
-                           QuadraticProgram, check_kkt, solve_qp)
-from flexmarket.scenario import AgentSpec, slice_horizon
+from flexmarket.qp import (AdmmSolver, QpBuilder, QpError, QuadraticProgram,
+                           check_kkt, solve_qp)
+from flexmarket.scenario import slice_horizon
 
 
 def test_interior_minimum():
@@ -43,7 +44,7 @@ def test_equality_symmetric():
 
 def test_kkt_self_consistency_and_perturbation():
     qp = QuadraticProgram(1, Q=[[2.0]], lb=[1.0])
-    sol = solve_qp(qp, tol=1e-6)
+    sol = solve_qp(qp)
     assert check_kkt(qp, sol, 1e-6).ok
     sol.primal = sol.primal - 10e-6          # violate the active bound
     rep = check_kkt(qp, sol, 1e-6)
@@ -57,7 +58,7 @@ def test_kkt_row_terms_on_a_window(day_scenario):
     qp = build_mpo(day_scenario.agents[0], slice_horizon(day_scenario, 0),
                    day_scenario.weights).base
     assert (qp.n, qp.n_eq, qp.n_le) == (136, 40, 165)
-    sol = AdmmSolver(qp).solve(tol=1e-6)
+    sol = AdmmSolver(qp).solve()
     assert sol.status == "optimal" and sol.polished
     assert check_kkt(qp, sol, 1e-6).ok
     # a wrongly signed <= multiplier breaks stationarity and the dual test
@@ -99,6 +100,9 @@ def test_objective_matches_recompute():
 def test_non_psd_rejected():
     with pytest.raises(QpError):
         QuadraticProgram(1, Q=[[-1.0]])
+    # unvalidated programs are caught when the workspace factors Q
+    with pytest.raises(QpError):
+        AdmmSolver(QuadraticProgram(1, Q=[[-1.0]], validate_psd=False))
 
 
 def test_asymmetric_rejected():
@@ -141,10 +145,10 @@ def test_iteration_limit_status():
     qp = QuadraticProgram(6, M @ M.T, rng.normal(size=6),
                           lb=-np.ones(6), ub=np.ones(6),
                           A_le=rng.normal(size=(3, 6)), b_le=rng.normal(size=3) + 2)
-    sol = solve_qp(qp, tol=1e-12, max_iter=25)
-    assert sol.status in ("iteration_limit", "optimal")
-    sol2 = AdmmSolver(qp).solve(tol=0.0, max_iter=25, polish=False)
-    assert sol2.status == "iteration_limit"
+    full = solve_qp(qp)
+    assert full.status == "optimal" and full.iterations == 5
+    assert solve_qp(qp, max_iter=5).status == "optimal"
+    assert solve_qp(qp, max_iter=4).status == "iteration_limit"
 
 
 def test_deterministic_resolve():
@@ -177,83 +181,50 @@ def test_builder_square_expansion():
     assert qp.objective_value(np.array([5.0])) == pytest.approx(3.0 * 9.0)
 
 
-def _sparse_reference(ws):
-    """Ruiz scaling and KKT by scipy.sparse arithmetic: sp.diags products
-    and sp.bmat, the construction the triplet assembly must reproduce."""
-    n, m = ws.n, ws.m
-    d, e = np.ones(n), np.ones(m)
-    Q, S = ws.qp.Q.copy(), ws.S.copy()
-    for _ in range(10):
-        qcol = abs(Q).max(axis=0).toarray().ravel() if Q.nnz else np.zeros(n)
-        scol = abs(S).max(axis=0).toarray().ravel() if S.nnz else np.zeros(n)
-        srow = abs(S).max(axis=1).toarray().ravel() if S.nnz else np.zeros(m)
-        dd = np.clip(1.0 / np.sqrt(np.maximum(np.maximum(qcol, scol), 1e-8)), 1e-4, 1e4)
-        de = np.clip(1.0 / np.sqrt(np.maximum(srow, 1e-8)), 1e-4, 1e4)
-        Q = sp.diags(dd) @ Q @ sp.diags(dd)
-        S = sp.diags(de) @ S @ sp.diags(dd)
-        d *= dd
-        e *= de
-    cs = d * ws.qp.c
-    pnorm = abs(Q).max(axis=0).toarray().ravel().mean() if Q.nnz else 0.0
-    cost_c = 1.0 / max(1e-6, max(np.max(np.abs(cs)), pnorm))
-    kkt = sp.bmat([[(cost_c * Q).tocsc() + _SIGMA * sp.identity(n), S.tocsc().T],
-                   [S.tocsc(), -sp.diags(1.0 / ws.rho)]], format="csc")
-    return d, e, cost_c, cost_c * cs, kkt
-
-
-def _polish_reference(ws, idx):
-    S_act = ws.S[idx, :]
-    reg = 1e-9
-    return sp.bmat([[ws.qp.Q + reg * sp.identity(ws.n), S_act.T],
-                    [S_act, -reg * sp.identity(len(idx))]], format="csc")
-
-
-def _same_csc(a, b):
-    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
-               and getattr(a, f).dtype == getattr(b, f).dtype
-               for f in ("indptr", "indices", "data"))
-
-
-def _windows(day):
-    home1 = day.agents[0]
-    hp = HpParams(r_th=1.968, c_th=1.6662, cop=2.7145, p_rated_kw=3.229,
-                  t_min=66.0, t_max=74.0, t_setpoint=70.0, t_init=70.0)
-    fleet = AgentSpec("f17", 1.0, (hp, PvParams(2.444)), home1.fixed_load)
-    view = slice_horizon(day, 0)
-    return {"home1": build_mpo(home1, view, day.weights),
-            "fleet_hp_pv": build_mpo(fleet, slice_horizon(day, 6), day.weights),
-            "home1_eps_lo_0": build_mpo(dataclasses.replace(home1, eps_lo=0.0),
-                                        view, day.weights)}
-
-
-def test_triplet_setup_matches_sparse_arithmetic(day_scenario):
-    windows = _windows(day_scenario)
-    assert len(windows["home1"].binary_vars) == 16
-    assert windows["home1_eps_lo_0"].base.A_le.nnz \
-        > np.count_nonzero(windows["home1_eps_lo_0"].base.A_le.data)
-    for name, miqp in windows.items():
-        ws = AdmmSolver(miqp.base, stiff_vars=miqp.binary_vars)
-        for rho_scale in (1.0, 37.5, 1e-3):
-            ws._rho_scale = rho_scale
-            ws._factorize()
-            d, e, cost_c, cs, kkt = _sparse_reference(ws)
-            assert d.tobytes() == ws.d.tobytes(), name
-            assert e.tobytes() == ws.e.tobytes(), name
-            assert cost_c == ws.cost_c and cs.tobytes() == ws.cs.tobytes(), name
-            assert _same_csc(kkt, ws._kkt), (name, rho_scale)
-        # a fixed active set: the equality rows and every third other row
-        rows = np.arange(ws.m)
-        idx = rows[(rows % 3 == 0) | ((rows >= ws.n) & (rows < ws.n + miqp.base.n_eq))]
-        for act in (idx, idx[:0]):
-            want = (_polish_reference(ws, act) if len(act)
-                    else (miqp.base.Q + 1e-9 * sp.identity(ws.n)).tocsc())
-            assert _same_csc(want, ws._polish_kkt(act)), (name, len(act))
-
-
 def test_empty_program_workspace():
     qp = QuadraticProgram(0, c0=1.5)
     ws = AdmmSolver(qp)
-    assert ws.d.shape == (0,) and ws.e.shape == (0,)
-    assert ws.cost_c == 1.0 and ws.cs.shape == (0,)
-    sol = ws.solve(tol=1e-8)
+    sol = ws.solve()
     assert sol.status == "optimal" and sol.objective == 1.5
+
+
+def _random_program(seed, n, rank, n_eq, n_le):
+    """A small QP with a rank-deficient PSD objective, a random box,
+    equality rows and <= rows; the rows may have no feasible point."""
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(n, rank))
+    lb = -rng.uniform(0.0, 3.0, n)
+    ub = rng.uniform(0.0, 3.0, n)
+    x0 = rng.uniform(lb - 0.5, ub + 0.5)
+    A_eq = rng.normal(size=(n_eq, n))
+    A_le = rng.normal(size=(n_le, n))
+    return QuadraticProgram(n, M @ M.T, rng.normal(size=n), lb, ub,
+                            A_eq, A_eq @ x0, A_le,
+                            A_le @ x0 + rng.uniform(-0.5, 1.0, n_le))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       rank=st.integers(0, 8), n_eq=st.integers(0, 3), n_le=st.integers(0, 6),
+       empty=st.booleans())
+@example(seed=0, n=3, rank=1, n_eq=1, n_le=2, empty=True)
+def test_solve_is_optimal_or_certified_infeasible(seed, n, rank, n_eq, n_le, empty):
+    # every answer is checked apart from the engine: an optimum by its
+    # KKT residuals, an infeasibility by HiGHS on the same rows
+    qp = _random_program(seed, n, min(rank, n), n_eq, n_le)
+    lb, ub = qp.lb.copy(), qp.ub.copy()
+    if empty:
+        # a binary-style bound fix that empties one box, passed to solve
+        lb[0], ub[0] = ub[0] + 1.0, ub[0]
+    sol = AdmmSolver(qp).solve(lb, ub)
+    assert sol.status in ("optimal", "infeasible")
+    if sol.status == "optimal":
+        assert not empty
+        assert check_kkt(qp, sol, 1e-7).ok
+        return
+    lp = linprog(np.zeros(n), A_ub=qp.A_le.toarray() if n_le else None,
+                 b_ub=qp.b_le if n_le else None,
+                 A_eq=qp.A_eq.toarray() if n_eq else None,
+                 b_eq=qp.b_eq if n_eq else None,
+                 bounds=list(zip(lb, ub)), method="highs")
+    assert lp.status == 2

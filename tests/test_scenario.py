@@ -255,10 +255,20 @@ def _with_value(path, value):
     ("agents.0.devices.ev.away_end", 3.2, "agents.a1.devices.ev.away_end"),
     ("agents.0.devices.ev.target_step", 4.5, "agents.a1.devices.ev.target_step"),
     ("agents.0.devices.ev.soc_min", "low", "agents.a1.devices.ev.soc_min"),
+    # JSON booleans are not numbers, though Python's bool is an int
+    ("agents.0.gamma", True, "agents.a1.gamma"),
+    ("time.total_steps", True, "time.total_steps"),
+    ("policy.beta", True, "policy.beta"),
+    ("policy.beta", [0.2, 0.2, False, 0.2, 0.2, 0.2], "policy.beta.2"),
+    ("agents.0.fixed_load", True, "agents.a1.fixed_load"),
+    ("series.lem_price", [0.1, True, 0.1, 0.1, 0.1, 0.1], "series.lem_price.1"),
+    ("agents.0.devices.ev.efficiency", True, "agents.a1.devices.ev.efficiency"),
+    ("agents.0.devices.ev.away_start", False, "agents.a1.devices.ev.away_start"),
 ])
 def test_wrong_number_type_names_field(path, value, field):
-    # a non-number, or a fractional step count or index, names its field
-    # rather than surfacing as a bare ValueError or being truncated
+    # a non-number, a boolean, or a fractional step count or index, names
+    # its field rather than surfacing as a bare ValueError, being read as
+    # 1.0 or 0.0, or being truncated
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(_with_value(path, value))
     assert str(err.value).startswith(field + ":")
