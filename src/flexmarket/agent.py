@@ -27,7 +27,7 @@ import numpy as np
 from . import devices as dev
 from .bnb import BnbConfig, MixedIntegerQp, solve_miqp
 from .devices import ObjectiveWeights
-from .qp import QpBuilder
+from .qp import QpBuilder, QpSolution, QuadraticProgram
 from .scenario import AgentSpec, HorizonView
 
 
@@ -65,6 +65,8 @@ class FlexibilityOffer:
     schedules: Mapping[str, DeviceSchedule]
     solver_status: str = "optimal"
     solver_gap: float = 0.0
+    # the window's root relaxation, to warm-start the agent's next clearing
+    root: Optional["RootRelaxation"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not (self.p_lo <= self.p0 + 1e-9 and self.p0 <= self.p_hi + 1e-9):
@@ -99,7 +101,9 @@ def hp_mode_schedule(hp: dev.HpParams, view: HorizonView, t_in_now: float) -> tu
 
 @dataclass
 class _MpoLayout:
-    """Variable/row bookkeeping for one agent's window problem."""
+    """Variable/row bookkeeping for one agent's window problem. Rows are
+    keyed (kind, role, k), k None for a row that is not per-step; a row
+    with another definition has another role."""
 
     P: dict = field(default_factory=dict)        # (kind, k) -> var
     delta: dict = field(default_factory=dict)
@@ -107,6 +111,8 @@ class _MpoLayout:
     plus: dict = field(default_factory=dict)
     minus: dict = field(default_factory=dict)
     z: dict = field(default_factory=dict)
+    eq: dict = field(default_factory=dict)       # (kind, role, k) -> A_eq row
+    le: dict = field(default_factory=dict)       # (kind, role, k) -> A_le row
     binaries: list = field(default_factory=list)
     mode_signs: dict = field(default_factory=dict)
     kinds: tuple = ()
@@ -142,8 +148,10 @@ def build_mpo(spec: AgentSpec, view: HorizonView,
             lay.P[kind, k] = b.add_var(lo, hi)
             lay.delta[kind, k] = b.add_var(0.0, math.inf)
             # flexibility envelope: limits must hold at P +- delta
-            b.add_le([(lay.P[kind, k], 1.0), (lay.delta[kind, k], 1.0)], hi)
-            b.add_ge([(lay.P[kind, k], 1.0), (lay.delta[kind, k], -1.0)], lo)
+            lay.le[kind, "env_hi", k] = b.add_le(
+                [(lay.P[kind, k], 1.0), (lay.delta[kind, k], 1.0)], hi)
+            lay.le[kind, "env_lo", k] = b.add_ge(
+                [(lay.P[kind, k], 1.0), (lay.delta[kind, k], -1.0)], lo)
 
         if kind in (dev.BATTERY, dev.EV):
             _add_storage(b, lay, d, spec, view, states_now.get(kind))
@@ -172,44 +180,56 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
         pmax = max(d.p_max_kw, 0.0)
         pmin = min(d.p_min_kw, 0.0)
         away = kind == dev.EV and d.is_away(t)
-        lay.plus[kind, k] = b.add_var(0.0, 0.0 if away else pmax)
-        lay.minus[kind, k] = b.add_var(0.0, 0.0 if away else -pmin)
-        lay.z[kind, k] = b.add_var(0.0, 1.0)
-        lay.binaries.append(lay.z[kind, k])
+        P, dl = lay.P[kind, k], lay.delta[kind, k]
+        pp = lay.plus[kind, k] = b.add_var(0.0, 0.0 if away else pmax)
+        pm = lay.minus[kind, k] = b.add_var(0.0, 0.0 if away else -pmin)
+        z = lay.z[kind, k] = b.add_var(0.0, 1.0)
+        lay.binaries.append(z)
         # split P = P+ - P- with binary gating making |P| = P+ + P- exact
-        b.add_eq([(lay.P[kind, k], 1.0), (lay.plus[kind, k], -1.0),
-                  (lay.minus[kind, k], 1.0)], 0.0)
-        b.add_le([(lay.plus[kind, k], 1.0), (lay.z[kind, k], -pmax)], 0.0)
-        b.add_le([(lay.minus[kind, k], 1.0), (lay.z[kind, k], -pmin)], -pmin)
+        lay.eq[kind, "split", k] = b.add_eq([(P, 1.0), (pp, -1.0), (pm, 1.0)], 0.0)
+        lay.le[kind, "gate_plus", k] = b.add_le([(pp, 1.0), (z, -pmax)], 0.0)
+        lay.le[kind, "gate_minus", k] = b.add_le([(pm, 1.0), (z, -pmin)], -pmin)
         # eps band on flexibility: eps_lo*|P| <= delta <= eps_hi*|P|
-        b.add_le([(lay.plus[kind, k], spec.eps_lo), (lay.minus[kind, k], spec.eps_lo),
-                  (lay.delta[kind, k], -1.0)], 0.0)
-        b.add_le([(lay.delta[kind, k], 1.0), (lay.plus[kind, k], -spec.eps_hi),
-                  (lay.minus[kind, k], -spec.eps_hi)], 0.0)
+        lay.le[kind, "eps_lo", k] = b.add_le(
+            [(pp, spec.eps_lo), (pm, spec.eps_lo), (dl, -1.0)], 0.0)
+        lay.le[kind, "eps_hi", k] = b.add_le(
+            [(dl, 1.0), (pp, -spec.eps_hi), (pm, -spec.eps_hi)], 0.0)
 
     for k in range(1, H + 1):
         lay.state[kind, k] = b.add_var(d.soc_min, d.soc_max)
     # SOC recurrence soc' = keep*soc - coeff*P
-    b.add_eq([(lay.state[kind, 1], 1.0), (lay.P[kind, 0], coeff)], keep * soc0)
+    lay.eq[kind, "soc", 0] = b.add_eq(
+        [(lay.state[kind, 1], 1.0), (lay.P[kind, 0], coeff)], keep * soc0)
     for k in range(1, H):
-        b.add_eq([(lay.state[kind, k + 1], 1.0), (lay.state[kind, k], -keep),
-                  (lay.P[kind, k], coeff)], 0.0)
+        lay.eq[kind, "soc", k] = b.add_eq(
+            [(lay.state[kind, k + 1], 1.0), (lay.state[kind, k], -keep),
+             (lay.P[kind, k], coeff)], 0.0)
     # anchor the window end: equality when the window reaches the
     # simulation end (start-equals-end over the whole day), otherwise an
     # anti-depletion floor at the configured initial SOC, lowered to the
-    # SOC that charging at full power at every step can reach
+    # SOC that charging at full power at every step can reach. Both use
+    # the band from full discharge to full charge over the window.
+    low = reach = soc0
+    for k in range(H):
+        lo, hi = dev.feasible_power_interval(d, t0 + k)
+        low = max(keep * low - coeff * hi, d.soc_min)
+        reach = min(keep * reach - coeff * lo, d.soc_max)
     if view.reaches_end:
-        b.add_eq([(lay.state[kind, H], 1.0)], d.soc_init)
+        if not low - 1e-9 <= d.soc_init <= reach + 1e-9:
+            raise InfeasibleMpoError(
+                f"agent {spec.id}: {kind} cannot return to its initial SOC "
+                f"{d.soc_init} by step {t0 + H} from {soc0} at step {t0} "
+                f"(reachable [{low:.6g}, {reach:.6g}])")
+        lay.eq[kind, "end_eq", None] = b.add_eq([(lay.state[kind, H], 1.0)],
+                                                d.soc_init)
     else:
-        reach = soc0
-        for k in range(H):
-            lo, _ = dev.feasible_power_interval(d, t0 + k)
-            reach = min(keep * reach - coeff * lo, d.soc_max)
-        b.add_ge([(lay.state[kind, H], 1.0)], min(d.soc_init, reach))
+        lay.le[kind, "end_floor", None] = b.add_ge(
+            [(lay.state[kind, H], 1.0)], min(d.soc_init, reach))
     # executed-step robustness: an upward settlement deviation within
     # delta must keep the next state feasible
-    b.add_ge([(lay.P[kind, 0], -coeff), (lay.delta[kind, 0], -coeff)],
-             d.soc_min - keep * soc0)
+    lay.le[kind, "robust", None] = b.add_ge(
+        [(lay.P[kind, 0], -coeff), (lay.delta[kind, 0], -coeff)],
+        d.soc_min - keep * soc0)
 
 
 def _add_heat_pump(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
@@ -223,26 +243,32 @@ def _add_heat_pump(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
 
     for k in range(H):
         # eps band with the known sign |P_hp| = -P_hp
-        b.add_le([(lay.P[kind, k], -spec.eps_lo), (lay.delta[kind, k], -1.0)], 0.0)
-        b.add_le([(lay.delta[kind, k], 1.0), (lay.P[kind, k], spec.eps_hi)], 0.0)
+        lay.le[kind, "eps_lo", k] = b.add_le(
+            [(lay.P[kind, k], -spec.eps_lo), (lay.delta[kind, k], -1.0)], 0.0)
+        lay.le[kind, "eps_hi", k] = b.add_le(
+            [(lay.delta[kind, k], 1.0), (lay.P[kind, k], spec.eps_hi)], 0.0)
     for k in range(1, H + 1):
         lay.state[kind, k] = b.add_var(d.t_min, d.t_max)
     # T' = th*T + (1-th)*(T_out + sign*rho*P)
     g = (1.0 - th)
-    b.add_eq([(lay.state[kind, 1], 1.0), (lay.P[kind, 0], -g * signs[0] * d.rho)],
-             th * t_now + g * view.outdoor_temp[0])
+    lay.eq[kind, "temp", 0] = b.add_eq(
+        [(lay.state[kind, 1], 1.0), (lay.P[kind, 0], -g * signs[0] * d.rho)],
+        th * t_now + g * view.outdoor_temp[0])
     for k in range(1, H):
-        b.add_eq([(lay.state[kind, k + 1], 1.0), (lay.state[kind, k], -th),
-                  (lay.P[kind, k], -g * signs[k] * d.rho)],
-                 g * view.outdoor_temp[k])
+        lay.eq[kind, "temp", k] = b.add_eq(
+            [(lay.state[kind, k + 1], 1.0), (lay.state[kind, k], -th),
+             (lay.P[kind, k], -g * signs[k] * d.rho)],
+            g * view.outdoor_temp[k])
     # executed-step robustness under upward deviation (P rises toward 0):
     # cooling warms the room, heating cools it
     if signs[0] > 0:
-        b.add_le([(lay.P[kind, 0], g * d.rho), (lay.delta[kind, 0], g * d.rho)],
-                 d.t_max - th * t_now - g * view.outdoor_temp[0])
+        lay.le[kind, "robust_cool", None] = b.add_le(
+            [(lay.P[kind, 0], g * d.rho), (lay.delta[kind, 0], g * d.rho)],
+            d.t_max - th * t_now - g * view.outdoor_temp[0])
     else:
-        b.add_ge([(lay.P[kind, 0], -g * d.rho), (lay.delta[kind, 0], -g * d.rho)],
-                 d.t_min - th * t_now - g * view.outdoor_temp[0])
+        lay.le[kind, "robust_heat", None] = b.add_ge(
+            [(lay.P[kind, 0], -g * d.rho), (lay.delta[kind, 0], -g * d.rho)],
+            d.t_min - th * t_now - g * view.outdoor_temp[0])
 
 
 def _add_pv(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
@@ -250,8 +276,10 @@ def _add_pv(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
     kind = dev.PV
     for k in range(view.length):
         # eps band with the known sign |P_pv| = P_pv
-        b.add_le([(lay.P[kind, k], spec.eps_lo), (lay.delta[kind, k], -1.0)], 0.0)
-        b.add_le([(lay.delta[kind, k], 1.0), (lay.P[kind, k], -spec.eps_hi)], 0.0)
+        lay.le[kind, "eps_lo", k] = b.add_le(
+            [(lay.P[kind, k], spec.eps_lo), (lay.delta[kind, k], -1.0)], 0.0)
+        lay.le[kind, "eps_hi", k] = b.add_le(
+            [(lay.delta[kind, k], 1.0), (lay.P[kind, k], -spec.eps_hi)], 0.0)
 
 
 def _add_objective(b: QpBuilder, lay: _MpoLayout, spec: AgentSpec,
@@ -330,10 +358,58 @@ def _extract_schedules(spec: AgentSpec, view: HorizonView, lay: _MpoLayout,
     return out
 
 
+@dataclass(frozen=True)
+class RootRelaxation:
+    """One window's root relaxation with the layout that names its
+    entries; the agent's next clearing starts from it, shifted."""
+
+    t_start: int
+    layout: _MpoLayout
+    solution: QpSolution
+
+
+def _shift_pairs(old: dict, new: dict) -> np.ndarray:
+    """Rows (new index, old index): key (..., k) takes old (..., k+1), or
+    old (..., k) when the old window has no k+1 (its last step holds); a
+    step-free key (k None) takes its own; a key without a match has no
+    row."""
+    pairs = []
+    for key, i in new.items():
+        k = key[-1]
+        j = old.get(key if k is None else key[:-1] + (k + 1,))
+        if j is None and k is not None:
+            j = old.get(key)
+        if j is not None:
+            pairs.append((i, j))
+    return np.array(pairs, dtype=int).reshape(-1, 2)
+
+
+def shift_root(old: _MpoLayout, root: QpSolution, new: _MpoLayout,
+               qp: QuadraticProgram) -> QpSolution:
+    """The root relaxation of the window one step earlier, moved onto the
+    window `new` lays out: primal and multipliers alike, by name, with
+    unmatched entries 0. A warm start only; its status is "shifted"."""
+    def moved(pairs, values, size):
+        out = np.zeros(size)
+        out[pairs[:, 0]] = values[pairs[:, 1]]
+        return out
+
+    var = np.vstack([_shift_pairs(getattr(old, f), getattr(new, f))
+                     for f in ("P", "delta", "state", "plus", "minus", "z")])
+    return QpSolution(
+        moved(var, root.primal, qp.n), moved(var, root.dual_bounds, qp.n),
+        moved(_shift_pairs(old.eq, new.eq), root.dual_eq, qp.n_eq),
+        moved(_shift_pairs(old.le, new.le), root.dual_ineq, qp.n_le),
+        np.nan, "shifted")
+
+
 def solve_flexibility(spec: AgentSpec, view: HorizonView,
                       weights: ObjectiveWeights,
-                      cfg: BnbConfig | None = None) -> FlexibilityOffer:
-    """Stage I: solve the window problem and report the first-step offer."""
+                      cfg: BnbConfig | None = None,
+                      prev: RootRelaxation | None = None) -> FlexibilityOffer:
+    """Stage I: solve the window problem and report the first-step offer.
+    A `prev` (offer.root) of the window one step earlier, shifted, starts
+    the root relaxation."""
     t0 = view.t_start
     fixed_now = spec.fixed_load[t0]
     if not spec.devices:
@@ -344,6 +420,9 @@ def solve_flexibility(spec: AgentSpec, view: HorizonView,
         return FlexibilityOffer(spec.id, p0, p0, p0, {})
 
     miqp = build_mpo(spec, view, weights)
+    if prev is not None and prev.t_start == t0 - 1:
+        miqp.root_warm = shift_root(prev.layout, prev.solution, miqp.layout,
+                                    miqp.base)
     sol = solve_miqp(miqp, cfg or BnbConfig())
     if sol.status == "infeasible":
         raise InfeasibleMpoError(
@@ -357,7 +436,8 @@ def solve_flexibility(spec: AgentSpec, view: HorizonView,
     span = sum(s.delta_kw[0] for s in schedules.values())
     return FlexibilityOffer(
         agent_id=spec.id, p0=p0, p_lo=p0 - span, p_hi=p0 + span,
-        schedules=schedules, solver_status=sol.status, solver_gap=sol.gap)
+        schedules=schedules, solver_status=sol.status, solver_gap=sol.gap,
+        root=RootRelaxation(t0, miqp.layout, sol.root))
 
 
 def best_response(gamma: float, p0: float, p_hi: float, mu: float,

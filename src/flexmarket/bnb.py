@@ -10,7 +10,10 @@ Search is deterministic: best-bound node selection with most-fractional
 branching, an initial rounding dive for an incumbent, and node bounds
 inherited monotonically down each branch. Fixing a binary only shrinks
 its box bounds, so every node reuses the one AdmmSolver workspace and
-starts from its parent's active set. Every node solve is exact, so a
+starts from its parent's active set. The root starts from the caller's
+`root_warm` (in a day simulation, the agent's previous root relaxation
+shifted one step) or cold, and comes back as `MiqpSolution.root` for
+the caller to carry on. Every node solve is exact, so a
 node's objective is a true bound and an incumbent is a feasible leaf.
 The search runs single-threaded, which is what guarantees bit-identical
 results for identical inputs.
@@ -19,7 +22,7 @@ results for identical inputs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,10 +37,12 @@ class MiqpError(ValueError):
 
 
 class MixedIntegerQp:
-    """A QuadraticProgram plus a designated set of binary variables."""
+    """A QuadraticProgram plus a designated set of binary variables, and
+    an optional warm start of the root relaxation (`root_warm`)."""
 
     def __init__(self, base: QuadraticProgram, binary_vars):
         self.base = base
+        self.root_warm: QpSolution | None = None
         self.binary_vars = tuple(int(i) for i in binary_vars)
         seen = set()
         for i in self.binary_vars:
@@ -66,6 +71,7 @@ class MiqpSolution:
     status: str                      # "optimal" | "node_limit" | "infeasible"
     gap: float
     nodes: int
+    root: QpSolution | None = field(default=None, repr=False)
 
 
 def _fractionality(zvals):
@@ -93,13 +99,14 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
                             "active-set changes")
         return sol
 
-    root = solve_node({}, None)
+    root = solve_node({}, miqp.root_warm)
     nodes = 1
     if root.status == "infeasible":
         return MiqpSolution(np.full(base.n, np.nan), (), np.nan, "infeasible",
-                            np.inf, nodes)
+                            np.inf, nodes, root)
     if len(bins) == 0:
-        return MiqpSolution(root.primal, (), root.objective, "optimal", 0.0, nodes)
+        return MiqpSolution(root.primal, (), root.objective, "optimal", 0.0,
+                            nodes, root)
     incumbent: QpSolution | None = None
     inc_fix: dict = {}
 
@@ -182,7 +189,7 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
         # without a feasible leaf, only a finished search proves infeasibility
         return MiqpSolution(np.full(base.n, np.nan), (), np.nan,
                             "node_limit" if limit_hit else "infeasible",
-                            np.inf, nodes)
+                            np.inf, nodes, root)
 
     remaining = min((b for b, _, _, _ in heap), default=np.inf)
     gap = max(0.0, (incumbent.objective - remaining)
@@ -191,7 +198,7 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
     assignment = tuple(int(round(inc_fix.get(int(j), incumbent.primal[j])))
                        for j in bins)
     return MiqpSolution(incumbent.primal, assignment, incumbent.objective,
-                        status, gap, nodes)
+                        status, gap, nodes, root)
 
 
 def enumerate_binaries(miqp: MixedIntegerQp):

@@ -149,6 +149,8 @@ def cmd_report(args) -> int:
         trace = run_simulation(s)
         write_trace(trace, args.out, [a.gamma for a in s.agents])
     data = read_trace(args.out)
+    if not data.agents:
+        raise TraceIoError("trace has no agent rows")
     agent = args.agent or data.agents[0]["agent_id"]
     paths = write_report(data, args.out, agent)
     for p in paths:

@@ -148,7 +148,7 @@ def default_solver_config() -> BnbConfig:
 
     The iterated rounding dive supplies the incumbent, and the rest of
     the budget goes to best-bound search from the root. That budget
-    seldom closes the gap on day-scale windows (64 of the bundled day's
+    seldom closes the gap on day-scale windows (67 of the bundled day's
     72 solves end at the limit), so the returned gap is reported rather
     than closed."""
     return BnbConfig(node_limit=24)
@@ -164,14 +164,17 @@ def run_simulation(s: Scenario, solver_cfg: Optional[BnbConfig] = None) -> Simul
     device_records = []
     injections = {a.id: [] for a in s.agents}
     solver_notes = []
+    # each agent's last root relaxation: a warm start, never a constraint
+    roots = [None] * len(s.agents)
 
     for t in range(grid.total_steps):
         view = slice_horizon(s, t, states)
         try:
-            offers = [solve_flexibility(a, view, s.weights, cfg)
-                      for a in s.agents]
+            offers = [solve_flexibility(a, view, s.weights, cfg, root)
+                      for a, root in zip(s.agents, roots)]
         except Exception as exc:
             raise MarketError(t, f"stage-I scheduling failed: {exc}") from exc
+        roots = [offer.root for offer in offers]
         for offer in offers:
             if offer.solver_status != "optimal":
                 solver_notes.append(

@@ -23,11 +23,12 @@ multipliers have the right signs.
 Each workspace factors Q + eps*I and forms K = C (Q + eps*I)^-1 C' once.
 Changing only lb/ub (as branch-and-bound does when fixing binaries)
 changes only right-hand sides, so one workspace serves a whole search
-tree, and a warm start begins from the active set read off a previous
-solution's multipliers. All arithmetic is deterministic; repeated
-solves of the same data give bit-identical results. solve_qp builds a
-private workspace per call and is reentrant; an AdmmSolver instance
-belongs to one thread at a time.
+tree. A warm start begins from the active set read off the multipliers
+of a start of the program's shape: a search node's parent, or another
+window's solution moved onto this one. All arithmetic is deterministic;
+repeated solves of the same data give bit-identical results. solve_qp
+builds a private workspace per call and is reentrant; an AdmmSolver
+instance belongs to one thread at a time.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class QpSolution:
     dual_eq: np.ndarray
     dual_ineq: np.ndarray
     objective: float
-    status: str                      # "optimal" | "infeasible" | "iteration_limit"
+    status: str                      # "optimal" | "infeasible" | "iteration_limit" | "shifted"
     iterations: int = 0              # active-set changes
     polished: bool = False           # true on every optimal solve
 
@@ -162,9 +163,10 @@ class AdmmSolver:
 
     Branch-and-bound fixes binaries by shrinking their box bounds, which
     changes only right-hand sides; `solve` accepts per-call overrides of
-    the variable bounds plus an optional warm start. The class keeps the
-    name of the former ADMM engine, and the `stiff_vars` it took is
-    accepted and ignored.
+    the variable bounds plus an optional warm start, which may come from
+    another program of the same shape. The class keeps the name of the
+    former ADMM engine, and the `stiff_vars` it took is accepted and
+    ignored.
     """
 
     def __init__(self, qp: QuadraticProgram, stiff_vars=()):
@@ -173,6 +175,7 @@ class AdmmSolver:
         self._l0 = np.concatenate([qp.b_eq, np.full(qp.n_le, -INF), qp.lb])
         self._u0 = np.concatenate([qp.b_eq, qp.b_le, qp.ub])
         self.m = len(self._l0)
+        self._shape = (qp.n_eq, qp.n_le, n, n)   # of [y_eq, y_le, y_bounds, x]
         if n == 0:
             return
         self._C = sp.vstack([qp.A_eq, qp.A_le, sp.identity(n, format="csc")],
@@ -199,12 +202,18 @@ class AdmmSolver:
               max_iter=DEFAULT_MAX_ITER) -> QpSolution:
         """Exact minimizer under the given variable bounds.
 
-        `warm` is an optimal QpSolution of the same program under other
-        bounds: the rows its multipliers price start the working set,
-        and its primal is the first proximal centre. `tol` is accepted
-        for callers of the former ADMM engine and unused. `max_iter`
-        bounds both the active-set changes and the proximal rounds; a
-        solve that exceeds it ends with status "iteration_limit".
+        `warm` is any start with a finite primal and finite multipliers
+        of this program's shape, whatever its status: a branch-and-bound
+        parent's solution, or the previous clearing's root shifted one
+        step (`agent.shift_root`). The rows its multipliers price start
+        the working set, and its primal is the first proximal centre.
+        When those rows do not factor (a foreign start may price
+        dependent rows), the solve starts from the empty set instead;
+        the optimal value does not depend on the start. `tol` is
+        accepted for callers of the former ADMM engine and unused.
+        `max_iter` bounds both the active-set changes and the proximal
+        rounds; a solve that exceeds it ends with status
+        "iteration_limit".
         """
         qp, n = self.qp, self.n
         if n == 0:
@@ -222,17 +231,25 @@ class AdmmSolver:
         side = np.zeros(self.m)              # +1 at u, -1 at l, 0 free
         work: list = []
         x_c = np.zeros(n)
-        if warm is not None and warm.status == "optimal":
-            yw = np.concatenate([warm.dual_eq, warm.dual_ineq, warm.dual_bounds])
+        fac = None                           # Cholesky of K[work, work]
+        yw = None if warm is None else self._warm_duals(warm)
+        if yw is not None:
             sw = np.sign(yw)
-            work = np.flatnonzero(((sw > 0) & np.isfinite(u))
-                                  | ((sw < 0) & np.isfinite(l))).tolist()
+            W = np.flatnonzero(((sw > 0) & np.isfinite(u))
+                               | ((sw < 0) & np.isfinite(l)))
+            work = W.tolist()
+            x_c = warm.primal
+            if work:
+                # the rows must pass the test a joining row passes: a
+                # relative Schur complement above _DEP_TOL at every pivot
+                fac = _cholesky(K[W][:, W])
+                if fac is None or (fac.diagonal() ** 2
+                                   <= _DEP_TOL * K.diagonal()[W]).any():
+                    work, fac = [], None
             side[work] = np.where(free[work], 0.0, sw[work])
             y[work] = yw[work]
-            x_c = warm.primal
         target = np.where(side < 0, l, u)
         iters = 0
-        fac = None                           # Cholesky of K[work, work]
         x = x_c
         for _ in range(max_iter):
             xu = _chol_solve(self._chol, _EPS * x_c - qp.c)
@@ -305,6 +322,15 @@ class AdmmSolver:
                 return sol
             x_c = x
         return self._package(x, y, "iteration_limit", iters)
+
+    def _warm_duals(self, warm):
+        """The stacked multipliers [eq; le; bounds] of a start with a finite
+        primal and finite multipliers of this program's shape, else None."""
+        parts = (warm.dual_eq, warm.dual_ineq, warm.dual_bounds, warm.primal)
+        if [np.shape(v) for v in parts] != [(n,) for n in self._shape]:
+            return None
+        yw = np.concatenate(parts[:3])
+        return yw if np.isfinite(yw).all() and np.isfinite(warm.primal).all() else None
 
     def _package(self, x, y, status, iters) -> QpSolution:
         qp = self.qp

@@ -1,13 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp, minimize
 
+import flexmarket.agent as agent
 from flexmarket.agent import (AgentError, DegenerateAgentError,
                               InfeasibleMpoError, best_response, build_mpo,
-                              agent_welfare, solve_flexibility)
+                              agent_welfare, shift_root, solve_flexibility)
 from flexmarket.bnb import BnbConfig, enumerate_binaries, solve_miqp
 from flexmarket.devices import BATTERY, EV, HEAT_PUMP, battery_soc_step
-from flexmarket.scenario import scenario_from_dict, slice_horizon
+from flexmarket.qp import AdmmSolver
+from flexmarket.scenario import read_scenario_doc, scenario_from_dict, slice_horizon
+
+DAY = Path(__file__).resolve().parent.parent / "scenarios" / "three_agent_day.json"
 
 EXACT_CFG = BnbConfig()
 
@@ -202,6 +208,62 @@ def test_away_ev_window_end_floor_is_reachable(day_scenario, t, soc):
                constraints=[LinearConstraint(qp.A_eq.toarray(), qp.b_eq, qp.b_eq),
                             LinearConstraint(qp.A_le.toarray(), -np.inf, qp.b_le)])
     assert res.status == 0
+
+
+def test_unreachable_end_of_day_soc_is_named_before_any_solve(monkeypatch):
+    # home3's EV is away from step 14 through the day's end, so from SOC
+    # 0.4 it cannot return to its soc_init 0.55 for the window-end equality
+    doc = read_scenario_doc(DAY)
+    doc["agents"][2]["devices"]["ev"].update(away_start=14, away_end=24)
+    s = scenario_from_dict(doc, base_dir=DAY.parent)
+    view = slice_horizon(s, 16, {"home3": {EV: 0.4}})
+    assert view.reaches_end
+
+    def no_solve(miqp, cfg):
+        raise AssertionError("the window was solved")
+
+    monkeypatch.setattr(agent, "solve_miqp", no_solve)
+    with pytest.raises(InfeasibleMpoError,
+                       match=r"agent home3: ev cannot return .* by step 24"):
+        solve_flexibility(s.agent("home3"), view, s.weights)
+
+
+def test_shift_moves_root_one_step_earlier(day_scenario):
+    # home1's windows at clearings 15 and 16: the second one reaches the
+    # day's end, so its window-end floor becomes an equality
+    home1, w = day_scenario.agent("home1"), day_scenario.weights
+    prev = solve_flexibility(home1, slice_horizon(day_scenario, 15), w).root
+    miqp = build_mpo(home1, slice_horizon(day_scenario, 16), w)
+    old, new, H = prev.layout, miqp.layout, miqp.layout.H
+    root = prev.solution
+    warm = shift_root(old, root, new, miqp.base)
+    assert warm.status == "shifted"
+    for key, i in new.P.items():
+        kind, k = key
+        j = old.P[kind, min(k + 1, H - 1)]
+        assert warm.primal[i] == root.primal[j]
+        assert warm.dual_bounds[i] == root.dual_bounds[j]
+    for (kind, k), i in new.state.items():
+        assert warm.primal[i] == root.primal[old.state[kind, min(k + 1, H)]]
+    for (kind, role, k), i in new.le.items():
+        if k is not None:
+            j = old.le[kind, role, min(k + 1, H - 1)]
+            assert warm.dual_ineq[i] == root.dual_ineq[j]
+    for kind in (BATTERY, EV):
+        assert warm.dual_ineq[new.le[kind, "robust", None]] == \
+            root.dual_ineq[old.le[kind, "robust", None]]
+        assert (kind, "end_floor", None) in old.le
+        assert warm.dual_eq[new.eq[kind, "end_eq", None]] == 0.0
+        assert warm.dual_eq[new.eq[kind, "soc", H - 2]] == \
+            root.dual_eq[old.eq[kind, "soc", H - 1]]
+        assert warm.dual_eq[new.eq[kind, "soc", H - 1]] == \
+            root.dual_eq[old.eq[kind, "soc", H - 1]]
+    # a warm start only: the root relaxation comes out the same, sooner
+    ws = AdmmSolver(miqp.base)
+    cold, hot = ws.solve(), ws.solve(warm=warm)
+    assert hot.status == cold.status == "optimal"
+    assert abs(hot.objective - cold.objective) <= 1e-9 * abs(cold.objective)
+    assert hot.iterations < cold.iterations
 
 
 # --- stage II best response -------------------------------------------------

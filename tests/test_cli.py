@@ -157,6 +157,17 @@ def test_report_default_agent(mini_run):
     assert main(["report", "--out", str(mini_run)]) == 0
 
 
+def test_report_trace_without_agent_rows(mini_run, tmp_path, capsys):
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    for name in ("clearings.csv", "agents.csv", "devices.csv", "metadata.json"):
+        (bare / name).write_text((mini_run / name).read_text())
+    agents = bare / "agents.csv"
+    agents.write_text(agents.read_text().splitlines(keepends=True)[0])
+    assert main(["report", "--out", str(bare)]) == 2
+    assert "trace has no agent rows" in capsys.readouterr().err
+
+
 def test_outputs_deterministic(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from flexmarket.agent import build_mpo
-from flexmarket.qp import (AdmmSolver, QpBuilder, QpError, QuadraticProgram,
-                           check_kkt, solve_qp)
+from flexmarket.qp import (AdmmSolver, QpBuilder, QpError, QpSolution,
+                           QuadraticProgram, check_kkt, solve_qp)
 from flexmarket.scenario import slice_horizon
 
 
@@ -228,3 +228,29 @@ def test_solve_is_optimal_or_certified_infeasible(seed, n, rank, n_eq, n_le, emp
                  b_eq=qp.b_eq if n_eq else None,
                  bounds=list(zip(lb, ub)), method="highs")
     assert lp.status == 2
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), other=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 8), rank=st.integers(0, 8), n_eq=st.integers(0, 3),
+       n_le=st.integers(0, 6))
+def test_foreign_warm_start_matches_cold_solve(seed, other, n, rank, n_eq, n_le):
+    # a start from another program of the same shape, or one pricing
+    # every bound and every row (more rows than can be independent),
+    # changes the path of the solve but not its answer
+    qp = _random_program(seed, n, min(rank, n), n_eq, n_le)
+    ws = AdmmSolver(qp)
+    cold = ws.solve()
+    foreign = AdmmSolver(_random_program(other, n, min(rank, n), n_eq, n_le)).solve()
+    rng = np.random.default_rng(other)
+    dependent = QpSolution(rng.normal(size=n),
+                           rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 2.0, n),
+                           rng.normal(size=n_eq), rng.uniform(0.1, 2.0, n_le),
+                           np.nan, "shifted")
+    for warm in (foreign, dependent):
+        sol = ws.solve(warm=warm)
+        assert sol.status == cold.status
+        if cold.status == "optimal":
+            assert abs(sol.objective - cold.objective) <= \
+                1e-9 * max(1.0, abs(cold.objective))
+            assert check_kkt(qp, sol, 1e-7).ok
