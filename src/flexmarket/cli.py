@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -105,6 +106,12 @@ def _recleared(data) -> list:
 
 
 def cmd_verify(args) -> int:
+    # checked before any simulation: a tolerance of inf passes anything,
+    # and one of nan or below zero fails every clearing
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+    if args.grid_points < 100:
+        raise ValueError(f"--grid-points must be at least 100, got {args.grid_points}")
     if args.scenario:
         s = _load(args)
         trace = run_simulation(s)

@@ -20,15 +20,16 @@ solves strictly convex problems with Q + eps*I and the term
 Every optimal solve is exact: its rows hold to 1e-9 relative and its
 multipliers have the right signs.
 
-Each workspace factors Q + eps*I and forms K = C (Q + eps*I)^-1 C' once.
-Changing only lb/ub (as branch-and-bound does when fixing binaries)
-changes only right-hand sides, so one workspace serves a whole search
-tree. A warm start begins from the active set read off the multipliers
-of a start of the program's shape: a search node's parent, or another
-window's solution moved onto this one. All arithmetic is deterministic;
-repeated solves of the same data give bit-identical results. solve_qp
-builds a private workspace per call and is reentrant; an AdmmSolver
-instance belongs to one thread at a time.
+Each workspace factors Q + eps*I and forms G = (Q + eps*I)^-1 C' and
+K = C G once, blockwise as [A_eq G; A_le G; G]: C's identity rows give G
+itself. Changing only lb/ub (as branch-and-bound does when fixing
+binaries) changes only right-hand sides, so one workspace serves a whole
+search tree. A warm start begins from the active set read off the
+multipliers of a start of the program's shape: a search node's parent,
+or another window's solution moved onto this one. All arithmetic is
+deterministic; repeated solves of the same data give bit-identical
+results. solve_qp builds a private workspace per call and is reentrant;
+an AdmmSolver instance belongs to one thread at a time.
 """
 
 from __future__ import annotations
@@ -54,10 +55,17 @@ class QpError(ValueError):
     or a working set the solver could not factorize."""
 
 
+class _CscArrays(tuple):
+    """A CSC matrix's (data, indices, indptr) from QpBuilder, for
+    QuadraticProgram to copy into its matrix in one construction."""
+
+
 def _as_csc(mat, shape) -> sp.csc_matrix:
     if mat is None:
         return sp.csc_matrix(shape)
-    if sp.issparse(mat):
+    if isinstance(mat, _CscArrays):
+        out = sp.csc_matrix(mat, shape=shape, copy=True)
+    elif sp.issparse(mat):
         out = mat.tocsc().astype(float)
     else:
         out = sp.csc_matrix(np.atleast_2d(np.asarray(mat, dtype=float)))
@@ -164,9 +172,10 @@ class AdmmSolver:
     Branch-and-bound fixes binaries by shrinking their box bounds, which
     changes only right-hand sides; `solve` accepts per-call overrides of
     the variable bounds plus an optional warm start, which may come from
-    another program of the same shape. The class keeps the name of the
-    former ADMM engine, and the `stiff_vars` it took is accepted and
-    ignored.
+    another program of the same shape. Set-up reads C off the CSC arrays
+    into a dense C' for G and a CSR C for the loop, and stacks K from the
+    sparse A blocks times G, and G. The class keeps the name of the former
+    ADMM engine, and the `stiff_vars` it took is accepted and ignored.
     """
 
     def __init__(self, qp: QuadraticProgram, stiff_vars=()):
@@ -178,15 +187,24 @@ class AdmmSolver:
         self._shape = (qp.n_eq, qp.n_le, n, n)   # of [y_eq, y_le, y_bounds, x]
         if n == 0:
             return
-        self._C = sp.vstack([qp.A_eq, qp.A_le, sp.identity(n, format="csc")],
-                            format="csr")
+        # C's (row, column, value) triplets, column-major within each block
+        r = np.concatenate([qp.A_eq.indices, qp.n_eq + qp.A_le.indices,
+                            self.m - n + np.arange(n)])
+        c = np.concatenate([np.repeat(np.arange(n), np.diff(A.indptr))
+                            for A in (qp.A_eq, qp.A_le)] + [np.arange(n)])
+        v = np.concatenate([qp.A_eq.data, qp.A_le.data, np.ones(n)])
+        order = np.argsort(r, kind="stable")
+        indptr = np.searchsorted(r[order], np.arange(self.m + 1)).astype(np.int32)
+        self._C = sp.csr_matrix((v[order], c[order].astype(np.int32), indptr), shape=(self.m, n))
         self._chol = _cholesky(qp.Q.toarray() + _EPS * np.eye(n))
         if self._chol is None:
             raise QpError("quadratic term not positive semidefinite")
         # G = H^-1 C' maps working multipliers to the primal, K = C G
-        # maps them to row values
-        self._G = _chol_solve(self._chol, self._C.T.toarray())
-        K = np.asarray(self._C @ self._G)
+        # maps them to row values; C's identity rows make G K's last rows
+        Ct = np.zeros((n, self.m))
+        np.add.at(Ct, (c, r), v)            # sums any repeated entry
+        self._G = G = _chol_solve(self._chol, Ct)
+        K = np.vstack([qp.A_eq @ G, qp.A_le @ G, G])
         self._K = 0.5 * (K + K.T)
 
     def _bounds(self, lb, ub):
@@ -419,19 +437,18 @@ class QpBuilder:
     Variables are added with box bounds; quadratic cost is accumulated
     from weighted squares of affine expressions, which keeps the result
     PSD by construction. Row indices returned by add_le are stable and
-    index into the final A_le block.
+    index into the final A_le block. Terms are kept as (row, column,
+    value) triplets, which `build` compresses block by block.
     """
 
     def __init__(self):
         self._lb: list[float] = []
         self._ub: list[float] = []
-        self._qi: list[int] = []
-        self._qj: list[int] = []
-        self._qv: list[float] = []
+        self._q: tuple[list, list, list] = ([], [], [])
         self._lin: dict[int, float] = {}
         self._c0 = 0.0
-        self._eq: list[tuple[list[tuple[int, float]], float]] = []
-        self._le: list[tuple[list[tuple[int, float]], float]] = []
+        self._eq: tuple[list, list, list, list] = ([], [], [], [])   # triplets, rhs
+        self._le: tuple[list, list, list, list] = ([], [], [], [])
 
     @property
     def n(self) -> int:
@@ -453,48 +470,70 @@ class QpBuilder:
         if weight == 0.0:
             return
         terms = [(i, float(a)) for i, a in terms if a != 0.0]
+        qi, qj, qv = self._q
         for i, ai in terms:
             for j, aj in terms:
-                self._qi.append(i)
-                self._qj.append(j)
-                self._qv.append(2.0 * weight * ai * aj)
+                qi.append(i)
+                qj.append(j)
+                qv.append(2.0 * weight * ai * aj)
             if const:
                 self.add_linear(i, 2.0 * weight * const * ai)
         if const:
             self._c0 += weight * const * const
 
+    @staticmethod
+    def _add_row(block, terms, rhs: float) -> int:
+        ri, ci, vi, b = block
+        k = len(b)
+        for i, a in terms:
+            ri.append(k)
+            ci.append(i)
+            vi.append(float(a))
+        b.append(float(rhs))
+        return k
+
     def add_eq(self, terms, rhs: float) -> int:
-        self._eq.append(([(i, float(a)) for i, a in terms], float(rhs)))
-        return len(self._eq) - 1
+        return self._add_row(self._eq, terms, rhs)
 
     def add_le(self, terms, rhs: float) -> int:
         """Row sum(coef*x) <= rhs; returns the row's index in A_le."""
-        self._le.append(([(i, float(a)) for i, a in terms], float(rhs)))
-        return len(self._le) - 1
+        return self._add_row(self._le, terms, rhs)
 
     def add_ge(self, terms, rhs: float) -> int:
         return self.add_le([(i, -a) for i, a in terms], -rhs)
 
     def build(self, validate_psd: bool = True) -> QuadraticProgram:
         n = self.n
-        Q = sp.coo_matrix((self._qv, (self._qi, self._qj)), shape=(n, n)).tocsc()
+        Q = _csc(*self._q, (n, n), "objective")
         c = np.zeros(n)
         for i, v in self._lin.items():
+            if not 0 <= i < n:
+                raise QpError(f"objective term names variable {i} of {n}")
             c[i] = v
-
-        def rows(entries):
-            data, ri, ci, rhs = [], [], [], []
-            for k, (terms, b) in enumerate(entries):
-                rhs.append(b)
-                for i, a in terms:
-                    ri.append(k)
-                    ci.append(i)
-                    data.append(a)
-            A = sp.coo_matrix((data, (ri, ci)), shape=(len(entries), n)).tocsc()
-            return A, np.array(rhs)
-
-        A_eq, b_eq = rows(self._eq)
-        A_le, b_le = rows(self._le)
+        (*eq, b_eq), (*le, b_le) = self._eq, self._le
         return QuadraticProgram(n, Q, c, np.array(self._lb), np.array(self._ub),
-                                A_eq, b_eq, A_le, b_le, self._c0,
-                                validate_psd=validate_psd)
+                                _csc(*eq, (len(b_eq), n), "eq"), np.array(b_eq),
+                                _csc(*le, (len(b_le), n), "le"), np.array(b_le),
+                                self._c0, validate_psd=validate_psd)
+
+
+def _csc(rows, cols, vals, shape, block) -> _CscArrays:
+    """CSC arrays of (row, column, value) triplets: sorted by column, then
+    row; repeated entries summed in the order they were given."""
+    m, n = shape
+    key = np.array(cols, dtype=np.int64) * m + np.array(rows, dtype=np.int64)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if key.size and not 0 <= key[0] <= key[-1] < m * n:
+        # rows are numbered by the builder, and a square term names each of
+        # its variables as a row too, so only a column can be out of range
+        bad = next(j for j in cols if not 0 <= j < n)
+        raise QpError(f"{block} term names variable {bad} of {n}")
+    data = np.array(vals, dtype=float)[order]
+    repeat = key[1:] == key[:-1]
+    if repeat.any():
+        first = np.concatenate(([True], ~repeat))
+        data = np.bincount(np.cumsum(first) - 1, weights=data)
+        key = key[first]
+    indptr = np.searchsorted(key, m * np.arange(n + 1))
+    return _CscArrays((data, (key % max(m, 1)).astype(np.int32), indptr.astype(np.int32)))

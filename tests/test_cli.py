@@ -136,6 +136,21 @@ def test_verify_needs_input(capsys):
     assert main(["verify"]) == 2
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--tol", "inf"), ("--tol", "-inf"), ("--tol", "nan"), ("--tol", "-1"),
+    ("--tol", "0"), ("--grid-points", "5"), ("--grid-points", "99"),
+])
+def test_verify_rejects_bad_audit_option_before_running(monkeypatch, capsys,
+                                                        option, value):
+    import flexmarket.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulation ran before the options were checked")
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    assert main(["verify", "--scenario", MINI, f"{option}={value}"]) == 2
+    assert option in capsys.readouterr().err
+
+
 def test_report_writes_four_csvs(mini_run):
     code = main(["report", "--out", str(mini_run), "--agent", "a1"])
     assert code == 0

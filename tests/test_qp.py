@@ -2,14 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import flexmarket.qp as qpmod
 from flexmarket.agent import build_mpo
 from flexmarket.qp import (AdmmSolver, QpBuilder, QpError, QpSolution,
                            QuadraticProgram, check_kkt, solve_qp)
-from flexmarket.scenario import slice_horizon
+from flexmarket.scenario import scenario_from_dict, slice_horizon
 
 
 def test_interior_minimum():
@@ -122,6 +124,17 @@ def test_dimension_mismatch():
         check_kkt(qp, sol)
 
 
+def test_repeated_entries_of_a_caller_matrix_are_summed():
+    # a CSC row naming x0 twice is the row 2*x0 + x1 = 2.5, whose point
+    # nearest the origin is (1, 0.5)
+    A_eq = sp.csc_matrix((np.array([1.0, 1.0, 1.0]), np.array([0, 0, 0]),
+                          np.array([0, 2, 3])), shape=(1, 2))
+    qp = QuadraticProgram(2, Q=np.eye(2), A_eq=A_eq, b_eq=[2.5])
+    sol = solve_qp(qp)
+    assert sol.status == "optimal"
+    assert sol.primal == pytest.approx([1.0, 0.5], abs=1e-9)
+
+
 def test_empty_bound_pair_infeasible():
     with pytest.raises(QpError):
         QuadraticProgram(1, Q=[[2.0]], lb=[2.0], ub=[1.0])
@@ -179,6 +192,148 @@ def test_builder_square_expansion():
     assert qp.c[0] == pytest.approx(-12.0)
     assert qp.c0 == pytest.approx(12.0)
     assert qp.objective_value(np.array([5.0])) == pytest.approx(3.0 * 9.0)
+
+
+@pytest.mark.parametrize("block", ["eq", "le", "objective"])
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_builder_rejects_out_of_range_variable(block, bad):
+    b = QpBuilder()
+    for _ in range(3):
+        b.add_var(0.0, 1.0)
+    terms = [(0, 1.0), (bad, 2.0)]
+    if block == "eq":
+        b.add_eq(terms, 1.0)
+    elif block == "le":
+        b.add_le(terms, 1.0)
+    else:
+        b.add_square(terms, 1.0)
+    with pytest.raises(QpError, match=rf"{block} term names variable {bad}\b"):
+        b.build()
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_builder_rejects_out_of_range_linear_term(bad):
+    b = QpBuilder()
+    for _ in range(3):
+        b.add_var()
+    b.add_linear(bad, 1.0)
+    with pytest.raises(QpError, match=rf"objective term names variable {bad}\b"):
+        b.build()
+
+
+def test_builder_empty_blocks_and_no_variables():
+    # only <= rows: min (x - 2)^2 s.t. x <= 1
+    b = QpBuilder()
+    x = b.add_var()
+    b.add_le([(x, 1.0)], 1.0)
+    b.add_square([(x, 1.0)], -2.0)
+    qp = b.build()
+    assert (qp.n_eq, qp.n_le) == (0, 1) and qp.A_eq.shape == (0, 1)
+    assert solve_qp(qp).primal[0] == pytest.approx(1.0, abs=1e-9)
+    # only equality rows: min x^2 + y^2 s.t. x + y = 2
+    b = QpBuilder()
+    x, y = b.add_var(), b.add_var()
+    b.add_eq([(x, 1.0), (y, 1.0)], 2.0)
+    b.add_square([(x, 1.0)])
+    b.add_square([(y, 1.0)])
+    qp = b.build()
+    assert (qp.n_eq, qp.n_le) == (1, 0) and qp.A_le.shape == (0, 2)
+    assert solve_qp(qp).primal == pytest.approx([1.0, 1.0], abs=1e-9)
+    # no variables at all: a constant objective, and an empty row is kept
+    b = QpBuilder()
+    b.add_const(2.5)
+    b.add_le([], 0.0)
+    qp = b.build()
+    assert (qp.n, qp.n_eq, qp.n_le) == (0, 0, 1)
+    assert qp.Q.shape == (0, 0) and qp.A_le.shape == (1, 0)
+    sol = solve_qp(qp)
+    assert sol.status == "optimal" and sol.objective == 2.5
+
+
+def _thermal_window():
+    """A heat-pump and PV home's first window: no binaries."""
+    doc = {
+        "time": {"dt_hours": 1.0, "total_steps": 6, "horizon_len": 4},
+        "series": {"outdoor_temp": [75, 78, 82, 85, 83, 80],
+                   "irradiance_frac": [0.1, 0.4, 0.8, 0.9, 0.6, 0.2],
+                   "lem_price": [0.1] * 6},
+        "policy": {"beta": 0.3},
+        "agents": [{"id": "a1", "gamma": 1.0, "fixed_load": 2.0, "devices": {
+            "heat_pump": {"r_th": 2.0, "c_th": 2.0, "cop": 3.0,
+                          "p_rated_kw": 3.0, "t_min": 66.0, "t_max": 74.0,
+                          "t_setpoint": 70.0, "t_init": 70.0},
+            "pv": {"p_rated_kw": 4.0}}}],
+    }
+    s = scenario_from_dict(doc)
+    return lambda: build_mpo(s.agents[0], slice_horizon(s, 0), s.weights).base
+
+
+def _repeated_squares():
+    """A hand-built program whose Q entries each sum four square terms of
+    one sign, in columns longer than scipy's sort keeps in input order, and
+    whose rows name one variable twice."""
+    rng = np.random.default_rng(5)
+    b = QpBuilder()
+    xs = [b.add_var(-1.0, 1.0) for _ in range(6)]
+    for _ in range(4):
+        b.add_square([(i, rng.uniform(0.1, 3.0)) for i in xs], rng.normal(),
+                     rng.uniform(0.1, 2.0))
+    b.add_eq([(xs[0], 1.0), (xs[3], 0.5), (xs[0], 0.25)], 0.3)
+    b.add_le([(xs[5], 1.0), (xs[1], -2.0), (xs[5], 3.0)], 0.7)
+    b.add_ge([(xs[2], 1.0)], -0.5)
+    return b.build()
+
+
+def _reference_programs(day_scenario):
+    day = [lambda a=a, t=t: build_mpo(a, slice_horizon(day_scenario, t),
+                                      day_scenario.weights).base
+           for a in day_scenario.agents for t in range(day_scenario.time_grid.total_steps)]
+    assert len(day) == 72
+    return day + [_thermal_window(), _repeated_squares]
+
+
+def test_assembly_matches_scipy_coo_reference(day_scenario, monkeypatch):
+    # each block compressed from its triplets equals scipy's coo -> csc
+    # conversion: the same structure, the same row data, and Q's sums of
+    # repeated square terms to a few ulp. scipy sums a long column in an
+    # order of its own; summing four terms of one sign in any two orders
+    # differs by at most 3 eps relative
+    refs = []
+    csc = qpmod._csc
+
+    def recorded(rows, cols, vals, shape, block):
+        refs.append((block, sp.coo_matrix(
+            (list(vals), (list(rows), list(cols))), shape=shape).tocsc()))
+        return csc(rows, cols, vals, shape, block)
+    monkeypatch.setattr(qpmod, "_csc", recorded)
+    for make in _reference_programs(day_scenario):
+        refs.clear()
+        qp = make()
+        assert [block for block, _ in refs] == ["objective", "eq", "le"]
+        for (block, ref), got in zip(refs, (qp.Q, qp.A_eq, qp.A_le)):
+            assert got.shape == ref.shape
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            if block == "objective":
+                assert np.all(np.abs(got.data - ref.data)
+                              <= 4 * np.finfo(float).eps * np.abs(ref.data))
+            else:
+                assert np.array_equal(got.data, ref.data)
+
+
+def test_workspace_setup_matches_vstack_reference(day_scenario):
+    # G = H^-1 C' and K = C G formed blockwise equal the forms built from
+    # one stacked sparse C; the loop's CSR C equals the stacked one
+    for make in _reference_programs(day_scenario):
+        qp = make()
+        ws = AdmmSolver(qp)
+        C = sp.vstack([qp.A_eq, qp.A_le, sp.identity(qp.n, format="csc")], format="csr")
+        G = qpmod._chol_solve(ws._chol, C.T.toarray())
+        K = np.asarray(C @ G)
+        assert np.array_equal(ws._G, G)
+        assert np.array_equal(ws._K, 0.5 * (K + K.T))
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ws._C, part), getattr(C, part))
 
 
 def test_empty_program_workspace():
