@@ -118,7 +118,8 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
             inc_fix = dict(fix)
 
     # iterated rounding dive for an initial incumbent: fix the confident
-    # binaries first, re-solve, and let the rest settle
+    # binaries, else the least fractional one, and re-solve. On the bundled
+    # day no relaxed binary is confident, so each step fixes just one
     fix: dict = {}
     cur = root
     while cur.status == "optimal" and len(fix) < len(bins):

@@ -30,8 +30,8 @@ from .agent import (FlexibilityOffer, best_response, agent_welfare,
                     solve_flexibility)
 from .bnb import BnbConfig
 from .pricing import (AggregateFlex, PriceSignal, aggregate_offers,
-                      check_budget_balance, operator_utility, compute_prices,
-                      positivity_region, saturation_cap)
+                      check_budget_balance, check_tol, operator_utility,
+                      compute_prices, positivity_region, saturation_cap)
 from .scenario import Scenario, slice_horizon
 
 
@@ -279,6 +279,7 @@ def verify_equilibrium(cr: ClearingResult, offers: Sequence[FlexibilityOffer],
     """
     if grid_points < 100:
         raise ValueError("grid_points must be at least 100")
+    check_tol(tol)
     improvements = {}
     nash_ok = True
     for offer, gamma, row in zip(offers, gammas, cr.agents):

@@ -218,11 +218,19 @@ class BudgetReport:
         return self.residual <= self.tolerance
 
 
+def check_tol(tol: float) -> None:
+    """Reject an audit tolerance that is not finite and positive: inf
+    passes anything, and nan or one below zero fails everything."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def check_budget_balance(prices: PriceSignal, bids: Sequence[float],
                          agg: AggregateFlex, pi: float,
                          tol: float = 1e-8) -> BudgetReport:
     """Zero-profit identity: flexibility payments plus energy payments
     must equal the upstream settlement, |mu_tilde*(Pt - P0) + mu*Pt - pi*Pt|."""
+    check_tol(tol)
     pt = sum(float(getattr(b, "p_star", b)) for b in bids)
     residual = abs(prices.mu_tilde * (pt - agg.p0_t) + prices.mu * pt - pi * pt)
     return BudgetReport(residual=residual,

@@ -22,14 +22,16 @@ multipliers have the right signs.
 
 Each workspace factors Q + eps*I and forms G = (Q + eps*I)^-1 C' and
 K = C G once, blockwise as [A_eq G; A_le G; G]: C's identity rows give G
-itself. Changing only lb/ub (as branch-and-bound does when fixing
-binaries) changes only right-hand sides, so one workspace serves a whole
-search tree. A warm start begins from the active set read off the
-multipliers of a start of the program's shape: a search node's parent,
-or another window's solution moved onto this one. All arithmetic is
-deterministic; repeated solves of the same data give bit-identical
-results. solve_qp builds a private workspace per call and is reentrant;
-an AdmmSolver instance belongs to one thread at a time.
+itself. Within a solve, each pass works on the working columns G[:, W];
+a joining row grows the Cholesky factor of K[W, W] by one row, and a
+dropped row refactors it. Changing only lb/ub (as branch-and-bound does
+when fixing binaries) changes only right-hand sides, so one workspace
+serves a whole search tree. A warm start begins from the active set
+read off the multipliers of a start of the program's shape: a search
+node's parent, or another window's solution moved onto this one. All
+arithmetic is deterministic; repeated solves of the same data give
+bit-identical results. solve_qp builds a private workspace per call and
+is reentrant; an AdmmSolver instance belongs to one thread at a time.
 """
 
 from __future__ import annotations
@@ -174,7 +176,9 @@ class AdmmSolver:
     the variable bounds plus an optional warm start, which may come from
     another program of the same shape. Set-up reads C off the CSC arrays
     into a dense C' for G and a CSR C for the loop, and stacks K from the
-    sparse A blocks times G, and G. The class keeps the name of the former
+    sparse A blocks times G, and G. A solve gathers G[:, W] only when it
+    factors K[W, W] afresh (a warm start, a drop, a swap); a join appends
+    one column and one factor row. The class keeps the name of the former
     ADMM engine, and the `stiff_vars` it took is accepted and ignored.
     """
 
@@ -244,58 +248,62 @@ class AdmmSolver:
         free = l >= u                        # equality rows: y of either sign
         hi_lim = u + _ROW_TOL * (1.0 + np.abs(u))
         lo_lim = l - _ROW_TOL * (1.0 + np.abs(l))
-        K, G = self._K, self._G
+        K, Gt = self._K, self._G.T
         y = np.zeros(self.m)
         side = np.zeros(self.m)              # +1 at u, -1 at l, 0 free
-        work: list = []
+        # the working rows W; fac is the lower Cholesky factor of K[W, W]
+        # and GW[:len(W)] holds G[:, W]', both in W's order (None: stale)
+        W, fac = np.zeros(0, dtype=np.intp), np.zeros((0, 0))
+        GW = np.empty((n, n))
         x_c = np.zeros(n)
-        fac = None                           # Cholesky of K[work, work]
         yw = None if warm is None else self._warm_duals(warm)
         if yw is not None:
             sw = np.sign(yw)
-            W = np.flatnonzero(((sw > 0) & np.isfinite(u))
-                               | ((sw < 0) & np.isfinite(l)))
-            work = W.tolist()
+            Ws = np.flatnonzero(((sw > 0) & np.isfinite(u))
+                                | ((sw < 0) & np.isfinite(l)))
             x_c = warm.primal
-            if work:
-                # the rows must pass the test a joining row passes: a
-                # relative Schur complement above _DEP_TOL at every pivot
-                fac = _cholesky(K[W][:, W])
-                if fac is None or (fac.diagonal() ** 2
-                                   <= _DEP_TOL * K.diagonal()[W]).any():
-                    work, fac = [], None
-            side[work] = np.where(free[work], 0.0, sw[work])
-            y[work] = yw[work]
+            # the rows must pass the test a joining row passes: a
+            # relative Schur complement above _DEP_TOL at every pivot
+            fs = _cholesky(K[Ws][:, Ws]) if 0 < len(Ws) <= n else None
+            if fs is not None and not (fs.diagonal() ** 2
+                                       <= _DEP_TOL * K.diagonal()[Ws]).any():
+                W, fac = Ws, fs
+                GW[:len(W)] = Gt[W]
+                side[W] = np.where(free[W], 0.0, sw[W])
+                y[W] = yw[W]
         target = np.where(side < 0, l, u)
         iters = 0
         x = x_c
         for _ in range(max_iter):
-            xu = _chol_solve(self._chol, _EPS * x_c - qp.c)
-            Cu = self._C @ xu
+            # H^-1 q with q = eps x_c - c: its rows C H^-1 q are G' q
+            q = _EPS * x_c - qp.c
+            xu = _chol_solve(self._chol, q)
             while iters <= max_iter:
-                W = np.array(work, dtype=int)
-                if len(W) and fac is None:
+                k = len(W)
+                if fac is None:
                     fac = _cholesky(K[W][:, W])
                     if fac is None:
                         raise QpError("working rows are linearly dependent")
-                if len(W):
-                    ys = _chol_solve(fac, Cu[W] - target[W])
+                    GW[:k] = Gt[W]
+                if k:
+                    ys = _chol_solve(fac, GW[:k] @ q - target[W])
                     wrong = side[W] * ys < 0.0
                     if wrong.any():
                         # step toward ys until the first multiplier
                         # reaches zero, and drop that row
                         yW = y[W]
                         ratio = yW[wrong] / (yW[wrong] - ys[wrong])
-                        k = int(np.flatnonzero(wrong)[np.argmin(ratio)])
+                        i = int(np.flatnonzero(wrong)[np.argmin(ratio)])
                         y[W] = yW + ratio.min() * (ys - yW)
-                        y[work.pop(k)] = 0.0
-                        fac = None
+                        y[W[i]] = 0.0
+                        W, fac = np.delete(W, i), None
                         iters += 1
                         continue
                     y[W] = ys
-                    s = Cu - K[:, W] @ ys
+                    x = xu - ys @ GW[:k]
                 else:
-                    s = Cu
+                    x = xu
+                s = self._C @ x
                 over = s - hi_lim
                 under = lo_lim - s
                 viol = np.maximum(over, under)
@@ -304,36 +312,42 @@ class AdmmSolver:
                 if not viol[j] > 0.0:
                     break
                 sj = 1.0 if over[j] > 0.0 else -1.0
-                kj = K[W, j]
-                r = _chol_solve(fac, kj) if len(W) else kj
-                if len(W) == n or K[j, j] - kj @ r <= _DEP_TOL * K[j, j]:
+                # row j joins the factor as [lj', sqrt(schur)]
+                lj = _tri_solve(fac, K[j, W])
+                schur = K[j, j] - lj @ lj
+                if k == n or schur <= _DEP_TOL * K[j, j]:
                     # row j depends on the working set: move the
                     # multipliers along the null direction (-sj r, sj),
-                    # which leaves x in place, until one reaches zero
-                    p = -sj * r
+                    # r = K[W, W]^-1 K[W, j], which leaves x in place,
+                    # until one reaches zero
+                    p = -sj * _tri_solve(fac, lj, trans=1)
                     block = side[W] * p < -_DEP_TOL * max(1.0, _inf_norm(p))
                     if not block.any():
                         return self._empty("infeasible", iters)
                     ratio = -y[W][block] / p[block]
-                    k = int(np.flatnonzero(block)[np.argmin(ratio)])
+                    i = int(np.flatnonzero(block)[np.argmin(ratio)])
                     y[W] += ratio.min() * p
                     y[j] = ratio.min() * sj
-                    y[work.pop(k)] = 0.0
+                    y[W[i]] = 0.0
+                    W, fac = np.delete(W, i), None
                     iters += 1
-                work.append(j)
+                else:
+                    grown = np.zeros((k + 1, k + 1), order="F")
+                    grown[:k, :k], grown[k, :k], grown[k, k] = fac, lj, np.sqrt(schur)
+                    fac = grown
+                    GW[k] = Gt[j]
+                W = np.append(W, j)
                 side[j] = 0.0 if free[j] else sj
                 target[j] = l[j] if sj < 0 else u[j]
-                fac = None
                 iters += 1
-            x = xu - G @ y
             if iters > max_iter:
-                break
+                return self._package(xu - y[W] @ Gt[W], y, "iteration_limit", iters)
             if len(W):
                 # one refinement step: K[W, W] can be ill-conditioned,
                 # so pin the working rows on x itself
-                dy = _chol_solve(fac, (self._C @ x)[W] - target[W])
+                dy = _chol_solve(fac, s[W] - target[W])
                 y[W] += dy
-                x -= G[:, W] @ dy
+                x -= dy @ GW[:len(W)]
             if _inf_norm(x - x_c) <= _STEP_TOL * (1.0 + _inf_norm(x)):
                 sol = self._package(x, y, "optimal", iters)
                 sol.polished = True
@@ -426,9 +440,14 @@ def _chol_solve(fac, b):
     return scipy.linalg.lapack.dpotrs(fac, b, lower=1)[0]
 
 
+def _tri_solve(fac, b, trans=0):
+    """fac^-1 b, or fac'^-1 b with trans=1, for a lower triangular fac."""
+    return scipy.linalg.lapack.dtrtrs(fac, b, lower=1, trans=trans)[0] if len(b) else b
+
+
 def _inf_norm(v) -> float:
     v = np.asarray(v)
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    return float(np.abs(v).max()) if v.size else 0.0
 
 
 class QpBuilder:

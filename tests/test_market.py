@@ -193,6 +193,15 @@ def test_verify_equilibrium_grid_points_validated():
         verify_equilibrium(cr, [o], [1.0], grid_points=10)
 
 
+@pytest.mark.parametrize("tol", [np.inf, -np.inf, np.nan, -1.0, 0.0])
+def test_verify_equilibrium_rejects_bad_tol(tol):
+    # inf passed a clearing with a moved bid; nan and -1 failed every one
+    offers = [offer(-4.0, -5.0, -3.0, a) for a in "abc"]
+    cr = clear_market(offers, [1.0, 1.0, 1.0], -9.5, 1.0)
+    with pytest.raises(ValueError, match="tol"):
+        verify_equilibrium(cr, offers, [1.0, 1.0, 1.0], tol=tol)
+
+
 def test_market_error_carries_step():
     s = small_scenario()
     # poison the scenario: make stage I infeasible at step 0 by an

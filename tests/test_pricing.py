@@ -216,6 +216,15 @@ def test_budget_perturbation_linearity():
     assert rep.residual == pytest.approx(0.9)
 
 
+@pytest.mark.parametrize("tol", [np.inf, -np.inf, np.nan, -1.0, 0.0])
+def test_budget_balance_rejects_bad_tol(tol):
+    # inf accepted the residual of bids moved by 1.0
+    agg = agg_netload(p0=-12.0, span=3.0, gamma_t=3.0)
+    ps = compute_prices(agg, -9.0, 1.0)
+    with pytest.raises(ValueError, match="tol"):
+        check_budget_balance(ps, [-2.0, -2.0, -2.0], agg, 1.0, tol=tol)
+
+
 _agent = st.tuples(st.floats(0.1, 5.0),      # gamma
                    st.floats(0.05, 3.0),     # upward span
                    st.floats(0.1, 5.0))      # load beyond the span

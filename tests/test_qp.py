@@ -409,3 +409,69 @@ def test_foreign_warm_start_matches_cold_solve(seed, other, n, rank, n_eq, n_le)
             assert abs(sol.objective - cold.objective) <= \
                 1e-9 * max(1.0, abs(cold.objective))
             assert check_kkt(qp, sol, 1e-7).ok
+
+
+def _counted_cholesky(monkeypatch):
+    calls = []
+    real = qpmod._cholesky
+
+    def counted(a):
+        calls.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(qpmod, "_cholesky", counted)
+    return calls
+
+
+def _separable_program():
+    # diagonal Q, and every unconstrained minimizer but the last outside
+    # the box: a cold solve joins one bound for each of those and never
+    # drops
+    d = np.array([1.0, 2.0, 0.5, 3.0, 1.5, 4.0, 2.0])
+    xstar = np.array([3.0, -3.0, 2.0, -2.0, 4.0, -4.0, 0.5])
+    return QuadraticProgram(7, np.diag(d), -d * xstar, -np.ones(7), np.ones(7)), xstar
+
+
+def test_cold_joins_grow_the_factor_without_refactoring(monkeypatch):
+    qp, xstar = _separable_program()
+    ws = AdmmSolver(qp)
+    calls = _counted_cholesky(monkeypatch)
+    sol = ws.solve()
+    assert sol.status == "optimal" and sol.iterations == 6
+    assert calls == []
+    assert check_kkt(qp, sol, 1e-7).ok
+    assert np.allclose(sol.primal, np.clip(xstar, -1.0, 1.0), rtol=0, atol=1e-9)
+
+
+def test_warm_solve_refactors_once_per_drop(monkeypatch):
+    # widening two active bounds makes their warm rows leave, and
+    # tightening the last one makes its bound join: one factorization
+    # for the start, then one per drop and none for the join
+    qp, xstar = _separable_program()
+    ws = AdmmSolver(qp)
+    warm = ws.solve()
+    lb, ub = qp.lb.copy(), qp.ub.copy()
+    ub[0], lb[1], ub[6] = 5.0, -5.0, 0.2
+    calls = _counted_cholesky(monkeypatch)
+    sol = ws.solve(lb, ub, warm=warm)
+    assert sol.status == "optimal" and sol.iterations == 3
+    assert calls == [6, 5, 4]
+    assert check_kkt(QuadraticProgram(7, qp.Q, qp.c, lb, ub), sol, 1e-7).ok
+    assert np.allclose(sol.primal, np.clip(xstar, lb, ub), rtol=0, atol=1e-9)
+
+
+def test_dependent_join_swaps_and_refactors(monkeypatch):
+    # the warm start holds x <= 2; the row x <= 1 depends on it, so it
+    # swaps in for the bound, and the swap refactors
+    qp = QuadraticProgram(1, [[1.0]], [-3.0], ub=[2.0], A_le=[[1.0]], b_le=[1.0])
+    ws = AdmmSolver(qp)
+    warm = QpSolution(np.array([2.0]), np.array([1.0]), np.zeros(0),
+                      np.zeros(1), np.nan, "shifted")
+    calls = _counted_cholesky(monkeypatch)
+    sol = ws.solve(warm=warm)
+    assert sol.status == "optimal" and sol.iterations == 2
+    assert calls == [1, 1]
+    assert check_kkt(qp, sol, 1e-7).ok
+    assert sol.primal[0] == pytest.approx(1.0, abs=1e-12)
+    assert sol.dual_bounds[0] == 0.0
+    assert sol.dual_ineq[0] == pytest.approx(2.0, abs=1e-9)
