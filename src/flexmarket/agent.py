@@ -115,6 +115,7 @@ class _MpoLayout:
     le: dict = field(default_factory=dict)       # (kind, role, k) -> A_le row
     binaries: list = field(default_factory=list)
     mode_signs: dict = field(default_factory=dict)
+    start: dict = field(default_factory=dict)    # kind -> SOC or temperature at k = 0
     kinds: tuple = ()
     H: int = 0
 
@@ -125,8 +126,9 @@ def build_mpo(spec: AgentSpec, view: HorizonView,
 
     Variables per step and device: injection P, flexibility delta, a
     state for storage/thermal devices, and the P+/P-/z absolute-value
-    split for battery and EV. The returned problem carries its variable
-    layout (as `.layout`) so schedules can be read back from a solution.
+    split for battery and EV, each kind with its own rows and costs. The
+    returned problem carries its variable layout (as `.layout`) so
+    schedules can be read back from a solution.
     """
     H = view.length
     t0 = view.t_start
@@ -141,6 +143,9 @@ def build_mpo(spec: AgentSpec, view: HorizonView,
 
     for d in spec.devices:
         kind = d.kind
+        if kind != dev.PV:
+            now = states_now.get(kind)
+            lay.start[kind] = d.initial_state if now is None else now
         for k in range(H):
             t = t0 + k
             alpha = view.irradiance_frac[k] if kind == dev.PV else 0.0
@@ -152,26 +157,33 @@ def build_mpo(spec: AgentSpec, view: HorizonView,
                 [(lay.P[kind, k], 1.0), (lay.delta[kind, k], 1.0)], hi)
             lay.le[kind, "env_lo", k] = b.add_ge(
                 [(lay.P[kind, k], 1.0), (lay.delta[kind, k], -1.0)], lo)
+            b.add_linear(lay.delta[kind, k], -1.0)      # reward flexibility
+            b.add_linear(lay.P[kind, k], -1.0)          # reward net injection
 
         if kind in (dev.BATTERY, dev.EV):
-            _add_storage(b, lay, d, spec, view, states_now.get(kind))
+            _add_storage(b, lay, d, spec, view, weights)
         elif kind == dev.HEAT_PUMP:
-            _add_heat_pump(b, lay, d, spec, view, states_now.get(kind))
+            _add_heat_pump(b, lay, d, spec, view, weights)
         else:
-            _add_pv(b, lay, d, spec, view)
+            _add_pv(b, lay, d, spec, view, weights)
 
-    _add_objective(b, lay, spec, view, weights)
-    qp = b.build(validate_psd=False)    # PSD by construction: sums of squares
-    miqp = MixedIntegerQp(qp, lay.binaries)
+    # PV self-consumption: pull PV + battery + EV injections toward zero
+    util_kinds = [kk for kk in (dev.PV, dev.BATTERY, dev.EV) if kk in lay.kinds]
+    if util_kinds:
+        for k in range(H):
+            b.add_square([(lay.P[kk, k], 1.0) for kk in util_kinds], 0.0,
+                         weights.utilization)
+    b.add_const(sum(fixed))     # -P_total = -(sum_d P_d - fixed)
+    miqp = MixedIntegerQp(b.build(validate_psd=False), lay.binaries)
     miqp.layout = lay
     return miqp
 
 
 def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
-                 view: HorizonView, soc_now: Optional[float]) -> None:
+                 view: HorizonView, w: ObjectiveWeights) -> None:
     kind = d.kind
     H, dt, t0 = view.length, view.dt_hours, view.t_start
-    soc0 = d.soc_init if soc_now is None else soc_now
+    soc0 = lay.start[kind]
     coeff = dt * d.efficiency / d.capacity_kwh
     keep = 1.0 - d.self_discharge
 
@@ -230,13 +242,24 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
     lay.le[kind, "robust", None] = b.add_ge(
         [(lay.P[kind, 0], -coeff), (lay.delta[kind, 0], -coeff)],
         d.soc_min - keep * soc0)
+    # cycling: penalize step-to-step power changes
+    for k in range(H - 1):
+        b.add_square([(lay.P[kind, k + 1], 1.0), (lay.P[kind, k], -1.0)],
+                     0.0, w.alpha_cyc)
+    if kind == dev.EV:
+        # charge target at its step; at k = 0 the start state is fixed
+        k_star = d.target_step - t0
+        if 1 <= k_star <= H - 1:
+            b.add_square([(lay.state[kind, k_star], 1.0)], -d.soc_target, w.xi_ev)
+        elif k_star == 0:
+            b.add_const(w.xi_ev * (soc0 - d.soc_target) ** 2)
 
 
 def _add_heat_pump(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
-                   view: HorizonView, t_in_now: Optional[float]) -> None:
+                   view: HorizonView, w: ObjectiveWeights) -> None:
     kind = dev.HEAT_PUMP
     H = view.length
-    t_now = d.t_init if t_in_now is None else t_in_now
+    t_now = lay.start[kind]
     th = d.theta(view.dt_hours)
     signs = hp_mode_schedule(d, view, t_now)
     lay.mode_signs[kind] = signs
@@ -269,10 +292,14 @@ def _add_heat_pump(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
         lay.le[kind, "robust_heat", None] = b.add_ge(
             [(lay.P[kind, 0], -g * d.rho), (lay.delta[kind, 0], -g * d.rho)],
             d.t_min - th * t_now - g * view.outdoor_temp[0])
+    # comfort over the window's steps; step 0 is the fixed start
+    b.add_const(w.xi_ac * (t_now - d.t_setpoint) ** 2)
+    for k in range(1, H):
+        b.add_square([(lay.state[kind, k], 1.0)], -d.t_setpoint, w.xi_ac)
 
 
 def _add_pv(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
-            view: HorizonView) -> None:
+            view: HorizonView, w: ObjectiveWeights) -> None:
     kind = dev.PV
     for k in range(view.length):
         # eps band with the known sign |P_pv| = P_pv
@@ -280,80 +307,38 @@ def _add_pv(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
             [(lay.P[kind, k], spec.eps_lo), (lay.delta[kind, k], -1.0)], 0.0)
         lay.le[kind, "eps_hi", k] = b.add_le(
             [(lay.delta[kind, k], 1.0), (lay.P[kind, k], -spec.eps_hi)], 0.0)
-
-
-def _add_objective(b: QpBuilder, lay: _MpoLayout, spec: AgentSpec,
-                   view: HorizonView, w: ObjectiveWeights) -> None:
-    H, t0 = view.length, view.t_start
-    fixed = spec.fixed_load[t0:t0 + H]
-    for d in spec.devices:
-        kind = d.kind
-        for k in range(H):
-            b.add_linear(lay.delta[kind, k], -1.0)      # reward flexibility
-            b.add_linear(lay.P[kind, k], -1.0)          # reward net injection
-        if kind in (dev.BATTERY, dev.EV):
-            for k in range(H - 1):
-                b.add_square([(lay.P[kind, k + 1], 1.0), (lay.P[kind, k], -1.0)],
-                             0.0, w.alpha_cyc)
-        if kind == dev.EV:
-            k_star = d.target_step - t0
-            if 1 <= k_star <= H - 1:
-                b.add_square([(lay.state[kind, k_star], 1.0)], -d.soc_target, w.xi_ev)
-            elif k_star == 0:
-                soc0 = view.device_states.get(spec.id, {}).get(kind)
-                soc0 = d.soc_init if soc0 is None else soc0
-                b.add_const(w.xi_ev * (soc0 - d.soc_target) ** 2)
-        if kind == dev.HEAT_PUMP:
-            # comfort over the window's steps; step 0 is the fixed start
-            t_now = view.device_states.get(spec.id, {}).get(kind)
-            t_now = d.t_init if t_now is None else t_now
-            b.add_const(w.xi_ac * (t_now - d.t_setpoint) ** 2)
-            for k in range(1, H):
-                b.add_square([(lay.state[kind, k], 1.0)], -d.t_setpoint, w.xi_ac)
-        if kind == dev.PV:
-            for k in range(H):
-                b.add_square([(lay.P[kind, k], -1.0)],
-                             view.irradiance_frac[k] * d.p_rated_kw, w.xi_pv)
-    # PV self-consumption: pull PV + battery + EV injections toward zero
-    util_kinds = [kk for kk in (dev.PV, dev.BATTERY, dev.EV) if kk in lay.kinds]
-    if util_kinds:
-        for k in range(H):
-            b.add_square([(lay.P[kk, k], 1.0) for kk in util_kinds], 0.0,
-                         w.utilization)
-    b.add_const(sum(fixed))     # -P_total = -(sum_d P_d - fixed)
+        # curtailment: pull P toward the available output
+        b.add_square([(lay.P[kind, k], -1.0)],
+                     view.irradiance_frac[k] * d.p_rated_kw, w.xi_pv)
 
 
 def _clip(v: float, lo: float, hi: float) -> float:
     return min(max(v, lo), hi)
 
 
-def _extract_schedules(spec: AgentSpec, view: HorizonView, lay: _MpoLayout,
+def _extract_schedules(spec: AgentSpec, lay: _MpoLayout, qp: QuadraticProgram,
                        x: np.ndarray) -> dict:
     """Read device schedules out of a solution, snapping solver dust back
-    into the feasible boxes so downstream dynamics see clean values."""
+    into the program's own power bounds so downstream dynamics see clean
+    values."""
     out = {}
-    H, t0 = lay.H, view.t_start
     for d in spec.devices:
         kind = d.kind
-        powers, deltas, states = [], [], []
-        for k in range(H):
-            alpha = view.irradiance_frac[k] if kind == dev.PV else 0.0
-            lo, hi = dev.feasible_power_interval(d, t0 + k, alpha)
-            p = _clip(float(x[lay.P[kind, k]]), lo, hi)
+        powers, deltas, states = [], [], ()
+        for k in range(lay.H):
+            i = lay.P[kind, k]
+            lo, hi = float(qp.lb[i]), float(qp.ub[i])
+            p = _clip(float(x[i]), lo, hi)
             dl = float(x[lay.delta[kind, k]])
             dl = _clip(dl, 0.0, min(spec.eps_hi * abs(p), hi - p, p - lo))
             powers.append(p)
             deltas.append(dl)
-        if kind in (dev.BATTERY, dev.EV, dev.HEAT_PUMP):
-            soc_or_t = view.device_states.get(spec.id, {}).get(kind)
-            if soc_or_t is None:
-                soc_or_t = d.initial_state
-            states.append(float(soc_or_t))
-            for k in range(1, H):
-                states.append(float(x[lay.state[kind, k]]))
+        if kind in lay.start:
+            states = (float(lay.start[kind]),) + tuple(
+                float(x[lay.state[kind, k]]) for k in range(1, lay.H))
         out[kind] = DeviceSchedule(
             kind=kind, power_kw=tuple(powers), delta_kw=tuple(deltas),
-            states=tuple(states),
+            states=states,
             mode_signs=lay.mode_signs.get(kind, ()))
     return out
 
@@ -431,7 +416,7 @@ def solve_flexibility(spec: AgentSpec, view: HorizonView,
         raise AgentError(
             f"agent {spec.id}: solver exhausted its budget without a "
             f"feasible schedule for the window starting at step {t0}")
-    schedules = _extract_schedules(spec, view, miqp.layout, sol.primal)
+    schedules = _extract_schedules(spec, miqp.layout, miqp.base, sol.primal)
     p0 = sum(s.power_kw[0] for s in schedules.values()) - fixed_now
     span = sum(s.delta_kw[0] for s in schedules.values())
     return FlexibilityOffer(

@@ -84,23 +84,23 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
     base = miqp.base
     bins = np.array(miqp.binary_vars, dtype=int)
     ws = AdmmSolver(base)
-    lb0 = base.lb.copy()
-    ub0 = base.ub.copy()
+    nodes = 0
 
     def solve_node(fix, warm):
-        lo = lb0.copy()
-        hi = ub0.copy()
+        nonlocal nodes
+        lo = base.lb.copy()
+        hi = base.ub.copy()
         for j, v in fix.items():
             lo[j] = max(lo[j], v)
             hi[j] = min(hi[j], v)
         sol = ws.solve(lo, hi, warm=warm)
+        nodes += 1
         if sol.status == "iteration_limit":
             raise MiqpError(f"node relaxation stopped after {sol.iterations} "
                             "active-set changes")
         return sol
 
     root = solve_node({}, miqp.root_warm)
-    nodes = 1
     if root.status == "infeasible":
         return MiqpSolution(np.full(base.n, np.nan), (), np.nan, "infeasible",
                             np.inf, nodes, root)
@@ -108,14 +108,22 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
         return MiqpSolution(root.primal, (), root.objective, "optimal", 0.0,
                             nodes, root)
     incumbent: QpSolution | None = None
-    inc_fix: dict = {}
+    cut = np.inf                     # a bound at or above this cannot improve
 
-    def try_incumbent(sol, fix):
-        nonlocal incumbent, inc_fix
+    def offer(sol):
+        nonlocal incumbent, cut
         if sol.status == "optimal" and (incumbent is None
                                         or sol.objective < incumbent.objective):
             incumbent = sol
-            inc_fix = dict(fix)
+            cut = sol.objective - cfg.gap_tol * max(1.0, abs(sol.objective))
+
+    def leaf(fix, sol):
+        # an integral relaxation: fix every binary at its rounded value,
+        # re-solve if that fixes a new one, and offer the result
+        leaf_fix = dict(fix)
+        for j in bins:
+            leaf_fix[int(j)] = float(np.round(sol.primal[j]))
+        offer(sol if leaf_fix == fix else solve_node(leaf_fix, sol))
 
     # iterated rounding dive for an initial incumbent: fix the confident
     # binaries, else the least fractional one, and re-solve. On the bundled
@@ -131,75 +139,49 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
         for k in chosen:
             fix[int(bins[k])] = float(np.round(zv[k]))
         cur = solve_node(fix, cur)
-        nodes += 1
-    try_incumbent(cur, fix)
+    offer(cur)
 
-    # heap of open nodes: (bound, tiebreak, fix, relaxation solution)
-    counter = 0
-    heap = [(root.objective, counter, {}, root)]
-    limit_hit = False
-
+    # heap of open nodes: (bound, node count at push, fix, relaxation)
+    heap = [(root.objective, nodes, {}, root)]
+    open_bound = np.inf              # the best bound a node-limit stop leaves
     while heap:
         bound, _, fix, rel = heapq.heappop(heap)
-        cut = (np.inf if incumbent is None
-               else incumbent.objective - cfg.gap_tol * max(1.0, abs(incumbent.objective)))
         if bound >= cut:
             continue
         frac = _fractionality(rel.primal[bins])
         if np.max(frac) <= INT_TOL:
-            # relaxation already integral: fix exactly and accept
-            leaf_fix = dict(fix)
-            for j in bins:
-                leaf_fix[int(j)] = float(np.round(rel.primal[j]))
-            leaf = solve_node(leaf_fix, rel)
-            nodes += 1
-            try_incumbent(leaf, leaf_fix)
+            leaf(fix, rel)
             continue
+        if nodes + 2 > cfg.node_limit:
+            open_bound = bound
+            break
         branch_j = int(bins[int(np.argmax(frac))])
         near = float(np.round(rel.primal[branch_j]))
-        if nodes + 2 > cfg.node_limit:
-            heapq.heappush(heap, (bound, counter + 1, fix, rel))
-            limit_hit = True
-            break
         for val in (near, 1.0 - near):
             child_fix = dict(fix)
             child_fix[branch_j] = val
             child = solve_node(child_fix, rel)
-            nodes += 1
             if child.status != "optimal":
                 continue
-            if np.max(_fractionality(child.primal[bins])) <= INT_TOL:
-                leaf_fix = dict(child_fix)
-                for j in bins:
-                    leaf_fix[int(j)] = float(np.round(child.primal[j]))
-                if leaf_fix == child_fix:
-                    try_incumbent(child, child_fix)
-                else:
-                    leaf = solve_node(leaf_fix, child)
-                    nodes += 1
-                    try_incumbent(leaf, leaf_fix)
-                continue
-            cut = (np.inf if incumbent is None
-                   else incumbent.objective - cfg.gap_tol * max(1.0, abs(incumbent.objective)))
             child_bound = max(bound, child.objective)
-            if child_bound < cut:
-                counter += 1
-                heapq.heappush(heap, (child_bound, counter, child_fix, child))
+            if np.max(_fractionality(child.primal[bins])) <= INT_TOL:
+                leaf(child_fix, child)
+            elif child_bound < cut:
+                heapq.heappush(heap, (child_bound, nodes, child_fix, child))
 
     if incumbent is None:
         # without a feasible leaf, only a finished search proves infeasibility
         return MiqpSolution(np.full(base.n, np.nan), (), np.nan,
-                            "node_limit" if limit_hit else "infeasible",
+                            "node_limit" if open_bound < np.inf else "infeasible",
                             np.inf, nodes, root)
 
-    remaining = min((b for b, _, _, _ in heap), default=np.inf)
-    gap = max(0.0, (incumbent.objective - remaining)
+    gap = max(0.0, (incumbent.objective - open_bound)
               / max(1.0, abs(incumbent.objective)))
-    status = "node_limit" if limit_hit and gap > cfg.gap_tol else "optimal"
-    assignment = tuple(int(round(inc_fix.get(int(j), incumbent.primal[j])))
-                       for j in bins)
+    # every incumbent has all binaries fixed, so its primal holds them
+    assignment = tuple(int(round(incumbent.primal[j])) for j in bins)
     return MiqpSolution(incumbent.primal, assignment, incumbent.objective,
-                        status, gap, nodes, root)
+                        "node_limit" if gap > cfg.gap_tol else "optimal",
+                        gap, nodes, root)
 
 
 def enumerate_binaries(miqp: MixedIntegerQp):
