@@ -216,13 +216,16 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
         lay.eq[kind, "soc", k] = b.add_eq(
             [(lay.state[kind, k + 1], 1.0), (lay.state[kind, k], -keep),
              (lay.P[kind, k], coeff)], 0.0)
-    # anchor the window end: equality when the window reaches the
-    # simulation end (start-equals-end over the whole day), otherwise an
-    # anti-depletion floor at the configured initial SOC, lowered to the
+    # anchor the window end: when the window reaches the simulation end,
+    # the SOC at that step equals the configured initial SOC
+    # (start-equals-end over the whole day); otherwise an anti-depletion
+    # floor at the window's last state, at the initial SOC lowered to the
     # SOC that charging at full power at every step can reach. Both use
-    # the band from full discharge to full charge over the window.
+    # the band from full discharge to full charge over the steps up to
+    # the anchored state.
+    k_end = min(H, view.end_step - t0)
     low = reach = soc0
-    for k in range(H):
+    for k in range(k_end):
         lo, hi = dev.feasible_power_interval(d, t0 + k)
         low = max(keep * low - coeff * hi, d.soc_min)
         reach = min(keep * reach - coeff * lo, d.soc_max)
@@ -230,10 +233,10 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
         if not low - 1e-9 <= d.soc_init <= reach + 1e-9:
             raise InfeasibleMpoError(
                 f"agent {spec.id}: {kind} cannot return to its initial SOC "
-                f"{d.soc_init} by step {t0 + H} from {soc0} at step {t0} "
+                f"{d.soc_init} by step {view.end_step} from {soc0} at step {t0} "
                 f"(reachable [{low:.6g}, {reach:.6g}])")
-        lay.eq[kind, "end_eq", None] = b.add_eq([(lay.state[kind, H], 1.0)],
-                                                d.soc_init)
+        lay.eq[kind, "end_eq", None] = b.add_eq(
+            [(lay.state[kind, k_end], 1.0)], d.soc_init)
     else:
         lay.le[kind, "end_floor", None] = b.add_ge(
             [(lay.state[kind, H], 1.0)], min(d.soc_init, reach))

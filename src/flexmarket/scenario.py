@@ -188,7 +188,12 @@ class HorizonView:
     outdoor_temp: tuple
     irradiance_frac: tuple
     device_states: Mapping[str, Mapping[str, Optional[float]]]
-    reaches_end: bool           # window touches the simulation end
+    end_step: int               # the simulation ends at this step (total_steps)
+
+    @property
+    def reaches_end(self) -> bool:
+        """The window holds the simulation's end step."""
+        return self.t_start + self.length >= self.end_step
 
 
 def slice_horizon(s: Scenario, t_start: int,
@@ -213,7 +218,7 @@ def slice_horizon(s: Scenario, t_start: int,
         outdoor_temp=s.series.outdoor_temp[sl],
         irradiance_frac=s.series.irradiance_frac[sl],
         device_states={aid: dict(m) for aid, m in states.items()},
-        reaches_end=t_start + H >= grid.total_steps)
+        end_step=grid.total_steps)
 
 
 def pad_series(values: Sequence[float], grid: TimeGrid, name: str) -> tuple:

@@ -10,6 +10,7 @@ from flexmarket.agent import (AgentError, DegenerateAgentError,
                               agent_welfare, shift_root, solve_flexibility)
 from flexmarket.bnb import BnbConfig, enumerate_binaries, solve_miqp
 from flexmarket.devices import BATTERY, EV, HEAT_PUMP, battery_soc_step
+from flexmarket.market import default_solver_config
 from flexmarket.qp import AdmmSolver
 from flexmarket.scenario import read_scenario_doc, scenario_from_dict, slice_horizon
 
@@ -226,6 +227,26 @@ def test_unreachable_end_of_day_soc_is_named_before_any_solve(monkeypatch):
     with pytest.raises(InfeasibleMpoError,
                        match=r"agent home3: ev cannot return .* by step 24"):
         solve_flexibility(s.agent("home3"), view, s.weights)
+
+
+@pytest.mark.parametrize("t", range(16, 24))
+def test_planned_soc_at_the_day_end_is_soc_init(day_scenario, day_run, t):
+    # each window from clearing 16 on holds the day's end, step 24; the
+    # equality pins the SOC there, not at the window's last state, which
+    # after clearing 16 lies in the padded series
+    end = day_scenario.time_grid.total_steps
+    states = {}
+    for r in day_run["trace"].device_records:
+        if r.step == t:
+            states.setdefault(r.agent_id, {})[r.kind] = r.state_begin
+    view = slice_horizon(day_scenario, t, states)
+    for a in day_scenario.agents:
+        miqp = build_mpo(a, view, day_scenario.weights)
+        sol = solve_miqp(miqp, default_solver_config())
+        for d in a.devices:
+            if d.kind in (BATTERY, EV):
+                soc = sol.primal[miqp.layout.state[d.kind, end - t]]
+                assert soc == pytest.approx(d.soc_init, abs=1e-9), (a.id, d.kind)
 
 
 def test_shift_moves_root_one_step_earlier(day_scenario):

@@ -47,7 +47,7 @@ def window_cost(devices, powers, weights, states=None, irr=None, t_start=0):
         t_start=t_start, dt_hours=1.0, length=H, outdoor_temp=(80.0,) * H,
         irradiance_frac=irr or (0.0,) * H,
         device_states={"a": {k: v[0] for k, v in states.items()}},
-        reaches_end=False)
+        end_step=t_start + H + 1)
     miqp = build_mpo(spec, view, weights)
     x = np.zeros(miqp.base.n)
     for kind, ps in powers.items():
