@@ -243,6 +243,7 @@ def device_from_dict(kind: str, data: dict):
             vals[f] = float(data[f])
         except (TypeError, ValueError) as exc:
             raise DeviceValidationError(f, f"not a number: {data[f]!r}") from exc
+        _require(math.isfinite(vals[f]), f, f"must be finite, got {data[f]!r}")
         if f in _STEP_FIELDS:
             # a step index is never truncated: 3.7 is an error, 3.0 is step 3
             _require(vals[f].is_integer(), f, f"must be an integer, got {data[f]!r}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -258,7 +259,8 @@ def _read_series_csv(path: Path, name: str) -> list:
                 if len(row) < 2:
                     raise ScenarioParseError(
                         f"{name}: line {lineno} of {path} needs (step, value)")
-                rows.append((int(row[0]), float(row[1])))
+                rows.append((int(row[0]),
+                             _number(row[1], f"{name}: line {lineno} of {path}")))
     except (ValueError, OSError) as exc:
         if isinstance(exc, ScenarioError):
             raise
@@ -292,15 +294,17 @@ def _section(doc: dict, key: str, required: bool = True) -> dict:
 
 
 def _number(value, name: str, integer: bool = False):
-    """A document value as a float, or as an int for a step count; a
-    fractional step count is an error, not truncated, and a JSON boolean
-    is not a number."""
+    """A finite document value as a float, or as an int for a step count;
+    a fractional step count is an error, not truncated, and a JSON
+    boolean is not a number."""
     if isinstance(value, bool):
         raise ScenarioParseError(f"{name}: not a number: {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError) as exc:
         raise ScenarioParseError(f"{name}: not a number: {value!r}") from exc
+    if not math.isfinite(x):
+        raise ScenarioParseError(f"{name}: must be finite, got {value!r}")
     if not integer:
         return x
     if not x.is_integer():

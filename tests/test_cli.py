@@ -78,6 +78,42 @@ def test_run_boolean_override_is_not_a_number(tmp_path, capsys):
     assert "gamma: not a number: True" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value, field", [
+    ("weights.xi_pv", "Infinity", "weights.xi_pv"),
+    ("agents.0.eps_hi", "Infinity", "agents.a1.eps_hi"),
+    ("time.dt_hours", "Infinity", "time.dt_hours"),
+    ("agents.0.gamma", "Infinity", "agents.a1.gamma"),
+    ("agents.0.gamma", "NaN", "agents.a1.gamma"),
+    ("policy.beta", "-Infinity", "policy.beta"),
+    ("agents.0.fixed_load.2", "Infinity", "agents.a1.fixed_load.2"),
+    ("agents.0.devices.battery.capacity_kwh", "Infinity",
+     "agents.a1.devices.battery.capacity_kwh"),
+    ("agents.0.devices.battery.soc_init", "NaN",
+     "agents.a1.devices.battery.soc_init")])
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, path, value, field):
+    # JSON's Infinity and NaN load as floats; the field is named up front
+    # instead of failing a solve or the pricing
+    code = main(["run", "--scenario", MINI, "--out", str(tmp_path / "o"),
+                 "--override", f"{path}={value}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert field in err and "must be finite" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_run_rejects_non_finite_csv_series_value(tmp_path, capsys, value):
+    doc = json.loads(Path(MINI).read_text())
+    doc["series"]["lem_price"] = "price.csv"
+    rows = "".join(f"{t},{value if t == 3 else 0.1}\n" for t in range(6))
+    (tmp_path / "price.csv").write_text("step,value\n" + rows)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "series.lem_price: line 5 of" in err and "must be finite" in err
+
+
 def test_run_requires_out(capsys):
     assert main(["run", "--scenario", MINI]) == 2
 
