@@ -174,7 +174,7 @@ def build_mpo(spec: AgentSpec, view: HorizonView,
             b.add_square([(lay.P[kk, k], 1.0) for kk in util_kinds], 0.0,
                          weights.utilization)
     b.add_const(sum(fixed))     # -P_total = -(sum_d P_d - fixed)
-    miqp = MixedIntegerQp(b.build(validate_psd=False), lay.binaries)
+    miqp = MixedIntegerQp(b.build(), lay.binaries)
     miqp.layout = lay
     return miqp
 

@@ -454,10 +454,11 @@ class QpBuilder:
     """Incremental construction of a QuadraticProgram.
 
     Variables are added with box bounds; quadratic cost is accumulated
-    from weighted squares of affine expressions, which keeps the result
-    PSD by construction. Row indices returned by add_le are stable and
-    index into the final A_le block. Terms are kept as (row, column,
-    value) triplets, which `build` compresses block by block.
+    from squares of affine expressions with finite nonnegative weights,
+    which keeps the result PSD by construction, so `build` skips the
+    dense check. Row indices returned by add_le are stable and index into
+    the final A_le block. Terms are kept as (row, column, value)
+    triplets, which `build` compresses block by block.
     """
 
     def __init__(self):
@@ -486,6 +487,8 @@ class QpBuilder:
 
     def add_square(self, terms, const: float = 0.0, weight: float = 1.0) -> None:
         """Accumulate weight * (sum coef*x + const)^2 into the objective."""
+        if not 0.0 <= weight < INF:
+            raise QpError(f"square weight must be finite and nonnegative, got {weight}")
         if weight == 0.0:
             return
         terms = [(i, float(a)) for i, a in terms if a != 0.0]
@@ -521,7 +524,7 @@ class QpBuilder:
     def add_ge(self, terms, rhs: float) -> int:
         return self.add_le([(i, -a) for i, a in terms], -rhs)
 
-    def build(self, validate_psd: bool = True) -> QuadraticProgram:
+    def build(self) -> QuadraticProgram:
         n = self.n
         Q = _csc(*self._q, (n, n), "objective")
         c = np.zeros(n)
@@ -533,7 +536,7 @@ class QpBuilder:
         return QuadraticProgram(n, Q, c, np.array(self._lb), np.array(self._ub),
                                 _csc(*eq, (len(b_eq), n), "eq"), np.array(b_eq),
                                 _csc(*le, (len(b_le), n), "le"), np.array(b_le),
-                                self._c0, validate_psd=validate_psd)
+                                self._c0, validate_psd=False)
 
 
 def _csc(rows, cols, vals, shape, block) -> _CscArrays:

@@ -194,6 +194,15 @@ def test_builder_square_expansion():
     assert qp.objective_value(np.array([5.0])) == pytest.approx(3.0 * 9.0)
 
 
+@pytest.mark.parametrize("weight", [-1.0, -1e-300, np.inf, np.nan])
+def test_builder_rejects_bad_square_weight(weight):
+    # finite nonnegative weights are what keep a built Q PSD unchecked
+    b = QpBuilder()
+    x = b.add_var()
+    with pytest.raises(QpError, match="square weight must be finite and nonnegative"):
+        b.add_square([(x, 1.0)], 0.0, weight)
+
+
 @pytest.mark.parametrize("block", ["eq", "le", "objective"])
 @pytest.mark.parametrize("bad", [-1, 3])
 def test_builder_rejects_out_of_range_variable(block, bad):
