@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flexmarket.agent as agent
 from flexmarket.agent import build_mpo
@@ -113,6 +115,29 @@ def test_node_limit_returns_incumbent_with_gap():
     if got.status == "node_limit":
         assert np.isfinite(got.objective)
         assert got.gap > 0.0
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(1, 5),
+       node_limit=st.one_of(st.integers(3, 24),
+                            st.integers(3, BnbConfig().node_limit)))
+def test_search_matches_enumeration_at_any_node_limit(seed, pairs, node_limit):
+    mi = _bigm_instance(np.random.default_rng(seed), pairs)
+    cfg = BnbConfig(node_limit=node_limit)
+    got = solve_miqp(mi, cfg)
+    ref, _, _ = enumerate_binaries(mi)
+    assert np.isfinite(ref)
+    assert got.status in ("optimal", "node_limit")
+    if got.status == "optimal":
+        assert abs(got.objective - ref) <= cfg.gap_tol * max(1.0, abs(ref))
+    elif np.isfinite(got.objective):
+        # the reported gap reaches down to the true optimum (up to the
+        # rounding of the node solves)
+        bound = got.objective - got.gap * max(1.0, abs(got.objective))
+        assert bound <= ref + 1e-12 * max(1.0, abs(ref))
+    if np.isfinite(got.objective):
+        z = got.primal[list(mi.binary_vars)]
+        assert got.assignment == tuple(int(round(v)) for v in z)
 
 
 def test_validation_errors():
