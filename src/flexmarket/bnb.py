@@ -60,6 +60,12 @@ class BnbConfig:
     node_limit: int = 5000
     gap_tol: float = 1e-6            # relative optimality gap at termination
 
+    def __post_init__(self):
+        # with a nan tolerance no child is ever pushed, and the search
+        # would end after the root's children claiming "optimal"
+        if not 0.0 <= self.gap_tol < np.inf:
+            raise ValueError(f"gap_tol must be finite and nonnegative, got {self.gap_tol}")
+
 
 @dataclass
 class MiqpSolution:

@@ -159,6 +159,14 @@ def test_validation_errors():
         MixedIntegerQp(bad.build(), [w])
 
 
+@pytest.mark.parametrize("gap_tol", [np.nan, np.inf, -1e-9])
+def test_config_rejects_bad_gap_tol(gap_tol):
+    # with gap_tol nan the search stopped after the root's children and
+    # reported an unproven incumbent as "optimal"
+    with pytest.raises(ValueError, match="gap_tol must be finite and nonnegative"):
+        BnbConfig(gap_tol=gap_tol)
+
+
 def test_deterministic():
     rng = np.random.default_rng(13)
     mi = _bigm_instance(rng, 3)
