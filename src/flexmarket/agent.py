@@ -216,10 +216,10 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
         lay.eq[kind, "soc", k] = b.add_eq(
             [(lay.state[kind, k + 1], 1.0), (lay.state[kind, k], -keep),
              (lay.P[kind, k], coeff)], 0.0)
-    # anchor the window end: when the window reaches the simulation end,
-    # the SOC at that step equals the configured initial SOC
+    # anchor the window end: when the window holds the simulation's end
+    # step, the SOC there equals the configured initial SOC
     # (start-equals-end over the whole day); otherwise an anti-depletion
-    # floor at the window's last state, at the initial SOC lowered to the
+    # floor on the window's last state, at the initial SOC lowered to the
     # SOC that charging at full power at every step can reach. Both use
     # the band from full discharge to full charge over the steps up to
     # the anchored state.
