@@ -7,7 +7,8 @@ continuous relaxation is the per-step convex hull of that disjunction,
 so branching on z is the only source of integrality work.
 
 Search is deterministic: best-bound node selection with most-fractional
-branching, an initial rounding dive for an incumbent, and node bounds
+branching, an initial rounding dive for an incumbent (fractionality
+read to 1e-9, ties to the lowest index), and node bounds
 inherited monotonically down each branch. Fixing a binary only shrinks
 its box bounds, so every node reuses the one AdmmSolver workspace and
 starts from its parent's active set. The root starts from the caller's
@@ -81,7 +82,9 @@ class MiqpSolution:
 
 
 def _fractionality(zvals):
-    return np.abs(zvals - np.round(zvals))
+    # rounded to 1e-9, so that binaries equal up to rounding tie and
+    # min/argmax pick the lowest index rather than floating-point noise
+    return np.round(np.abs(zvals - np.round(zvals)), 9)
 
 
 def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSolution:

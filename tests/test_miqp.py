@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import flexmarket.agent as agent
 from flexmarket.agent import build_mpo
-from flexmarket.bnb import (BnbConfig, MiqpError, MixedIntegerQp,
+from flexmarket.bnb import (BnbConfig, MiqpError, MixedIntegerQp, _fractionality,
                             enumerate_binaries, solve_miqp)
 from flexmarket.devices import HpParams, PvParams
 from flexmarket.market import default_solver_config, run_simulation
@@ -175,6 +175,17 @@ def test_deterministic():
     assert a.assignment == b.assignment
     assert a.objective == b.objective
     assert np.array_equal(a.primal, b.primal)
+
+
+def test_fractionality_ties_go_to_the_lowest_index():
+    # two binaries of the bundled day's home1 window at clearing 19 that
+    # differ only in their last bits: the dive and the branching rule
+    # must see a tie and take the first, not the rounding winner
+    frac = _fractionality(np.array([0.9, 0.4049122302556551, 0.5950877697443447]))
+    assert frac[1] == frac[2]
+    assert int(np.argmax(frac)) == 1
+    assert min(range(3), key=lambda k: frac[k]) == 0
+    assert min([1, 2], key=lambda k: frac[k]) == 1
 
 
 def test_every_qp_solve_is_a_node(monkeypatch):
