@@ -16,9 +16,11 @@ linearly on the working set and that no multiplier blocks certifies
 infeasibility. Q need only be positive semidefinite: an outer
 proximal-point loop (as in DAQP, Arnstrom, Bemporad & Axehill 2022)
 solves strictly convex problems with Q + eps*I and the term
--eps*x_c'x, moving the centre x_c to each result until it stops moving.
-Every optimal solve is exact: its rows hold to 1e-9 relative and its
-multipliers have the right signs.
+-eps*x_c'x, moving the centre x_c to each result. A round's result
+meets Q x + c + C'y = eps*(x_c - x), so the loop ends once
+eps*|x - x_c| is within the row tolerance. The engine has that one
+tolerance: every optimal solve holds its rows and stationarity to 1e-9
+relative, and its multipliers have the right signs.
 
 Each workspace factors Q + eps*I and forms G = (Q + eps*I)^-1 C' and
 K = C G once, blockwise as [A_eq G; A_le G; G]: C's identity rows give G
@@ -28,7 +30,10 @@ dropped row refactors it. Changing only lb/ub (as branch-and-bound does
 when fixing binaries) changes only right-hand sides, so one workspace
 serves a whole search tree. A warm start begins from the active set
 read off the multipliers of a start of the program's shape: a search
-node's parent, or another window's solution moved onto this one. All
+node's parent, or another window's solution moved onto this one. A
+start from the workspace's own last optimal solution, or from the
+solution it last started from, takes that working set and its factor
+as they were kept, without factoring K[W, W] again. All
 arithmetic is deterministic; repeated solves of the same data give
 bit-identical results. solve_qp builds a private workspace per call and
 is reentrant; an AdmmSolver instance belongs to one thread at a time.
@@ -47,9 +52,8 @@ INF = np.inf
 DEFAULT_TOL = 1e-6                   # default tolerance of check_kkt
 DEFAULT_MAX_ITER = 20000             # active-set changes, and proximal rounds
 _EPS = 1e-3                          # proximal weight; 1e-6 made K too ill-conditioned
-_ROW_TOL = 1e-9                      # relative row violation that adds a row
+_ROW_TOL = 1e-9                      # relative row violation and stationarity error
 _DEP_TOL = 1e-8                      # relative Schur complement of a dependent row
-_STEP_TOL = 1e-10                    # relative proximal step that ends the solve
 
 
 class QpError(ValueError):
@@ -176,10 +180,21 @@ class AdmmSolver:
     the variable bounds plus an optional warm start, which may come from
     another program of the same shape. Set-up reads C off the CSC arrays
     into a dense C' for G and a CSR C for the loop, and stacks K from the
-    sparse A blocks times G, and G. A solve gathers G[:, W] only when it
-    factors K[W, W] afresh (a warm start, a drop, a swap); a join appends
-    one column and one factor row. The class keeps the name of the former
-    ADMM engine, and the `stiff_vars` it took is accepted and ignored.
+    sparse A blocks times G, and G. A solve gathers G[:, W] when it
+    starts warm or factors K[W, W] afresh (a drop, a swap); a join appends
+    one column and one factor row.
+
+    Two slots each keep a solution object with its working set W, the
+    factor of K[W, W] and W's sides: the exit state of the last optimal
+    solve, and the last start factored from a warm solution. A warm
+    start from one of those very objects (`is`, so a copy misses) takes
+    them over when each row still has a finite target under the new
+    bounds and each row kept as an equality still is one; otherwise it
+    reads the set off the multipliers as any start does. In a search
+    that covers a dive's child of the node just solved, and the second
+    child of a popped node. A kept object must not be changed in place.
+    The class keeps the name of the former ADMM engine, and the
+    `stiff_vars` it took is accepted and ignored.
     """
 
     def __init__(self, qp: QuadraticProgram, stiff_vars=()):
@@ -189,6 +204,10 @@ class AdmmSolver:
         self._u0 = np.concatenate([qp.b_eq, qp.b_le, qp.ub])
         self.m = len(self._l0)
         self._shape = (qp.n_eq, qp.n_le, n, n)   # of [y_eq, y_le, y_bounds, x]
+        # (solution, W, factor of K[W, W], sides of W): the exit state of
+        # the last optimal solve, and the last start factored from a warm
+        # solution
+        self._exit = self._start = None
         if n == 0:
             return
         # C's (row, column, value) triplets, column-major within each block
@@ -228,7 +247,8 @@ class AdmmSolver:
         of this program's shape, whatever its status: a branch-and-bound
         parent's solution, or the previous clearing's root shifted one
         step (`agent.shift_root`). The rows its multipliers price start
-        the working set, and its primal is the first proximal centre.
+        the working set (for an object a slot keeps, the set kept with
+        it), and its primal is the first proximal centre.
         When those rows do not factor (a foreign start may price
         dependent rows), the solve starts from the empty set instead;
         the optimal value does not depend on the start. `tol` is
@@ -258,19 +278,24 @@ class AdmmSolver:
         x_c = np.zeros(n)
         yw = None if warm is None else self._warm_duals(warm)
         if yw is not None:
-            sw = np.sign(yw)
-            Ws = np.flatnonzero(((sw > 0) & np.isfinite(u))
-                                | ((sw < 0) & np.isfinite(l)))
             x_c = warm.primal
-            # the rows must pass the test a joining row passes: a
-            # relative Schur complement above _DEP_TOL at every pivot
-            fs = _cholesky(K[Ws][:, Ws]) if 0 < len(Ws) <= n else None
-            if fs is not None and not (fs.diagonal() ** 2
-                                       <= _DEP_TOL * K.diagonal()[Ws]).any():
-                W, fac = Ws, fs
-                GW[:len(W)] = Gt[W]
-                side[W] = np.where(free[W], 0.0, sw[W])
-                y[W] = yw[W]
+            kept = self._kept_start(warm, l, u, free)
+            if kept is not None:
+                W, fac, side[W] = kept
+            else:
+                sw = np.sign(yw)
+                Ws = np.flatnonzero(((sw > 0) & np.isfinite(u))
+                                    | ((sw < 0) & np.isfinite(l)))
+                # the rows must pass the test a joining row passes: a
+                # relative Schur complement above _DEP_TOL at every pivot
+                fs = _cholesky(K[Ws][:, Ws]) if 0 < len(Ws) <= n else None
+                if fs is not None and not (fs.diagonal() ** 2
+                                           <= _DEP_TOL * K.diagonal()[Ws]).any():
+                    W, fac = Ws, fs
+                    side[W] = np.where(free[W], 0.0, sw[W])
+                    self._start = (warm, W, fac, side[W])
+            GW[:len(W)] = Gt[W]
+            y[W] = yw[W]
         target = np.where(side < 0, l, u)
         iters = 0
         x = x_c
@@ -348,12 +373,28 @@ class AdmmSolver:
                 dy = _chol_solve(fac, s[W] - target[W])
                 y[W] += dy
                 x -= dy @ GW[:len(W)]
-            if _inf_norm(x - x_c) <= _STEP_TOL * (1.0 + _inf_norm(x)):
+            # Q x + c + C'y = eps (x_c - x) holds at the round's end, so
+            # this is the solve's only stationarity error
+            if _EPS * _inf_norm(x - x_c) <= _ROW_TOL * (1.0 + _inf_norm(x)):
                 sol = self._package(x, y, "optimal", iters)
                 sol.polished = True
+                self._exit = (sol, W, fac, side[W])
                 return sol
             x_c = x
         return self._package(x, y, "iteration_limit", iters)
+
+    def _kept_start(self, warm, l, u, free):
+        """W, its factor and its sides from the slot kept for `warm` itself,
+        if each row keeps a finite target under l, u and each row kept as
+        an equality (side 0, a multiplier of either sign) still is one;
+        else None."""
+        for slot in (self._exit, self._start):
+            if slot is not None and slot[0] is warm:
+                _, W, fac, sides = slot
+                if (np.isfinite(np.where(sides < 0, l[W], u[W])).all()
+                        and free[W][sides == 0].all()):
+                    return W, fac, np.where(free[W], 0.0, sides)
+        return None
 
     def _warm_duals(self, warm):
         """The stacked multipliers [eq; le; bounds] of a start with a finite

@@ -452,21 +452,116 @@ def test_cold_joins_grow_the_factor_without_refactoring(monkeypatch):
     assert np.allclose(sol.primal, np.clip(xstar, -1.0, 1.0), rtol=0, atol=1e-9)
 
 
-def test_warm_solve_refactors_once_per_drop(monkeypatch):
+@pytest.mark.parametrize("own, factors", [(True, [5, 4]), (False, [6, 5, 4])])
+def test_warm_solve_refactors_once_per_drop(monkeypatch, own, factors):
     # widening two active bounds makes their warm rows leave, and
     # tightening the last one makes its bound join: one factorization
-    # for the start, then one per drop and none for the join
+    # per drop and none for the join. A start from the workspace's own
+    # last solution takes its kept factor; a copy of it is factored anew
     qp, xstar = _separable_program()
     ws = AdmmSolver(qp)
     warm = ws.solve()
+    if not own:
+        warm = dataclasses.replace(warm)
     lb, ub = qp.lb.copy(), qp.ub.copy()
     ub[0], lb[1], ub[6] = 5.0, -5.0, 0.2
     calls = _counted_cholesky(monkeypatch)
     sol = ws.solve(lb, ub, warm=warm)
     assert sol.status == "optimal" and sol.iterations == 3
-    assert calls == [6, 5, 4]
+    assert calls == factors
     assert check_kkt(QuadraticProgram(7, qp.Q, qp.c, lb, ub), sol, 1e-7).ok
-    assert np.allclose(sol.primal, np.clip(xstar, lb, ub), rtol=0, atol=1e-9)
+    # stationarity holds to 1e-9 (1 + |x|) <= 6e-9, and no curvature is
+    # below 0.5, so x is within 1.2e-8 of the minimizer
+    assert np.allclose(sol.primal, np.clip(xstar, lb, ub), rtol=0, atol=1.2e-8)
+
+
+@pytest.mark.parametrize("first, second, factors", [
+    # x0's upper bound is active, then gone: its row has no target, and
+    # the start factors the other five
+    ({}, {"ub": (0, np.inf)}, [5]),
+    # x6 is fixed, so its row takes a multiplier of either sign; then
+    # it is a box again, where only one sign is right: the start factors
+    # all seven, and x6's row drops
+    ({"lb": (6, 0.2), "ub": (6, 0.2)}, {}, [7, 6]),
+])
+def test_kept_start_that_no_longer_fits_is_factored_anew(monkeypatch, first, second,
+                                                         factors):
+    qp, xstar = _separable_program()
+    ws = AdmmSolver(qp)
+
+    def bounds(change):
+        lb, ub = qp.lb.copy(), qp.ub.copy()
+        for name, (j, v) in change.items():
+            {"lb": lb, "ub": ub}[name][j] = v
+        return lb, ub
+
+    warm = ws.solve(*bounds(first))
+    lb, ub = bounds(second)
+    calls = _counted_cholesky(monkeypatch)
+    sol = ws.solve(lb, ub, warm=warm)
+    assert calls == factors
+    assert sol.status == "optimal"
+    assert check_kkt(QuadraticProgram(7, qp.Q, qp.c, lb, ub), sol, 1e-7).ok
+    assert np.allclose(sol.primal, np.clip(xstar, lb, ub), rtol=0, atol=1.2e-8)
+
+
+def _child_bounds(qp, rng):
+    """A branch-and-bound child's box: one variable fixed inside its box."""
+    lb, ub = qp.lb.copy(), qp.ub.copy()
+    j = int(rng.integers(qp.n))
+    lb[j] = ub[j] = rng.uniform(lb[j], ub[j])
+    return lb, ub
+
+
+def _stationarity_bound(qp, sol):
+    """1e-9 (1 + |x|) plus the rounding slack of check_kkt's own sum."""
+    x = np.abs(sol.primal)
+    terms = [np.abs(qp.Q) @ x, np.abs(qp.c), np.abs(sol.dual_bounds),
+             np.abs(qp.A_eq.T) @ np.abs(sol.dual_eq),
+             np.abs(qp.A_le.T) @ np.abs(sol.dual_ineq)]
+    return 1e-9 * (1.0 + x.max()) + 1e-13 * (1.0 + max(t.max(initial=0.0) for t in terms))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       rank=st.integers(0, 8), n_eq=st.integers(0, 3), n_le=st.integers(0, 6))
+def test_optimal_solves_are_stationary_to_the_row_tolerance(seed, n, rank, n_eq, n_le):
+    # the proximal loop stops once eps |x - x_c| is within 1e-9 relative,
+    # and that is the only stationarity error a solve leaves: cold, and
+    # warm from the workspace's own last solution
+    qp = _random_program(seed, n, min(rank, n), n_eq, n_le)
+    ws = AdmmSolver(qp)
+    cold = ws.solve()
+    lb, ub = _child_bounds(qp, np.random.default_rng(seed))
+    child = ws.solve(lb, ub, warm=cold)
+    for sol, (lo, hi) in ((cold, (qp.lb, qp.ub)), (child, (lb, ub))):
+        if sol.status == "optimal":
+            sub = QuadraticProgram(n, qp.Q, qp.c, lo, hi, qp.A_eq, qp.b_eq,
+                                   qp.A_le, qp.b_le)
+            assert check_kkt(sub, sol).stationarity <= _stationarity_bound(sub, sol)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       rank=st.integers(0, 8), n_eq=st.integers(0, 3), n_le=st.integers(0, 6))
+def test_kept_start_matches_a_copy_start(seed, n, rank, n_eq, n_le):
+    # a start from the workspace's own last solution reuses its working
+    # set and factor; a copy of that solution misses the slot and reads
+    # the set off the multipliers. Both reach the same optimum
+    qp = _random_program(seed, n, min(rank, n), n_eq, n_le)
+    ws = AdmmSolver(qp)
+    parent = ws.solve()
+    if parent.status != "optimal":
+        return
+    lb, ub = _child_bounds(qp, np.random.default_rng(seed))
+    sub = QuadraticProgram(n, qp.Q, qp.c, lb, ub, qp.A_eq, qp.b_eq, qp.A_le, qp.b_le)
+    own = ws.solve(lb, ub, warm=parent)
+    copy = ws.solve(lb, ub, warm=dataclasses.replace(parent))
+    for sol in (own, copy):
+        assert sol.status == copy.status
+        if sol.status == "optimal":
+            assert abs(sol.objective - copy.objective) <= 1e-9 * max(1.0, abs(copy.objective))
+            assert check_kkt(sub, sol, 1e-7).ok
 
 
 def test_dependent_join_swaps_and_refactors(monkeypatch):
