@@ -31,6 +31,7 @@ class DeviceValidationError(ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message
 
 
 def _require(cond: bool, field: str, message: str) -> None:

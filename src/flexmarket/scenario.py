@@ -105,8 +105,10 @@ class AgentSpec:
 
     def __post_init__(self):
         _check(self.gamma > 0, f"agents.{self.id}.gamma", "must be positive")
+        # blame eps_hi unless eps_lo is out of range on its own
+        bad = "eps_lo" if not self.eps_lo >= 0.0 else "eps_hi"
         _check(0.0 <= self.eps_lo < self.eps_hi,
-               f"agents.{self.id}.eps_lo", "need 0 <= eps_lo < eps_hi")
+               f"agents.{self.id}.{bad}", "need 0 <= eps_lo < eps_hi")
         kinds = [d.kind for d in self.devices]
         _check(len(kinds) == len(set(kinds)), f"agents.{self.id}.devices",
                "at most one device of each kind per agent")
@@ -381,19 +383,16 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
                     devs.append(dev.device_from_dict(kind, dev_sec[kind]))
                 except dev.DeviceValidationError as exc:
                     raise ScenarioValidationError(
-                        f"agents.{aid}.devices.{kind}.{exc.field}", str(exc)) from exc
+                        f"agents.{aid}.devices.{kind}.{exc.field}", exc.message) from exc
         unknown = set(dev_sec) - set(dev.DEVICE_KINDS)
         if unknown:
             raise ScenarioValidationError(
                 f"agents.{aid}.devices.{sorted(unknown)[0]}", "unknown device kind")
-        try:
-            agents.append(AgentSpec(
-                id=aid, gamma=gamma, devices=tuple(devs),
-                fixed_load=pad_series(fixed, grid, f"agents.{aid}.fixed_load"),
-                eps_lo=_number(a.get("eps_lo", 0.01), f"agents.{aid}.eps_lo"),
-                eps_hi=_number(a.get("eps_hi", 0.5), f"agents.{aid}.eps_hi")))
-        except dev.DeviceValidationError as exc:
-            raise ScenarioValidationError(f"agents.{aid}.{exc.field}", str(exc)) from exc
+        agents.append(AgentSpec(
+            id=aid, gamma=gamma, devices=tuple(devs),
+            fixed_load=pad_series(fixed, grid, f"agents.{aid}.fixed_load"),
+            eps_lo=_number(a.get("eps_lo", 0.01), f"agents.{aid}.eps_lo"),
+            eps_hi=_number(a.get("eps_hi", 0.5), f"agents.{aid}.eps_hi")))
 
     return Scenario(time_grid=grid, agents=tuple(agents), series=series,
                     policy=policy, weights=weights)

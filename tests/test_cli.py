@@ -58,6 +58,31 @@ def test_run_invalid_override(tmp_path, capsys):
     assert "eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value, field", [
+    ("agents.0.eps_lo", "-1", "agents.a1.eps_lo"),
+    ("agents.0.eps_hi", "-1", "agents.a1.eps_hi")])
+def test_run_invalid_eps_names_its_field(tmp_path, capsys, path, value, field):
+    # the band check covers both fields; it names eps_hi unless eps_lo
+    # is out of range on its own
+    code = main(["run", "--scenario", MINI, "--out", str(tmp_path / "o"),
+                 "--override", f"{path}={value}"])
+    assert code == 2
+    assert f"{field}: need 0 <= eps_lo < eps_hi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("-1", "must be positive"),
+    ("abc", "not a number: 'abc'"),
+    ("Infinity", "must be finite, got inf")])
+def test_run_device_error_names_its_field_once(tmp_path, capsys, value, message):
+    code = main(["run", "--scenario", MINI, "--out", str(tmp_path / "o"),
+                 "--override", f"agents.0.devices.battery.capacity_kwh={value}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"agents.a1.devices.battery.capacity_kwh: {message}" in err
+    assert err.count("capacity_kwh") == 1
+
+
 @pytest.mark.parametrize("path", ["agents.5.gamma", "agents.-1.gamma",
                                   "agents.x.gamma", "time.dt_hours.x",
                                   "agents.0.gamma.x"])
