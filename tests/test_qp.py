@@ -452,27 +452,37 @@ def test_cold_joins_grow_the_factor_without_refactoring(monkeypatch):
     assert np.allclose(sol.primal, np.clip(xstar, -1.0, 1.0), rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("own, factors", [(True, [5, 4]), (False, [6, 5, 4])])
-def test_warm_solve_refactors_once_per_drop(monkeypatch, own, factors):
+def _drop_two_join_one(monkeypatch, copy):
     # widening two active bounds makes their warm rows leave, and
     # tightening the last one makes its bound join: one factorization
-    # per drop and none for the join. A start from the workspace's own
-    # last solution takes its kept factor; a copy of it is factored anew
+    # per drop and none for the join
     qp, xstar = _separable_program()
     ws = AdmmSolver(qp)
     warm = ws.solve()
-    if not own:
+    if copy:
         warm = dataclasses.replace(warm)
     lb, ub = qp.lb.copy(), qp.ub.copy()
     ub[0], lb[1], ub[6] = 5.0, -5.0, 0.2
     calls = _counted_cholesky(monkeypatch)
     sol = ws.solve(lb, ub, warm=warm)
     assert sol.status == "optimal" and sol.iterations == 3
-    assert calls == factors
     assert check_kkt(QuadraticProgram(7, qp.Q, qp.c, lb, ub), sol, 1e-7).ok
     # stationarity holds to 1e-9 (1 + |x|) <= 6e-9, and no curvature is
     # below 0.5, so x is within 1.2e-8 of the minimizer
     assert np.allclose(sol.primal, np.clip(xstar, lb, ub), rtol=0, atol=1.2e-8)
+    return calls
+
+
+def test_warm_solve_refactors_once_per_drop(monkeypatch):
+    # a start from the workspace's own last solution takes its kept
+    # working set and factor
+    assert _drop_two_join_one(monkeypatch, copy=False) == [5, 4]
+
+
+def test_copied_warm_start_factors_its_start(monkeypatch):
+    # a copy of that solution misses the slot: its set is read off the
+    # multipliers and factored before the drops
+    assert _drop_two_join_one(monkeypatch, copy=True) == [6, 5, 4]
 
 
 @pytest.mark.parametrize("first, second, factors", [
