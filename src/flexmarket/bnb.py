@@ -8,15 +8,16 @@ so branching on z is the only source of integrality work.
 
 Search is deterministic: best-bound node selection with most-fractional
 branching, an initial rounding dive for an incumbent (fractionality
-read to 1e-9, ties to the lowest index), and node bounds
-inherited monotonically down each branch. Fixing a binary only shrinks
-its box bounds, so every node reuses the one AdmmSolver workspace and
-starts from its parent's active set, and from its parent's factor when
-the parent is the workspace's last solve or last start. The root starts from the caller's
-`root_warm` (in a day simulation, the agent's previous root relaxation
-shifted one step) or cold, and comes back as `MiqpSolution.root` for
-the caller to carry on. Every node solve is exact, so a
-node's objective is a true bound and an incumbent is a feasible leaf.
+read to 1e-9, ties to the lowest index), and node bounds inherited
+monotonically down each branch. Fixing a binary only shrinks its box
+bounds, so every node reuses the one AdmmSolver workspace and starts
+from its parent's active set, and from its parent's factor when the
+parent is the workspace's last solve or last start. The root starts
+from the caller's `root_warm` (in a day simulation, the agent's
+previous root relaxation shifted one step) or cold, and comes back as
+`MiqpSolution.root` for the caller to carry on. Every node solve is
+exact, so a node's objective is a true bound and an incumbent is a
+feasible leaf.
 The search runs single-threaded, which is what guarantees bit-identical
 results for identical inputs.
 """

@@ -106,7 +106,7 @@ class AgentSpec:
     def __post_init__(self):
         _check(self.gamma > 0, f"agents.{self.id}.gamma", "must be positive")
         # blame eps_hi unless eps_lo is out of range on its own
-        bad = "eps_lo" if not self.eps_lo >= 0.0 else "eps_hi"
+        bad = "eps_hi" if self.eps_lo >= 0.0 else "eps_lo"
         _check(0.0 <= self.eps_lo < self.eps_hi,
                f"agents.{self.id}.{bad}", "need 0 <= eps_lo < eps_hi")
         kinds = [d.kind for d in self.devices]
