@@ -6,18 +6,18 @@ P = P+ - P-, |P| = P+ + P-, with 0 <= P+ <= z*Pmax and
 continuous relaxation is the per-step convex hull of that disjunction,
 so branching on z is the only source of integrality work.
 
-Search is deterministic: best-bound node selection with most-fractional
-branching, an initial rounding dive for an incumbent (fractionality
-read to 1e-9, ties to the lowest index), and node bounds inherited
-monotonically down each branch. Fixing a binary only shrinks its box
-bounds, so every node reuses the one AdmmSolver workspace and starts
-from its parent's active set, and from its parent's factor when the
-parent is the workspace's last solve or last start. The root starts
-from the caller's `root_warm` (in a day simulation, the agent's
-previous root relaxation shifted one step) or cold, and comes back as
-`MiqpSolution.root` for the caller to carry on. Every node solve is
-exact, so a node's objective is a true bound and an incumbent is a
-feasible leaf.
+Search is deterministic: best-bound node selection with
+most-fractional branching, an initial rounding dive for an incumbent
+(fractionalities within 1e-9 tie, and the lowest index takes them),
+and node bounds inherited monotonically down each branch. Fixing a
+binary only shrinks its box bounds, so every node reuses the one
+AdmmSolver workspace and starts from its parent's active set, and from
+its parent's factor when the parent is the workspace's last solve or
+last start. The root starts from the caller's `root_warm` (in a day
+simulation, the agent's previous root relaxation shifted one step) or
+cold, and comes back as `MiqpSolution.root` for the caller to carry
+on. Every node solve is exact, so a node's objective is a true bound
+and an incumbent is a feasible leaf.
 The search runs single-threaded, which is what guarantees bit-identical
 results for identical inputs.
 """
@@ -32,6 +32,7 @@ import numpy as np
 from .qp import AdmmSolver, QpSolution, QuadraticProgram
 
 INT_TOL = 1e-6                       # a relaxation this close to 0/1 is integral
+_TIE_TOL = 1e-9                      # fractionalities this close tie
 
 
 class MiqpError(ValueError):
@@ -84,9 +85,13 @@ class MiqpSolution:
 
 
 def _fractionality(zvals):
-    # rounded to 1e-9, so that binaries equal up to rounding tie and
-    # min/argmax pick the lowest index rather than floating-point noise
-    return np.round(np.abs(zvals - np.round(zvals)), 9)
+    return np.abs(zvals - np.round(zvals))
+
+
+def _first_tied(frac, ks, best):
+    """The lowest index k of ks with frac[k] within _TIE_TOL of best, so
+    that floating-point noise does not pick among binaries that tie."""
+    return next(k for k in ks if abs(frac[k] - best) <= _TIE_TOL)
 
 
 def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSolution:
@@ -146,7 +151,7 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
         frac = _fractionality(zv)
         free = [k for k, j in enumerate(bins) if int(j) not in fix]
         confident = [k for k in free if frac[k] <= 0.2]
-        chosen = confident if confident else [min(free, key=lambda k: frac[k])]
+        chosen = confident if confident else [_first_tied(frac, free, frac[free].min())]
         for k in chosen:
             fix[int(bins[k])] = float(np.round(zv[k]))
         cur = solve_node(fix, cur)
@@ -166,7 +171,7 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
         if nodes + 2 > cfg.node_limit:
             open_bound = bound
             break
-        branch_j = int(bins[int(np.argmax(frac))])
+        branch_j = int(bins[_first_tied(frac, range(len(bins)), frac.max())])
         near = float(np.round(rel.primal[branch_j]))
         for val in (near, 1.0 - near):
             child_fix = dict(fix)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import flexmarket.agent as agent
 from flexmarket.agent import build_mpo
-from flexmarket.bnb import (BnbConfig, MiqpError, MixedIntegerQp, _fractionality,
-                            enumerate_binaries, solve_miqp)
+from flexmarket.bnb import (BnbConfig, MiqpError, MixedIntegerQp, _first_tied,
+                            _fractionality, enumerate_binaries, solve_miqp)
 from flexmarket.devices import HpParams, PvParams
 from flexmarket.market import default_solver_config, run_simulation
 from flexmarket.qp import AdmmSolver, QpBuilder, solve_qp
@@ -179,13 +179,21 @@ def test_deterministic():
 
 def test_fractionality_ties_go_to_the_lowest_index():
     # two binaries of the bundled day's home1 window at clearing 19 that
-    # differ only in their last bits: the dive and the branching rule
-    # must see a tie and take the first, not the rounding winner
+    # differ only in their last bits: the dive's least fractional and the
+    # branching rule's most fractional must both see a tie and take the
+    # first, where plain min and argmax would take the second
+    frac = _fractionality(np.array([0.9, 0.4049122302556553, 0.5950877697443449]))
+    assert frac[2] < frac[1]
+    assert _first_tied(frac, [1, 2], frac[[1, 2]].min()) == 1
     frac = _fractionality(np.array([0.9, 0.4049122302556551, 0.5950877697443447]))
-    assert frac[1] == frac[2]
-    assert int(np.argmax(frac)) == 1
-    assert min(range(3), key=lambda k: frac[k]) == 0
-    assert min([1, 2], key=lambda k: frac[k]) == 1
+    assert frac[2] > frac[1]
+    assert _first_tied(frac, range(3), frac.max()) == 1
+    # a tie is a distance, not a shared rounding: values on either side
+    # of a 1e-9 rounding boundary still tie, and 2e-9 apart they do not
+    frac = np.array([0.30000000050000003, 0.3000000005, 0.3 + 2e-9])
+    assert np.round(frac[0], 9) != np.round(frac[1], 9)
+    assert _first_tied(frac, range(3), frac[1]) == 0
+    assert _first_tied(frac, range(3), frac.max()) == 2
 
 
 def test_every_qp_solve_is_a_node(monkeypatch):
