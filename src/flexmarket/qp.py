@@ -19,8 +19,9 @@ solves strictly convex problems with Q + eps*I and the term
 -eps*x_c'x, moving the centre x_c to each result. A round's result
 meets Q x + c + C'y = eps*(x_c - x), so the loop ends once
 eps*|x - x_c| is within the row tolerance. The engine has that one
-tolerance: every optimal solve holds its rows and stationarity to 1e-9
-relative, and its multipliers have the right signs.
+tolerance: every optimal solve holds its rows to 1e-9 relative and
+stationarity to 1e-9 absolute, which puts x within 1e-9 over the
+curvature of the minimizer, and its multipliers have the right signs.
 
 Each workspace factors Q + eps*I and forms G = (Q + eps*I)^-1 C' and
 K = C G once, blockwise as [A_eq G; A_le G; G]: C's identity rows give G
@@ -52,7 +53,7 @@ INF = np.inf
 DEFAULT_TOL = 1e-6                   # default tolerance of check_kkt
 DEFAULT_MAX_ITER = 20000             # active-set changes, and proximal rounds
 _EPS = 1e-3                          # proximal weight; 1e-6 made K too ill-conditioned
-_ROW_TOL = 1e-9                      # relative row violation and stationarity error
+_ROW_TOL = 1e-9                      # relative row violation, stationarity error
 _DEP_TOL = 1e-8                      # relative Schur complement of a dependent row
 
 
@@ -186,15 +187,17 @@ class AdmmSolver:
 
     Two slots each keep a solution object with its working set W, the
     factor of K[W, W] and W's sides: the exit state of the last optimal
-    solve, and the last start factored from a warm solution. A warm
-    start from one of those very objects (`is`, so a copy misses) takes
-    them over when each row still has a finite target under the new
-    bounds and each row kept as an equality still is one; otherwise it
-    reads the set off the multipliers as any start does. In a search
-    that covers a dive's child of the node just solved, and the second
-    child of a popped node. A kept object must not be changed in place.
-    The class keeps the name of the former ADMM engine, and the
-    `stiff_vars` it took is accepted and ignored.
+    solve, until the next solve starts, and the last start factored from
+    a warm solution. A warm start from one of those very objects (`is`,
+    so a copy misses) takes them over when each row still has a finite
+    target under the new bounds and each row kept as an equality still
+    is one; otherwise it reads the set off the multipliers as any start
+    does. In a search that covers a dive's child of the node just
+    solved, and the second child of a popped node. The factor depends on
+    W alone, and every exit is checked, so a kept object changed in
+    place still solves exactly, if in more passes. The class keeps the
+    name of the former ADMM engine, and the `stiff_vars` it took is
+    accepted and ignored.
     """
 
     def __init__(self, qp: QuadraticProgram, stiff_vars=()):
@@ -205,8 +208,8 @@ class AdmmSolver:
         self.m = len(self._l0)
         self._shape = (qp.n_eq, qp.n_le, n, n)   # of [y_eq, y_le, y_bounds, x]
         # (solution, W, factor of K[W, W], sides of W): the exit state of
-        # the last optimal solve, and the last start factored from a warm
-        # solution
+        # the last optimal solve, released when the next solve starts, and
+        # the last start factored from a warm solution
         self._exit = self._start = None
         if n == 0:
             return
@@ -277,9 +280,10 @@ class AdmmSolver:
         GW = np.empty((n, n))
         x_c = np.zeros(n)
         yw = None if warm is None else self._warm_duals(warm)
+        kept = None if yw is None else self._kept_start(warm, l, u, free)
+        self._exit = None
         if yw is not None:
             x_c = warm.primal
-            kept = self._kept_start(warm, l, u, free)
             if kept is not None:
                 W, fac, side[W] = kept
             else:
@@ -375,7 +379,7 @@ class AdmmSolver:
                 x -= dy @ GW[:len(W)]
             # Q x + c + C'y = eps (x_c - x) holds at the round's end, so
             # this is the solve's only stationarity error
-            if _EPS * _inf_norm(x - x_c) <= _ROW_TOL * (1.0 + _inf_norm(x)):
+            if _EPS * _inf_norm(x - x_c) <= _ROW_TOL:
                 sol = self._package(x, y, "optimal", iters)
                 sol.polished = True
                 self._exit = (sol, W, fac, side[W])
