@@ -18,10 +18,12 @@ proximal-point loop (as in DAQP, Arnstrom, Bemporad & Axehill 2022)
 solves strictly convex problems with Q + eps*I and the term
 -eps*x_c'x, moving the centre x_c to each result. A round's result
 meets Q x + c + C'y = eps*(x_c - x), so the loop ends once
-eps*|x - x_c| is within the row tolerance. The engine has that one
-tolerance: every optimal solve holds its rows to 1e-9 relative and
-stationarity to 1e-9 absolute, which puts x within 1e-9 over the
-curvature of the minimizer, and its multipliers have the right signs.
+eps*|x - x_c| is within the row tolerance, and only that last result
+gets the refinement step that pins the working rows on x; the others
+serve only as centres. The engine has that one tolerance: every
+optimal solve holds its rows to 1e-9 relative and stationarity to
+1e-9 absolute, which puts x within 1e-9 over the curvature of the
+minimizer, and its multipliers have the right signs.
 
 Each workspace factors Q + eps*I and forms G = (Q + eps*I)^-1 C' and
 K = C G once, blockwise as [A_eq G; A_le G; G]: C's identity rows give G
@@ -371,15 +373,15 @@ class AdmmSolver:
                 iters += 1
             if iters > max_iter:
                 return self._package(xu - y[W] @ Gt[W], y, "iteration_limit", iters)
-            if len(W):
-                # one refinement step: K[W, W] can be ill-conditioned,
-                # so pin the working rows on x itself
-                dy = _chol_solve(fac, s[W] - target[W])
-                y[W] += dy
-                x -= dy @ GW[:len(W)]
             # Q x + c + C'y = eps (x_c - x) holds at the round's end, so
             # this is the solve's only stationarity error
             if _EPS * _inf_norm(x - x_c) <= _ROW_TOL:
+                if len(W):
+                    # one refinement step: K[W, W] can be ill-conditioned,
+                    # so pin the working rows on x itself
+                    dy = _chol_solve(fac, s[W] - target[W])
+                    y[W] += dy
+                    x -= dy @ GW[:len(W)]
                 sol = self._package(x, y, "optimal", iters)
                 sol.polished = True
                 self._exit = (sol, W, fac, side[W])
