@@ -182,10 +182,11 @@ class AdmmSolver:
     changes only right-hand sides; `solve` accepts per-call overrides of
     the variable bounds plus an optional warm start, which may come from
     another program of the same shape. Set-up reads C off the CSC arrays
-    into a dense C' for G and a CSR C for the loop, and stacks K from the
-    sparse A blocks times G, and G. A solve gathers G[:, W] when it
-    starts warm or factors K[W, W] afresh (a drop, a swap); a join appends
-    one column and one factor row.
+    into a dense C' for G and a CSR C for the loop, frees C', and stacks
+    K from the sparse A blocks times G, and G, symmetrizing it in place.
+    A solve gathers G[:, W] when it starts warm or factors K[W, W]
+    afresh (a drop, a swap); a join appends one column and one factor
+    row.
 
     Two slots each keep a solution object with its working set W, the
     factor of K[W, W] and W's sides: the exit state of the last optimal
@@ -232,8 +233,11 @@ class AdmmSolver:
         Ct = np.zeros((n, self.m))
         np.add.at(Ct, (c, r), v)            # sums any repeated entry
         self._G = G = _chol_solve(self._chol, Ct)
+        del Ct
         K = np.vstack([qp.A_eq @ G, qp.A_le @ G, G])
-        self._K = 0.5 * (K + K.T)
+        K += K.T                            # numpy buffers the overlapping K.T
+        K *= 0.5
+        self._K = K
 
     def _bounds(self, lb, ub):
         l = self._l0.copy()
