@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 import flexmarket.qp as qpmod
 from flexmarket.agent import build_mpo
+from flexmarket.bnb import solve_miqp
 from flexmarket.qp import (AdmmSolver, QpBuilder, QpError, QpSolution,
                            QuadraticProgram, check_kkt, solve_qp)
 from flexmarket.scenario import scenario_from_dict, slice_horizon
@@ -570,6 +571,26 @@ def test_kept_start_matches_a_copy_start(seed, n, rank, n_eq, n_le):
             assert abs(sol.objective - copy.objective) <= 1e-9 * max(1.0, abs(copy.objective))
             assert check_kkt(sub, sol, 1e-7).ok
 
+
+
+def test_search_nodes_on_a_window_are_stationary(day_scenario, monkeypatch):
+    # home1's bundled-day window at t=12: a search over ill-conditioned
+    # working sets, where the last round's refinement step is what holds
+    # every node's stationarity to 1e-9
+    miqp = build_mpo(day_scenario.agents[0], slice_horizon(day_scenario, 12),
+                     day_scenario.weights)
+    base, solve, checked = miqp.base, AdmmSolver.solve, []
+
+    def checked_solve(self, lb=None, ub=None, **kw):
+        sol = solve(self, lb, ub, **kw)
+        if sol.status == "optimal":
+            sub = QuadraticProgram(base.n, base.Q, base.c, lb, ub, base.A_eq, base.b_eq,
+                                   base.A_le, base.b_le)
+            checked.append(check_kkt(sub, sol).stationarity <= _stationarity_bound(sub, sol))
+        return sol
+    monkeypatch.setattr(AdmmSolver, "solve", checked_solve)
+    solve_miqp(miqp)
+    assert len(checked) > 10 and all(checked)
 
 def test_dependent_join_swaps_and_refactors(monkeypatch):
     # the warm start holds x <= 2; the row x <= 1 depends on it, so it
