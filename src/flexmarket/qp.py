@@ -22,7 +22,7 @@ eps*|x - x_c| is within the row tolerance, and only that last result
 gets the refinement step that pins the working rows on x; the others
 serve only as centres. The engine has that one tolerance: every
 optimal solve holds its rows to 1e-9 relative and stationarity to
-1e-9 absolute, which puts x within 1e-9 over the curvature of the
+1e-9 absolute, so x lies within 1e-9 divided by the curvature of the
 minimizer, and its multipliers have the right signs.
 
 Each workspace factors Q + eps*I and forms G = (Q + eps*I)^-1 C' and
@@ -55,7 +55,7 @@ INF = np.inf
 DEFAULT_TOL = 1e-6                   # default tolerance of check_kkt
 DEFAULT_MAX_ITER = 20000             # active-set changes, and proximal rounds
 _EPS = 1e-3                          # proximal weight; 1e-6 made K too ill-conditioned
-_ROW_TOL = 1e-9                      # relative row violation, stationarity error
+_ROW_TOL = 1e-9                      # relative row violation; absolute stationarity
 _DEP_TOL = 1e-8                      # relative Schur complement of a dependent row
 
 
