@@ -7,7 +7,7 @@ with a not-for-profit operator that computes closed-form electricity
 and flexibility prices to track an upstream setpoint at zero profit.
 """
 
-from .agent import (Bid, DeviceSchedule, FlexibilityOffer, best_response,
+from .agent import (DeviceSchedule, FlexibilityOffer, best_response,
                     build_mpo, agent_welfare, solve_flexibility)
 from .bnb import BnbConfig, MixedIntegerQp, MiqpSolution, solve_miqp
 from .devices import (BatteryParams, EvParams, HpParams, ObjectiveWeights,

@@ -74,13 +74,6 @@ class FlexibilityOffer:
                 f"offer ordering violated: {self.p_lo} <= {self.p0} <= {self.p_hi}")
 
 
-@dataclass(frozen=True)
-class Bid:
-    """Flexible injection the agent commits to for one clearing."""
-
-    p_star: float
-
-
 def hp_mode_schedule(hp: dev.HpParams, view: HorizonView, t_in_now: float) -> tuple:
     """Cooling/heating sign per window step, fixed before optimizing.
 
@@ -89,14 +82,9 @@ def hp_mode_schedule(hp: dev.HpParams, view: HorizonView, t_in_now: float) -> tu
     Later steps fall back to the outdoor forecast against the setpoint,
     which keeps the dynamics decision-independent.
     """
-    signs = []
-    for k in range(view.length):
-        if k == 0:
-            heating = view.outdoor_temp[0] < t_in_now
-        else:
-            heating = view.outdoor_temp[k] < hp.t_setpoint
-        signs.append(dev.hp_mode_sign(heating))
-    return tuple(signs)
+    return tuple(dev.hp_mode_sign(view.outdoor_temp[k],
+                                  t_in_now if k == 0 else hp.t_setpoint)
+                 for k in range(view.length))
 
 
 @dataclass
@@ -179,6 +167,18 @@ def build_mpo(spec: AgentSpec, view: HorizonView,
     return miqp
 
 
+def _add_band(b: QpBuilder, lay: _MpoLayout, kind: str, k: int, abs_p,
+              spec: AgentSpec) -> None:
+    """The eps band on flexibility, eps_lo*|P| <= delta <= eps_hi*|P|,
+    with |P| given as (variable, +-1.0) terms: storage P+ + P-, which the
+    binary split makes exact, and -P or P for a device of known sign."""
+    dl = lay.delta[kind, k]
+    lay.le[kind, "eps_lo", k] = b.add_le(
+        [(v, spec.eps_lo * s) for v, s in abs_p] + [(dl, -1.0)], 0.0)
+    lay.le[kind, "eps_hi", k] = b.add_le(
+        [(dl, 1.0)] + [(v, -spec.eps_hi * s) for v, s in abs_p], 0.0)
+
+
 def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
                  view: HorizonView, w: ObjectiveWeights) -> None:
     kind = d.kind
@@ -186,26 +186,20 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
     soc0 = lay.start[kind]
     coeff = dt * d.efficiency / d.capacity_kwh
     keep = 1.0 - d.self_discharge
+    pmax, pmin = d.p_max_kw, d.p_min_kw
 
     for k in range(H):
-        t = t0 + k
-        pmax = max(d.p_max_kw, 0.0)
-        pmin = min(d.p_min_kw, 0.0)
-        away = kind == dev.EV and d.is_away(t)
-        P, dl = lay.P[kind, k], lay.delta[kind, k]
-        pp = lay.plus[kind, k] = b.add_var(0.0, 0.0 if away else pmax)
-        pm = lay.minus[kind, k] = b.add_var(0.0, 0.0 if away else -pmin)
+        lo, hi = dev.feasible_power_interval(d, t0 + k)
+        P = lay.P[kind, k]
+        pp = lay.plus[kind, k] = b.add_var(0.0, hi)
+        pm = lay.minus[kind, k] = b.add_var(0.0, abs(lo))
         z = lay.z[kind, k] = b.add_var(0.0, 1.0)
         lay.binaries.append(z)
         # split P = P+ - P- with binary gating making |P| = P+ + P- exact
         lay.eq[kind, "split", k] = b.add_eq([(P, 1.0), (pp, -1.0), (pm, 1.0)], 0.0)
         lay.le[kind, "gate_plus", k] = b.add_le([(pp, 1.0), (z, -pmax)], 0.0)
         lay.le[kind, "gate_minus", k] = b.add_le([(pm, 1.0), (z, -pmin)], -pmin)
-        # eps band on flexibility: eps_lo*|P| <= delta <= eps_hi*|P|
-        lay.le[kind, "eps_lo", k] = b.add_le(
-            [(pp, spec.eps_lo), (pm, spec.eps_lo), (dl, -1.0)], 0.0)
-        lay.le[kind, "eps_hi", k] = b.add_le(
-            [(dl, 1.0), (pp, -spec.eps_hi), (pm, -spec.eps_hi)], 0.0)
+        _add_band(b, lay, kind, k, [(pp, 1.0), (pm, 1.0)], spec)
 
     for k in range(1, H + 1):
         lay.state[kind, k] = b.add_var(d.soc_min, d.soc_max)
@@ -268,11 +262,7 @@ def _add_heat_pump(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
     lay.mode_signs[kind] = signs
 
     for k in range(H):
-        # eps band with the known sign |P_hp| = -P_hp
-        lay.le[kind, "eps_lo", k] = b.add_le(
-            [(lay.P[kind, k], -spec.eps_lo), (lay.delta[kind, k], -1.0)], 0.0)
-        lay.le[kind, "eps_hi", k] = b.add_le(
-            [(lay.delta[kind, k], 1.0), (lay.P[kind, k], spec.eps_hi)], 0.0)
+        _add_band(b, lay, kind, k, [(lay.P[kind, k], -1.0)], spec)
     for k in range(1, H + 1):
         lay.state[kind, k] = b.add_var(d.t_min, d.t_max)
     # T' = th*T + (1-th)*(T_out + sign*rho*P)
@@ -305,11 +295,7 @@ def _add_pv(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
             view: HorizonView, w: ObjectiveWeights) -> None:
     kind = dev.PV
     for k in range(view.length):
-        # eps band with the known sign |P_pv| = P_pv
-        lay.le[kind, "eps_lo", k] = b.add_le(
-            [(lay.P[kind, k], spec.eps_lo), (lay.delta[kind, k], -1.0)], 0.0)
-        lay.le[kind, "eps_hi", k] = b.add_le(
-            [(lay.delta[kind, k], 1.0), (lay.P[kind, k], -spec.eps_hi)], 0.0)
+        _add_band(b, lay, kind, k, [(lay.P[kind, k], 1.0)], spec)
         # curtailment: pull P toward the available output
         b.add_square([(lay.P[kind, k], -1.0)],
                      view.irradiance_frac[k] * d.p_rated_kw, w.xi_pv)
@@ -399,14 +385,6 @@ def solve_flexibility(spec: AgentSpec, view: HorizonView,
     A `prev` (offer.root) of the window one step earlier, shifted, starts
     the root relaxation."""
     t0 = view.t_start
-    fixed_now = spec.fixed_load[t0]
-    if not spec.devices:
-        if all(v == 0.0 for v in spec.fixed_load[t0:t0 + view.length]):
-            raise DegenerateAgentError(
-                f"agent {spec.id} has no devices and zero fixed load")
-        p0 = -fixed_now
-        return FlexibilityOffer(spec.id, p0, p0, p0, {})
-
     miqp = build_mpo(spec, view, weights)
     if prev is not None and prev.t_start == t0 - 1:
         miqp.root_warm = shift_root(prev.layout, prev.solution, miqp.layout,
@@ -420,7 +398,7 @@ def solve_flexibility(spec: AgentSpec, view: HorizonView,
             f"agent {spec.id}: solver exhausted its budget without a "
             f"feasible schedule for the window starting at step {t0}")
     schedules = _extract_schedules(spec, miqp.layout, miqp.base, sol.primal)
-    p0 = sum(s.power_kw[0] for s in schedules.values()) - fixed_now
+    p0 = sum(s.power_kw[0] for s in schedules.values()) - spec.fixed_load[t0]
     span = sum(s.delta_kw[0] for s in schedules.values())
     return FlexibilityOffer(
         agent_id=spec.id, p0=p0, p_lo=p0 - span, p_hi=p0 + span,
@@ -429,7 +407,7 @@ def solve_flexibility(spec: AgentSpec, view: HorizonView,
 
 
 def best_response(gamma: float, p0: float, p_hi: float, mu: float,
-                  mu_tilde: float) -> Bid:
+                  mu_tilde: float) -> float:
     """Welfare-maximizing bid in [p0, p_hi] given announced prices.
 
     Saturates at p_hi when gamma*(p_hi - p0)/(mu + mu_tilde) < 1/2,
@@ -445,8 +423,8 @@ def best_response(gamma: float, p0: float, p_hi: float, mu: float,
         raise AgentError(f"price sum mu + mu_tilde must be >= 0 (got {s})")
     span = max(p_hi - p0, 0.0)
     if s > 0.0 and 2.0 * gamma * span < s:
-        return Bid(p_hi)
-    return Bid(_clip(p0 + s / (2.0 * gamma), p0, p_hi))
+        return p_hi
+    return _clip(p0 + s / (2.0 * gamma), p0, p_hi)
 
 
 def agent_welfare(gamma: float, p0: float, p: float, mu: float,

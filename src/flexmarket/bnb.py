@@ -141,19 +141,16 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
             leaf_fix[int(j)] = float(np.round(sol.primal[j]))
         offer(sol if leaf_fix == fix else solve_node(leaf_fix, sol))
 
-    # iterated rounding dive for an initial incumbent: fix the confident
-    # binaries, else the least fractional one, and re-solve. On the bundled
-    # day no relaxed binary is confident, so each step fixes just one
+    # iterated rounding dive for an initial incumbent: fix the least
+    # fractional free binary at its rounded value, and re-solve
     fix: dict = {}
     cur = root
     while cur.status == "optimal" and len(fix) < len(bins):
         zv = np.clip(cur.primal[bins], 0.0, 1.0)
         frac = _fractionality(zv)
         free = [k for k, j in enumerate(bins) if int(j) not in fix]
-        confident = [k for k in free if frac[k] <= 0.2]
-        chosen = confident if confident else [_first_tied(frac, free, frac[free].min())]
-        for k in chosen:
-            fix[int(bins[k])] = float(np.round(zv[k]))
+        k = _first_tied(frac, free, frac[free].min())
+        fix[int(bins[k])] = float(np.round(zv[k]))
         cur = solve_node(fix, cur)
     offer(cur)
 

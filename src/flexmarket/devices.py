@@ -168,22 +168,23 @@ def hp_temperature_step(p: HpParams, t_in: float, t_out: float,
                         power_kw: float, dt_h: float) -> float:
     """One step of the indoor-temperature recurrence.
 
-    Cooling (t_out > t_in):  T+ = theta*t_in + (1-theta)*(t_out + rho*P)
+    Cooling (t_out >= t_in): T+ = theta*t_in + (1-theta)*(t_out + rho*P)
     Heating (t_out < t_in):  T+ = theta*t_in + (1-theta)*(t_out - rho*P)
-    A tie uses the cooling form; the branch sign only matters when the
-    temperatures differ. power_kw is an injection, so it must be <= 0.
+    The branch is hp_mode_sign(t_out, t_in), the rule the window problem
+    uses at its executed step. power_kw is an injection, so it must be <= 0.
     """
     if power_kw > 0.0:
         raise ValueError(f"heat pump power must be <= 0 (got {power_kw})")
     th = p.theta(dt_h)
-    if t_out >= t_in:
-        return th * t_in + (1.0 - th) * (t_out + p.rho * power_kw)
-    return th * t_in + (1.0 - th) * (t_out - p.rho * power_kw)
+    sign = hp_mode_sign(t_out, t_in)
+    return th * t_in + (1.0 - th) * (t_out + sign * p.rho * power_kw)
 
 
-def hp_mode_sign(heating: bool) -> float:
-    """Sign of the rho*P term in the thermal recurrence: +1 cooling, -1 heating."""
-    return -1.0 if heating else 1.0
+def hp_mode_sign(t_out: float, t_ref: float) -> float:
+    """Sign of the rho*P term in the thermal recurrence: +1 cooling when
+    the outdoor temperature is at or above the reference, else -1
+    heating."""
+    return 1.0 if t_out >= t_ref else -1.0
 
 
 def feasible_power_interval(device, t: int, alpha_pv: float = 0.0):

@@ -91,7 +91,7 @@ def clear_market(offers: Sequence[FlexibilityOffer], gammas: Sequence[float],
             bid = offer.p0
         else:
             bid = best_response(gamma, offer.p0, offer.p_hi,
-                                prices.mu, prices.mu_tilde).p_star
+                                prices.mu, prices.mu_tilde)
         rows.append(AgentClearing(
             agent_id=offer.agent_id, p0=offer.p0, p_lo=offer.p_lo,
             p_hi=offer.p_hi, bid=bid,

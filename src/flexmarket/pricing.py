@@ -231,7 +231,7 @@ def check_budget_balance(prices: PriceSignal, bids: Sequence[float],
     """Zero-profit identity: flexibility payments plus energy payments
     must equal the upstream settlement, |mu_tilde*(Pt - P0) + mu*Pt - pi*Pt|."""
     check_tol(tol)
-    pt = sum(float(getattr(b, "p_star", b)) for b in bids)
+    pt = sum(bids)
     residual = abs(prices.mu_tilde * (pt - agg.p0_t) + prices.mu * pt - pi * pt)
     return BudgetReport(residual=residual,
                         tolerance=tol * max(1.0, abs(pi * pt)))
@@ -239,6 +239,6 @@ def check_budget_balance(prices: PriceSignal, bids: Sequence[float],
 
 def operator_utility(bids: Sequence[float], p_tilde: float) -> float:
     """Operator utility: negative squared tracking miss, always <= 0."""
-    pt = sum(float(getattr(b, "p_star", b)) for b in bids)
+    pt = sum(bids)
     miss = pt - p_tilde
     return -(miss * miss)

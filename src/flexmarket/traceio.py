@@ -1,15 +1,10 @@
 """Trace export and import: one CSV per entity class plus JSON metadata.
 
-Column schemas are a stable interface:
-
-  clearings.csv  step, pi, p0_t, p_lo_t, p_hi_t, p_tilde, mu, mu_tilde,
-                 positivity_ok, saturation_ok, lem_settlement,
-                 budget_residual, tracking_error, degenerate
-  agents.csv     step, agent_id, gamma, p0, p_lo, p_hi, bid, pay_flex,
-                 pay_energy, settled_injection
-  devices.csv    step, agent_id, device, power_kw, planned_kw, delta_kw,
-                 state
-  metadata.json  run configuration, solver notes, final states
+The files are clearings.csv, agents.csv and devices.csv, whose schemas
+are the `*_COLUMNS` mappings below, and metadata.json, which holds the
+run configuration, solver notes and final states. Each mapping lists
+its file's columns in order, with the conversion that reads a column
+back; the schemas are a stable interface.
 
 Floats are written with repr, which round-trips exactly, so checks run
 on a reloaded trace see the very numbers the simulation produced.
@@ -25,18 +20,36 @@ from typing import Sequence
 
 from .market import SimulationTrace
 
-CLEARING_COLUMNS = ("step", "pi", "p0_t", "p_lo_t", "p_hi_t", "p_tilde",
-                    "mu", "mu_tilde", "positivity_ok", "saturation_ok",
-                    "lem_settlement", "budget_residual", "tracking_error",
-                    "degenerate")
-AGENT_COLUMNS = ("step", "agent_id", "gamma", "p0", "p_lo", "p_hi", "bid",
-                 "pay_flex", "pay_energy", "settled_injection")
-DEVICE_COLUMNS = ("step", "agent_id", "device", "power_kw", "planned_kw",
-                  "delta_kw", "state")
-
 
 class TraceIoError(ValueError):
     pass
+
+
+def _bool(v: str) -> bool:
+    if v in ("true", "True", "1"):
+        return True
+    if v in ("false", "False", "0"):
+        return False
+    raise ValueError(f"not a boolean: {v!r}")
+
+
+def _opt_float(v: str):
+    return None if v == "" else float(v)
+
+
+# column -> converter, in file order
+CLEARING_COLUMNS = {
+    "step": int, "pi": float, "p0_t": float, "p_lo_t": float,
+    "p_hi_t": float, "p_tilde": float, "mu": float, "mu_tilde": float,
+    "positivity_ok": _bool, "saturation_ok": _bool, "lem_settlement": float,
+    "budget_residual": float, "tracking_error": float, "degenerate": _bool}
+AGENT_COLUMNS = {
+    "step": int, "agent_id": str, "gamma": float, "p0": float, "p_lo": float,
+    "p_hi": float, "bid": float, "pay_flex": float, "pay_energy": float,
+    "settled_injection": float}
+DEVICE_COLUMNS = {
+    "step": int, "agent_id": str, "device": str, "power_kw": float,
+    "planned_kw": float, "delta_kw": float, "state": _opt_float}
 
 
 def _fmt(v):
@@ -47,40 +60,34 @@ def _fmt(v):
     return v
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_fmt(v) for v in row] for row in rows)
+
+
 def write_trace(trace: SimulationTrace, out_dir, gammas: Sequence[float]) -> None:
     """Write the three CSVs and metadata.json into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    with open(out / "clearings.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CLEARING_COLUMNS)
-        for cr in trace.clearings:
-            w.writerow([_fmt(v) for v in (
-                cr.step, cr.pi, cr.agg.p0_t, cr.agg.p_lo_t, cr.agg.p_hi_t,
-                cr.p_tilde, cr.prices.mu, cr.prices.mu_tilde,
-                cr.prices.positivity_ok, cr.prices.saturation_ok,
-                cr.lem_settlement, cr.budget_residual, cr.tracking_error,
-                cr.degenerate)])
-
     gamma_of = dict(zip(trace.agent_ids, gammas))
-    with open(out / "agents.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(AGENT_COLUMNS)
-        for cr in trace.clearings:
-            for row in cr.agents:
-                w.writerow([_fmt(v) for v in (
-                    cr.step, row.agent_id, gamma_of[row.agent_id], row.p0,
-                    row.p_lo, row.p_hi, row.bid, row.pay_flex, row.pay_energy,
-                    trace.injections[row.agent_id][cr.step])])
-
-    with open(out / "devices.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(DEVICE_COLUMNS)
-        for r in trace.device_records:
-            w.writerow([_fmt(v) for v in (
-                r.step, r.agent_id, r.kind, r.power_kw, r.planned_kw,
-                r.delta_kw, "" if r.state_begin is None else r.state_begin)])
+    _write_csv(out / "clearings.csv", CLEARING_COLUMNS, (
+        (cr.step, cr.pi, cr.agg.p0_t, cr.agg.p_lo_t, cr.agg.p_hi_t,
+         cr.p_tilde, cr.prices.mu, cr.prices.mu_tilde,
+         cr.prices.positivity_ok, cr.prices.saturation_ok,
+         cr.lem_settlement, cr.budget_residual, cr.tracking_error,
+         cr.degenerate)
+        for cr in trace.clearings))
+    _write_csv(out / "agents.csv", AGENT_COLUMNS, (
+        (cr.step, row.agent_id, gamma_of[row.agent_id], row.p0, row.p_lo,
+         row.p_hi, row.bid, row.pay_flex, row.pay_energy,
+         trace.injections[row.agent_id][cr.step])
+        for cr in trace.clearings for row in cr.agents))
+    _write_csv(out / "devices.csv", DEVICE_COLUMNS, (
+        (r.step, r.agent_id, r.kind, r.power_kw, r.planned_kw, r.delta_kw,
+         "" if r.state_begin is None else r.state_begin)
+        for r in trace.device_records))
 
     meta = dict(trace.metadata)
     meta["agent_ids"] = list(trace.agent_ids)
@@ -103,7 +110,7 @@ class TraceData:
         return [r for r in self.agents if r["step"] == step]
 
 
-def _read_csv(path: Path, columns, converters) -> list:
+def _read_csv(path: Path, columns: dict) -> list:
     if not path.exists():
         raise TraceIoError(f"trace file missing: {path}")
     rows = []
@@ -113,8 +120,8 @@ def _read_csv(path: Path, columns, converters) -> list:
         if header is None:
             raise TraceIoError(f"trace file empty: {path}")
         if tuple(header) != tuple(columns):
-            raise TraceIoError(
-                f"{path.name}: header {header} does not match schema {columns}")
+            raise TraceIoError(f"{path.name}: header {header} does not match "
+                               f"schema {tuple(columns)}")
         for lineno, raw in enumerate(reader, start=2):
             if not raw or not "".join(raw).strip():
                 continue
@@ -123,39 +130,17 @@ def _read_csv(path: Path, columns, converters) -> list:
                                    f"{len(raw)} fields, expected {len(columns)}")
             try:
                 rows.append({c: conv(v) for (c, conv), v
-                             in zip(converters.items(), raw)})
+                             in zip(columns.items(), raw)})
             except ValueError as exc:
                 raise TraceIoError(f"{path.name}: line {lineno}: {exc}") from exc
     return rows
 
 
-def _bool(v: str) -> bool:
-    if v in ("true", "True", "1"):
-        return True
-    if v in ("false", "False", "0"):
-        return False
-    raise ValueError(f"not a boolean: {v!r}")
-
-
-def _opt_float(v: str):
-    return None if v == "" else float(v)
-
-
 def read_trace(trace_dir) -> TraceData:
     d = Path(trace_dir)
-    clearings = _read_csv(d / "clearings.csv", CLEARING_COLUMNS, {
-        "step": int, "pi": float, "p0_t": float, "p_lo_t": float,
-        "p_hi_t": float, "p_tilde": float, "mu": float, "mu_tilde": float,
-        "positivity_ok": _bool, "saturation_ok": _bool,
-        "lem_settlement": float, "budget_residual": float,
-        "tracking_error": float, "degenerate": _bool})
-    agents = _read_csv(d / "agents.csv", AGENT_COLUMNS, {
-        "step": int, "agent_id": str, "gamma": float, "p0": float,
-        "p_lo": float, "p_hi": float, "bid": float, "pay_flex": float,
-        "pay_energy": float, "settled_injection": float})
-    devices = _read_csv(d / "devices.csv", DEVICE_COLUMNS, {
-        "step": int, "agent_id": str, "device": str, "power_kw": float,
-        "planned_kw": float, "delta_kw": float, "state": _opt_float})
+    clearings = _read_csv(d / "clearings.csv", CLEARING_COLUMNS)
+    agents = _read_csv(d / "agents.csv", AGENT_COLUMNS)
+    devices = _read_csv(d / "devices.csv", DEVICE_COLUMNS)
     meta_path = d / "metadata.json"
     if not meta_path.exists():
         raise TraceIoError(f"trace file missing: {meta_path}")
@@ -175,43 +160,32 @@ def write_report(data: TraceData, out_dir, agent_id: str) -> list:
     if agent_id not in agent_ids:
         raise TraceIoError(f"unknown agent id {agent_id!r}; trace has "
                            f"{sorted(agent_ids)}")
+
+    def totals(c):
+        rows = data.agent_rows(c["step"])
+        return (c["step"], c["p0_t"], c["p_tilde"],
+                sum(r["bid"] for r in rows),
+                sum(r["settled_injection"] for r in rows))
+
+    own = [r for r in data.devices if r["agent_id"] == agent_id]
+    reports = {
+        "report_operator_injections.csv": (
+            ("step", "p0_t", "p_tilde", "total_bid", "total_settled"),
+            map(totals, data.clearings)),
+        "report_prices.csv": (
+            ("step", "pi", "mu", "mu_tilde"),
+            ((c["step"], c["pi"], c["mu"], c["mu_tilde"])
+             for c in data.clearings)),
+        f"report_agent_{agent_id}_devices.csv": (
+            ("step", "device", "power_kw"),
+            ((r["step"], r["device"], r["power_kw"]) for r in own)),
+        f"report_agent_{agent_id}_states.csv": (
+            ("step", "device", "state"),
+            ((r["step"], r["device"], r["state"]) for r in own
+             if r["state"] is not None)),
+    }
     written = []
-
-    p = out / "report_operator_injections.csv"
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "p0_t", "p_tilde", "total_bid", "total_settled"])
-        for c in data.clearings:
-            rows = data.agent_rows(c["step"])
-            w.writerow([c["step"], _fmt(c["p0_t"]), _fmt(c["p_tilde"]),
-                        _fmt(sum(r["bid"] for r in rows)),
-                        _fmt(sum(r["settled_injection"] for r in rows))])
-    written.append(p)
-
-    p = out / "report_prices.csv"
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "pi", "mu", "mu_tilde"])
-        for c in data.clearings:
-            w.writerow([c["step"], _fmt(c["pi"]), _fmt(c["mu"]),
-                        _fmt(c["mu_tilde"])])
-    written.append(p)
-
-    p = out / f"report_agent_{agent_id}_devices.csv"
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "device", "power_kw"])
-        for r in data.devices:
-            if r["agent_id"] == agent_id:
-                w.writerow([r["step"], r["device"], _fmt(r["power_kw"])])
-    written.append(p)
-
-    p = out / f"report_agent_{agent_id}_states.csv"
-    with open(p, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "device", "state"])
-        for r in data.devices:
-            if r["agent_id"] == agent_id and r["state"] is not None:
-                w.writerow([r["step"], r["device"], _fmt(r["state"])])
-    written.append(p)
+    for name, (header, rows) in reports.items():
+        _write_csv(out / name, header, rows)
+        written.append(out / name)
     return written

@@ -70,7 +70,7 @@ def test_criterion_2_best_response_grid_oracle():
         span = float(rng.uniform(0.0, 5.0)) if k % 2 else float(rng.uniform(0.0, 0.2))
         mu = float(rng.uniform(0.0, 2.0))
         mut = float(rng.uniform(0.0, 2.0))
-        bid = best_response(gamma, p0, p0 + span, mu, mut).p_star
+        bid = best_response(gamma, p0, p0 + span, mu, mut)
         grid = np.linspace(p0, p0 + span, 10000)
         welfare = mut * (grid - p0) + mu * grid - gamma * (grid - p0) ** 2
         gap = abs(agent_welfare(gamma, p0, bid, mu, mut) - float(welfare.max()))

@@ -290,15 +290,15 @@ def test_shift_moves_root_one_step_earlier(day_scenario):
 # --- stage II best response -------------------------------------------------
 
 def test_best_response_interior():
-    assert best_response(1.0, -5.0, -3.0, 1.0, 1.0).p_star == pytest.approx(-4.0)
+    assert best_response(1.0, -5.0, -3.0, 1.0, 1.0) == pytest.approx(-4.0)
 
 
 def test_best_response_saturated():
-    assert best_response(1.0, -5.0, -3.0, 3.0, 3.0).p_star == pytest.approx(-3.0)
+    assert best_response(1.0, -5.0, -3.0, 3.0, 3.0) == pytest.approx(-3.0)
 
 
 def test_best_response_zero_prices():
-    assert best_response(1.0, -5.0, -3.0, 0.0, 0.0).p_star == pytest.approx(-5.0)
+    assert best_response(1.0, -5.0, -3.0, 0.0, 0.0) == pytest.approx(-5.0)
 
 
 def test_best_response_grid_oracle():
@@ -309,7 +309,7 @@ def test_best_response_grid_oracle():
         span = float(rng.uniform(0.0, 5.0))
         mu = float(rng.uniform(0, 2))
         mut = float(rng.uniform(0, 2))
-        bid = best_response(gamma, p0, p0 + span, mu, mut).p_star
+        bid = best_response(gamma, p0, p0 + span, mu, mut)
         grid = np.linspace(p0, p0 + span, 10000)
         welfare = mut * (grid - p0) + mu * grid - gamma * (grid - p0) ** 2
         assert agent_welfare(gamma, p0, bid, mu, mut) >= welfare.max() - 1e-6
@@ -317,7 +317,7 @@ def test_best_response_grid_oracle():
 
 
 def test_best_response_monotone_in_price_sum():
-    bids = [best_response(1.0, -5.0, -3.0, 0.0, s).p_star
+    bids = [best_response(1.0, -5.0, -3.0, 0.0, s)
             for s in np.linspace(0.0, 6.0, 50)]
     assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(bids, bids[1:]))
     assert max(bids) <= -3.0 + 1e-12

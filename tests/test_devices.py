@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flexmarket import devices as dev
-from flexmarket.agent import build_mpo
+from flexmarket.agent import build_mpo, hp_mode_schedule
 from flexmarket.devices import (BatteryParams, DeviceValidationError, EvParams,
                                 HpParams, ObjectiveWeights, PvParams,
                                 battery_soc_step, feasible_power_interval,
@@ -129,6 +129,22 @@ def test_hp_step_contraction():
         target = t_out + p.rho * power if t_out >= t_in else t_out - p.rho * power
         lo, hi = min(t_in, target), max(t_in, target)
         assert lo - 1e-9 <= out <= hi + 1e-9
+
+
+@pytest.mark.parametrize("t_out", [67.0, 68.0, 69.0])
+def test_hp_mode_schedule_step_zero_matches_temperature_step(t_out):
+    # the window's executed step and the settled step take one mode: the
+    # indoor temperature (68, not the setpoint 70) decides it, and a tie
+    # cools
+    p, t_in, power = hp(), 68.0, -2.0
+    view = HorizonView(t_start=0, dt_hours=1.0, length=2,
+                       outdoor_temp=(t_out, 60.0), irradiance_frac=(0.0, 0.0),
+                       device_states={}, end_step=2)
+    sign = hp_mode_schedule(p, view, t_in)[0]
+    assert sign == (1.0 if t_out >= t_in else -1.0)
+    th = p.theta(1.0)
+    assert hp_temperature_step(p, t_in, t_out, power, 1.0) == \
+        th * t_in + (1.0 - th) * (t_out + sign * p.rho * power)
 
 
 # --- feasible intervals -----------------------------------------------------

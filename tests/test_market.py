@@ -7,6 +7,7 @@ from flexmarket.market import (AgentClearing, ClearingResult, MarketError,
                                clear_market, run_simulation, verify_equilibrium)
 from flexmarket.pricing import PriceSignal, PricingError, aggregate_offers, compute_prices
 from flexmarket.scenario import scenario_from_dict
+from flexmarket.traceio import read_trace, write_trace
 
 
 def offer(p0, p_lo, p_hi, aid="a"):
@@ -160,7 +161,7 @@ def test_verify_equilibrium_rejects_inflated_flex_price():
     rows = []
     for o, g in zip(offers, gammas):
         bid = best_response(g, o.p0, o.p_hi, bad_prices.mu,
-                            bad_prices.mu_tilde).p_star
+                            bad_prices.mu_tilde)
         rows.append(AgentClearing(o.agent_id, o.p0, o.p_lo, o.p_hi, bid,
                                   bad_prices.mu_tilde * (bid - o.p0),
                                   bad_prices.mu * bid))
@@ -228,3 +229,37 @@ def test_trace_metadata_records_configuration(mini_trace):
     assert meta["weights"]["alpha_cyc"] == 0.1
     assert "identical traces" in meta["determinism"]
     assert "solver" in meta
+
+
+def test_read_trace_returns_every_written_field_exactly(day_scenario, day_run,
+                                                        tmp_path):
+    # compared by repr, so that a changed type, a zero's sign or a None
+    # state fails as surely as a changed number
+    trace = day_run["trace"]
+    gamma = {a.id: a.gamma for a in day_scenario.agents}
+    write_trace(trace, tmp_path, [a.gamma for a in day_scenario.agents])
+    data = read_trace(tmp_path)
+    clearings = [dict(
+        step=cr.step, pi=cr.pi, p0_t=cr.agg.p0_t, p_lo_t=cr.agg.p_lo_t,
+        p_hi_t=cr.agg.p_hi_t, p_tilde=cr.p_tilde, mu=cr.prices.mu,
+        mu_tilde=cr.prices.mu_tilde, positivity_ok=cr.prices.positivity_ok,
+        saturation_ok=cr.prices.saturation_ok, lem_settlement=cr.lem_settlement,
+        budget_residual=cr.budget_residual, tracking_error=cr.tracking_error,
+        degenerate=cr.degenerate) for cr in trace.clearings]
+    agents = [dict(
+        step=cr.step, agent_id=r.agent_id, gamma=gamma[r.agent_id], p0=r.p0,
+        p_lo=r.p_lo, p_hi=r.p_hi, bid=r.bid, pay_flex=r.pay_flex,
+        pay_energy=r.pay_energy,
+        settled_injection=trace.injections[r.agent_id][cr.step])
+        for cr in trace.clearings for r in cr.agents]
+    devices = [dict(
+        step=r.step, agent_id=r.agent_id, device=r.kind, power_kw=r.power_kw,
+        planned_kw=r.planned_kw, delta_kw=r.delta_kw, state=r.state_begin)
+        for r in trace.device_records]
+    assert repr(data.clearings) == repr(clearings)
+    assert repr(data.agents) == repr(agents)
+    assert repr(data.devices) == repr(devices)
+    assert any(r["state"] is None for r in data.devices)      # the PV rows
+    assert data.metadata["agent_ids"] == list(trace.agent_ids)
+    assert repr(data.metadata["final_states"]) == repr(
+        {a: dict(m) for a, m in trace.final_states.items()})

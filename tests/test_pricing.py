@@ -128,11 +128,11 @@ def test_composition_identity_random():
         ps = compute_prices(agg, p_t, pi)
         if not (ps.positivity_ok and ps.saturation_ok):
             continue
-        total = sum(best_response(g, o.p0, o.p_hi, ps.mu, ps.mu_tilde).p_star
+        total = sum(best_response(g, o.p0, o.p_hi, ps.mu, ps.mu_tilde)
                     for g, o in zip(gammas, offers))
         assert abs(total - p_t) <= 1e-8 * max(1.0, abs(p_t))
         rep = check_budget_balance(ps, [best_response(g, o.p0, o.p_hi, ps.mu,
-                                                      ps.mu_tilde).p_star
+                                                      ps.mu_tilde)
                                         for g, o in zip(gammas, offers)],
                                    agg, pi)
         assert rep.ok
