@@ -9,15 +9,24 @@ so branching on z is the only source of integrality work.
 Search is deterministic: best-bound node selection with
 most-fractional branching, an initial rounding dive for an incumbent
 (fractionalities within 1e-9 tie, and the lowest index takes them),
-and node bounds inherited monotonically down each branch. Fixing a
-binary only shrinks its box bounds, so every node reuses the one
-AdmmSolver workspace and starts from its parent's active set, and from
-its parent's factor when the parent is the workspace's last solve or
-last start. The root starts from the caller's `root_warm` (in a day
+and node bounds inherited monotonically down each branch. A popped node
+with at most SWEEP_FREE free binaries, whose 2^f leaves all fit in the
+node budget, is not branched: its leaves are solved in Gray-code order
+from its rounded relaxation, so consecutive leaves differ in one
+binary, and each starts from the last optimal leaf. At f = 3 that is 8
+solves, against 14 for a subtree branching cannot prune and 2 for one
+it prunes at the first branching. A root that is swept whole skips the
+dive, which exists only to supply an early incumbent.
+Fixing a binary only shrinks its box bounds, so every node reuses the
+one AdmmSolver workspace and starts from its parent's active set, and
+from its parent's factor when the parent is the workspace's last solve
+or last start. The root starts from the caller's `root_warm` (in a day
 simulation, the agent's previous root relaxation shifted one step) or
 cold, and comes back as `MiqpSolution.root` for the caller to carry
 on. Every node solve is exact, so a node's objective is a true bound
-and an incumbent is a feasible leaf.
+and an incumbent is a feasible leaf. Every solve after the dive fits
+in `node_limit`; an integral node the budget cannot re-solve as a leaf
+stays open, and its bound enters the gap.
 The search runs single-threaded, which is what guarantees bit-identical
 results for identical inputs.
 """
@@ -33,6 +42,7 @@ from .qp import AdmmSolver, QpSolution, QuadraticProgram
 
 INT_TOL = 1e-6                       # a relaxation this close to 0/1 is integral
 _TIE_TOL = 1e-9                      # fractionalities this close tie
+SWEEP_FREE = 3                       # the most free binaries a swept node has
 
 
 class MiqpError(ValueError):
@@ -61,6 +71,15 @@ class MixedIntegerQp:
 
 @dataclass
 class BnbConfig:
+    """Search budget and stopping tolerance.
+
+    `node_limit` bounds a search's node solves, the root and the dive
+    included, except that the dive always runs whole: a limit at or
+    below the binary count b still takes 1 + b solves. The search stops
+    where its next solve would pass the limit, and the best bound it
+    leaves open enters the gap.
+    """
+
     node_limit: int = 5000
     gap_tol: float = 1e-6            # relative optimality gap at termination
 
@@ -133,26 +152,55 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
             incumbent = sol
             cut = sol.objective - cfg.gap_tol * max(1.0, abs(sol.objective))
 
-    def leaf(fix, sol):
+    def leaf(fix, sol, reserve=0):
         # an integral relaxation: fix every binary at its rounded value,
-        # re-solve if that fixes a new one, and offer the result
+        # re-solve if that fixes a new one, and offer the result; False
+        # when the budget, less `reserve` solves, has no room to re-solve
         leaf_fix = dict(fix)
         for j in bins:
             leaf_fix[int(j)] = float(np.round(sol.primal[j]))
-        offer(sol if leaf_fix == fix else solve_node(leaf_fix, sol))
+        if leaf_fix == fix:
+            offer(sol)
+        elif nodes + 1 + reserve <= cfg.node_limit:
+            offer(solve_node(leaf_fix, sol))
+        else:
+            return False
+        return True
 
-    # iterated rounding dive for an initial incumbent: fix the least
-    # fractional free binary at its rounded value, and re-solve
-    fix: dict = {}
-    cur = root
-    while cur.status == "optimal" and len(fix) < len(bins):
-        zv = np.clip(cur.primal[bins], 0.0, 1.0)
-        frac = _fractionality(zv)
-        free = [k for k, j in enumerate(bins) if int(j) not in fix]
-        k = _first_tied(frac, free, frac[free].min())
-        fix[int(bins[k])] = float(np.round(zv[k]))
-        cur = solve_node(fix, cur)
-    offer(cur)
+    def fits_sweep(fix):
+        f = len(bins) - len(fix)
+        return f <= SWEEP_FREE and nodes + 2 ** f <= cfg.node_limit
+
+    def sweep(fix, rel):
+        # every leaf below `fix` in Gray-code order from the rounded
+        # relaxation: leaf i flips the free binary at i's lowest set bit
+        free = [int(j) for j in bins if int(j) not in fix]
+        leaf_fix = dict(fix)
+        for j in free:
+            leaf_fix[j] = float(np.round(rel.primal[j]))
+        warm = rel
+        for i in range(2 ** len(free)):
+            if i:
+                j = free[(i & -i).bit_length() - 1]
+                leaf_fix[j] = 1.0 - leaf_fix[j]
+            sol = solve_node(leaf_fix, warm)
+            if sol.status == "optimal":
+                offer(sol)
+                warm = sol
+
+    if not fits_sweep({}):
+        # iterated rounding dive for an initial incumbent: fix the least
+        # fractional free binary at its rounded value, and re-solve
+        fix: dict = {}
+        cur = root
+        while cur.status == "optimal" and len(fix) < len(bins):
+            zv = np.clip(cur.primal[bins], 0.0, 1.0)
+            frac = _fractionality(zv)
+            free = [k for k, j in enumerate(bins) if int(j) not in fix]
+            k = _first_tied(frac, free, frac[free].min())
+            fix[int(bins[k])] = float(np.round(zv[k]))
+            cur = solve_node(fix, cur)
+        offer(cur)
 
     # heap of open nodes: (bound, node count at push, fix, relaxation)
     heap = [(root.objective, nodes, {}, root)]
@@ -163,23 +211,30 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
             continue
         frac = _fractionality(rel.primal[bins])
         if np.max(frac) <= INT_TOL:
-            leaf(fix, rel)
+            if leaf(fix, rel):
+                continue
+            open_bound = bound       # no room to re-solve it as a leaf
+            break
+        if fits_sweep(fix):
+            sweep(fix, rel)
             continue
         if nodes + 2 > cfg.node_limit:
             open_bound = bound
             break
         branch_j = int(bins[_first_tied(frac, range(len(bins)), frac.max())])
         near = float(np.round(rel.primal[branch_j]))
-        for val in (near, 1.0 - near):
+        for reserve, val in ((1, near), (0, 1.0 - near)):
             child_fix = dict(fix)
             child_fix[branch_j] = val
             child = solve_node(child_fix, rel)
             if child.status != "optimal":
                 continue
             child_bound = max(bound, child.objective)
-            if np.max(_fractionality(child.primal[bins])) <= INT_TOL:
-                leaf(child_fix, child)
-            elif child_bound < cut:
+            if (np.max(_fractionality(child.primal[bins])) <= INT_TOL
+                    and leaf(child_fix, child, reserve)):
+                continue
+            # fractional, or integral with no room to re-solve: open
+            if child_bound < cut:
                 heapq.heappush(heap, (child_bound, nodes, child_fix, child))
 
     if incumbent is None:

@@ -221,9 +221,7 @@ def run_simulation(s: Scenario, solver_cfg: Optional[BnbConfig] = None) -> Simul
                     agent_states[kind] = dev.hp_temperature_step(
                         d, begin, s.series.outdoor_temp[t], power, grid.dt_hours)
             new_states[a.id] = agent_states
-            injections[a.id].append(
-                sum(settled.values()) - a.fixed_load[t] if settled
-                else -a.fixed_load[t])
+            injections[a.id].append(sum(settled.values()) - a.fixed_load[t])
         states = new_states
 
     meta = {

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flexmarket.agent as agent
@@ -209,8 +209,73 @@ def test_every_qp_solve_is_a_node(monkeypatch):
     monkeypatch.setattr(AdmmSolver, "solve", counted)
     got = solve_miqp(mi, BnbConfig())
     assert got.status == "optimal"
-    assert got.nodes == 16
+    assert got.nodes == 9
     assert len(calls) == got.nodes
+
+
+def _record_fixed_binaries(monkeypatch, mi):
+    """Patch AdmmSolver.solve to record, per call, the binaries its
+    bounds fix as {index: value}."""
+    fixed = []
+    solve = AdmmSolver.solve
+
+    def recorded(self, lb=None, ub=None, *args, **kwargs):
+        fixed.append({j: lb[j] for j in mi.binary_vars if lb[j] == ub[j]})
+        return solve(self, lb, ub, *args, **kwargs)
+
+    monkeypatch.setattr(AdmmSolver, "solve", recorded)
+    return fixed
+
+
+def test_three_binary_root_is_swept_in_gray_code_order(monkeypatch):
+    # the whole tree fits the budget, so the root's 8 leaves are solved
+    # one binary apart, with no dive and no internal node
+    mi = _bigm_instance(np.random.default_rng(5), 3)
+    ref_obj, ref_bits, _ = enumerate_binaries(mi)
+    fixed = _record_fixed_binaries(monkeypatch, mi)
+    got = solve_miqp(mi, BnbConfig())
+    assert got.status == "optimal" and got.gap == 0.0
+    assert got.nodes == len(fixed) == 1 + 8
+    assert fixed[0] == {}
+    assert all(len(f) == 3 for f in fixed[1:])
+    leaves = [tuple(f[j] for j in mi.binary_vars) for f in fixed[1:]]
+    assert len(set(leaves)) == 8
+    for a, b in zip(leaves, leaves[1:]):
+        assert sum(x != y for x, y in zip(a, b)) == 1
+    assert got.objective == pytest.approx(ref_obj, rel=0, abs=1e-9)
+    assert got.assignment == ref_bits
+
+
+def test_root_sweep_past_the_budget_dives_first(monkeypatch):
+    # 1 + 8 solves exceed node_limit=8: the root is branched, and the
+    # dive (one more binary fixed per solve) supplies the incumbent
+    mi = _bigm_instance(np.random.default_rng(5), 3)
+    fixed = _record_fixed_binaries(monkeypatch, mi)
+    got = solve_miqp(mi, BnbConfig(node_limit=8))
+    assert [len(f) for f in fixed[:4]] == [0, 1, 2, 3]
+    assert got.nodes == len(fixed) <= 8
+    assert np.isfinite(got.objective)
+    assert got.status in ("optimal", "node_limit")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(1, 5),
+       node_limit=st.integers(1, 17))
+# an integral first child whose leaf re-solve would take the budget its
+# sibling needs (these went to 10 and 18 nodes when re-solves ignored it)
+@example(seed=6, pairs=3, node_limit=8)
+@example(seed=9, pairs=5, node_limit=16)
+def test_search_stays_within_its_node_budget(seed, pairs, node_limit):
+    # the dive runs whole; every later solve fits node_limit, and an
+    # integral node the budget cannot re-solve keeps its bound in the gap
+    mi = _bigm_instance(np.random.default_rng(seed), pairs)
+    got = solve_miqp(mi, BnbConfig(node_limit=node_limit))
+    assert got.nodes <= max(node_limit, 1 + pairs)
+    assert got.status in ("optimal", "node_limit")
+    ref, _, _ = enumerate_binaries(mi)
+    if np.isfinite(got.objective):
+        bound = got.objective - got.gap * max(1.0, abs(got.objective))
+        assert bound <= ref + 1e-12 * max(1.0, abs(ref))
 
 
 def _row_violation(qp, x):
