@@ -6,9 +6,10 @@ symmetric flexibility half-widths delta_d(t), trading off flexibility
 reward, device operating costs (cycling, charge-target, comfort,
 curtailment), PV self-consumption, and total net injection. The
 absolute-value flexibility bounds eps_lo*|P| <= delta <= eps_hi*|P| are
-exact-linearized with a binary split for storage devices (whose
-injection can take either sign), which makes the problem a mixed-integer
-QP. The first-step results aggregate into a FlexibilityOffer.
+exact-linearized with a binary split at each step whose power interval
+holds both signs (a battery's steps, an EV's steps at home), which makes
+the problem a mixed-integer QP; elsewhere |P| is P or -P. The first-step
+results aggregate into a FlexibilityOffer.
 
 Stage II: given announced prices, the agent's welfare is concave
 quadratic in its bid, so the best response has a closed form: saturate
@@ -101,7 +102,6 @@ class _MpoLayout:
     z: dict = field(default_factory=dict)
     eq: dict = field(default_factory=dict)       # (kind, role, k) -> A_eq row
     le: dict = field(default_factory=dict)       # (kind, role, k) -> A_le row
-    binaries: list = field(default_factory=list)
     mode_signs: dict = field(default_factory=dict)
     start: dict = field(default_factory=dict)    # kind -> SOC or temperature at k = 0
     kinds: tuple = ()
@@ -114,8 +114,8 @@ def build_mpo(spec: AgentSpec, view: HorizonView,
 
     Variables per step and device: injection P, flexibility delta, a
     state for storage/thermal devices, and the P+/P-/z absolute-value
-    split for battery and EV, each kind with its own rows and costs. The
-    returned problem carries its variable layout (as `.layout`) so
+    split, z binary, where the step's power interval holds both signs.
+    The returned problem carries its variable layout (as `.layout`) so
     schedules can be read back from a solution.
     """
     H = view.length
@@ -134,10 +134,11 @@ def build_mpo(spec: AgentSpec, view: HorizonView,
         if kind != dev.PV:
             now = states_now.get(kind)
             lay.start[kind] = d.initial_state if now is None else now
+        spans = []
         for k in range(H):
-            t = t0 + k
             alpha = view.irradiance_frac[k] if kind == dev.PV else 0.0
-            lo, hi = dev.feasible_power_interval(d, t, alpha)
+            lo, hi = dev.feasible_power_interval(d, t0 + k, alpha)
+            spans.append((lo, hi))
             lay.P[kind, k] = b.add_var(lo, hi)
             lay.delta[kind, k] = b.add_var(0.0, math.inf)
             # flexibility envelope: limits must hold at P +- delta
@@ -147,6 +148,8 @@ def build_mpo(spec: AgentSpec, view: HorizonView,
                 [(lay.P[kind, k], 1.0), (lay.delta[kind, k], -1.0)], lo)
             b.add_linear(lay.delta[kind, k], -1.0)      # reward flexibility
             b.add_linear(lay.P[kind, k], -1.0)          # reward net injection
+        for k, (lo, hi) in enumerate(spans):
+            _add_band(b, lay, kind, k, lo, hi, spec)
 
         if kind in (dev.BATTERY, dev.EV):
             _add_storage(b, lay, d, spec, view, weights)
@@ -162,17 +165,29 @@ def build_mpo(spec: AgentSpec, view: HorizonView,
             b.add_square([(lay.P[kk, k], 1.0) for kk in util_kinds], 0.0,
                          weights.utilization)
     b.add_const(sum(fixed))     # -P_total = -(sum_d P_d - fixed)
-    miqp = MixedIntegerQp(b.build(), lay.binaries)
+    miqp = MixedIntegerQp(b.build(), lay.z.values())
     miqp.layout = lay
     return miqp
 
 
-def _add_band(b: QpBuilder, lay: _MpoLayout, kind: str, k: int, abs_p,
-              spec: AgentSpec) -> None:
-    """The eps band on flexibility, eps_lo*|P| <= delta <= eps_hi*|P|,
-    with |P| given as (variable, +-1.0) terms: storage P+ + P-, which the
-    binary split makes exact, and -P or P for a device of known sign."""
-    dl = lay.delta[kind, k]
+def _add_band(b: QpBuilder, lay: _MpoLayout, kind: str, k: int, lo: float,
+              hi: float, spec: AgentSpec) -> None:
+    """The eps band on flexibility, eps_lo*|P| <= delta <= eps_hi*|P|, at
+    a step whose power interval is [lo, hi]. Where the interval holds
+    both signs, P = P+ - P- with a binary z gating the halves, which makes
+    |P| = P+ + P- exact; elsewhere the interval fixes P's sign and |P| is
+    P or -P (P at lo = hi = 0), with no binary."""
+    P, dl = lay.P[kind, k], lay.delta[kind, k]
+    if lo < 0.0 < hi:
+        pp = lay.plus[kind, k] = b.add_var(0.0, hi)
+        pm = lay.minus[kind, k] = b.add_var(0.0, -lo)
+        z = lay.z[kind, k] = b.add_var(0.0, 1.0)
+        lay.eq[kind, "split", k] = b.add_eq([(P, 1.0), (pp, -1.0), (pm, 1.0)], 0.0)
+        lay.le[kind, "gate_plus", k] = b.add_le([(pp, 1.0), (z, -hi)], 0.0)
+        lay.le[kind, "gate_minus", k] = b.add_le([(pm, 1.0), (z, -lo)], -lo)
+        abs_p = [(pp, 1.0), (pm, 1.0)]
+    else:
+        abs_p = [(P, -1.0 if lo < 0.0 else 1.0)]
     lay.le[kind, "eps_lo", k] = b.add_le(
         [(v, spec.eps_lo * s) for v, s in abs_p] + [(dl, -1.0)], 0.0)
     lay.le[kind, "eps_hi", k] = b.add_le(
@@ -186,20 +201,6 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
     soc0 = lay.start[kind]
     coeff = dt * d.efficiency / d.capacity_kwh
     keep = 1.0 - d.self_discharge
-    pmax, pmin = d.p_max_kw, d.p_min_kw
-
-    for k in range(H):
-        lo, hi = dev.feasible_power_interval(d, t0 + k)
-        P = lay.P[kind, k]
-        pp = lay.plus[kind, k] = b.add_var(0.0, hi)
-        pm = lay.minus[kind, k] = b.add_var(0.0, abs(lo))
-        z = lay.z[kind, k] = b.add_var(0.0, 1.0)
-        lay.binaries.append(z)
-        # split P = P+ - P- with binary gating making |P| = P+ + P- exact
-        lay.eq[kind, "split", k] = b.add_eq([(P, 1.0), (pp, -1.0), (pm, 1.0)], 0.0)
-        lay.le[kind, "gate_plus", k] = b.add_le([(pp, 1.0), (z, -pmax)], 0.0)
-        lay.le[kind, "gate_minus", k] = b.add_le([(pm, 1.0), (z, -pmin)], -pmin)
-        _add_band(b, lay, kind, k, [(pp, 1.0), (pm, 1.0)], spec)
 
     for k in range(1, H + 1):
         lay.state[kind, k] = b.add_var(d.soc_min, d.soc_max)
@@ -261,8 +262,6 @@ def _add_heat_pump(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
     signs = hp_mode_schedule(d, view, t_now)
     lay.mode_signs[kind] = signs
 
-    for k in range(H):
-        _add_band(b, lay, kind, k, [(lay.P[kind, k], -1.0)], spec)
     for k in range(1, H + 1):
         lay.state[kind, k] = b.add_var(d.t_min, d.t_max)
     # T' = th*T + (1-th)*(T_out + sign*rho*P)
@@ -295,7 +294,6 @@ def _add_pv(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
             view: HorizonView, w: ObjectiveWeights) -> None:
     kind = dev.PV
     for k in range(view.length):
-        _add_band(b, lay, kind, k, [(lay.P[kind, k], 1.0)], spec)
         # curtailment: pull P toward the available output
         b.add_square([(lay.P[kind, k], -1.0)],
                      view.irradiance_frac[k] * d.p_rated_kw, w.xi_pv)

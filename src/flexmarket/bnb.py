@@ -1,10 +1,15 @@
 """Branch-and-bound for quadratic programs with binary variables.
 
-The binaries arise from an exact big-M split of absolute power values:
-P = P+ - P-, |P| = P+ + P-, with 0 <= P+ <= z*Pmax and
-0 <= P- <= (1-z)*|Pmin| gating the two halves through z in {0,1}. The
-continuous relaxation is the per-step convex hull of that disjunction,
-so branching on z is the only source of integrality work.
+The binaries arise from an exact big-M split of absolute power values,
+one per window step whose power interval [lo, hi] holds both signs:
+P = P+ - P-, |P| = P+ + P-, with 0 <= P+ <= z*hi and
+0 <= P- <= (1-z)*(-lo) gating the two halves through z in {0,1}; a step
+whose interval fixes P's sign has no binary. Relaxing z to [0, 1] gives
+the convex hull of that disjunction in (P+, P-, z), but not once the
+flexibility delta is included: its band
+eps_lo*(P+ + P-) <= delta <= eps_hi*(P+ + P-) reads P+ + P-, which the
+relaxation lets exceed |P| (P+ = P- > 0 at P = 0). Branching on z is the
+only source of integrality work.
 
 Search is deterministic: best-bound node selection with
 most-fractional branching, an initial rounding dive for an incumbent

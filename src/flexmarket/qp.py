@@ -465,7 +465,12 @@ def check_kkt(qp: QuadraticProgram, sol: QpSolution, tol: float = DEFAULT_TOL) -
         viol.append(float(np.max(qp.A_le @ x - qp.b_le, initial=-INF)))
     primal = max(0.0, max(viol))
 
-    dual = max(0.0, float(np.max(-sol.dual_ineq, initial=-INF)))
+    # a <= multiplier is nonnegative, and a bound multiplier needs a finite
+    # bound on its side: positive on ub, negative on lb
+    yb = sol.dual_bounds
+    dual = max(0.0, float(np.max(-sol.dual_ineq, initial=-INF)),
+               float(np.max(np.where(np.isfinite(qp.ub), -INF, yb), initial=-INF)),
+               float(np.max(np.where(np.isfinite(qp.lb), -INF, -yb), initial=-INF)))
 
     comp = 0.0
     if qp.n:

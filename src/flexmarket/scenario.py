@@ -268,6 +268,17 @@ def _read_series_csv(path: Path, name: str) -> list:
             raise
         raise ScenarioParseError(f"{name}: cannot parse {path}: {exc}") from exc
     rows.sort(key=lambda r: r[0])
+    # the sorted steps must be 0..N-1, each once
+    for i, (step, _) in enumerate(rows):
+        if step == i:
+            continue
+        if i and step == rows[i - 1][0]:
+            problem = f"repeats step {step}"
+        elif step > i:
+            problem = f"has no step {i}"
+        else:
+            problem = f"has a negative step {step}"
+        raise ScenarioParseError(f"{name}: {path} {problem}; steps must be 0..N-1")
     return [v for _, v in rows]
 
 

@@ -65,6 +65,55 @@ def test_binary_count_battery_plus_ev():
         assert A_le.indptr[j + 1] - A_le.indptr[j] == 2
 
 
+def test_bundled_day_binaries_gate_only_two_signed_steps(day_scenario):
+    # a step carries a binary exactly when its power bounds hold both
+    # signs; home3's EV-away steps (9..17) carry none, so its all-away
+    # windows at clearings 9 and 10 need a single node
+    s, total = day_scenario, 0
+    for t in range(s.time_grid.total_steps):
+        for a in s.agents:
+            miqp = build_mpo(a, slice_horizon(s, t), s.weights)
+            lay, qp = miqp.layout, miqp.base
+            two_signed = [key for key, i in lay.P.items()
+                          if qp.lb[i] < 0.0 < qp.ub[i]]
+            assert list(lay.z) == two_signed, (a.id, t)
+            assert miqp.binary_vars == tuple(lay.z[key] for key in two_signed)
+            total += len(miqp.binary_vars)
+    assert total == 624
+    view = slice_horizon(s, 9, {"home3": {EV: 0.5464}})
+    miqp = build_mpo(s.agent("home3"), view, s.weights)
+    assert miqp.binary_vars == ()
+    sol = solve_miqp(miqp, default_solver_config())
+    assert sol.status == "optimal" and sol.nodes == 1
+
+
+def test_one_signed_storage_step_gets_a_signed_band(monkeypatch):
+    # a battery step whose interval excludes a sign has its band on P (or
+    # -P) and no binary; the other steps keep the split
+    interval = agent.dev.feasible_power_interval
+
+    def one_signed(d, t, alpha=0.0):
+        lo, hi = interval(d, t, alpha)
+        return {1: (0.0, hi), 2: (lo, 0.0)}.get(t, (lo, hi))
+
+    monkeypatch.setattr(agent.dev, "feasible_power_interval", one_signed)
+    s = make_scenario({"battery": BS}, H=4)
+    miqp = build_mpo(s.agents[0], slice_horizon(s, 0), s.weights)
+    lay, A_le = miqp.layout, miqp.base.A_le.toarray()
+    assert list(lay.z) == [(BATTERY, 0), (BATTERY, 3)]
+    assert list(lay.plus) == list(lay.z)
+    eps_hi = s.agents[0].eps_hi
+    for k, sign in ((1, 1.0), (2, -1.0)):
+        row = A_le[lay.le[BATTERY, "eps_hi", k]]
+        assert row[lay.delta[BATTERY, k]] == 1.0
+        assert row[lay.P[BATTERY, k]] == -eps_hi * sign
+        assert np.count_nonzero(row) == 2
+    got = solve_miqp(miqp, EXACT_CFG)
+    ref_obj, _, _ = enumerate_binaries(miqp)
+    assert got.status == "optimal"
+    assert got.objective == pytest.approx(ref_obj, rel=1e-9, abs=1e-9)
+
+
 def test_degenerate_agent_rejected():
     s = make_scenario({}, fixed=0.0)
     with pytest.raises(DegenerateAgentError):

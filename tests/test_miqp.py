@@ -318,7 +318,7 @@ def test_bundled_day_schedules_meet_their_rows(day_scenario, monkeypatch):
     for miqp, sol in solves:
         assert _row_violation(miqp.base, sol.primal) <= 1e-6
         z = sol.primal[list(miqp.binary_vars)]
-        assert np.max(np.abs(z - np.round(z))) <= 1e-9
+        assert np.max(np.abs(z - np.round(z)), initial=0.0) <= 1e-9
 
 
 def test_exact_mode_closes_battery_and_ev_window():

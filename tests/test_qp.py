@@ -55,6 +55,19 @@ def test_kkt_self_consistency_and_perturbation():
     assert not rep.ok
 
 
+@pytest.mark.parametrize("c, lb, ub, y", [(-1.0, 0.0, np.inf, 1.0),
+                                          (1.0, -np.inf, 0.0, -1.0)])
+def test_kkt_rejects_a_multiplier_on_an_infinite_bound(c, lb, ub, y):
+    # min -x s.t. x >= 0 (and min x s.t. x <= 0) is unbounded: x = 0 is
+    # stationary only with a multiplier on the bound that is not there
+    qp = QuadraticProgram(1, c=[c], lb=[lb], ub=[ub])
+    sol = QpSolution(np.zeros(1), np.array([y]), np.zeros(0), np.zeros(0),
+                     0.0, "optimal")
+    rep = check_kkt(qp, sol, 1e-6)
+    assert rep.stationarity == rep.primal == rep.complementarity == 0.0
+    assert rep.dual == 1.0 and not rep.ok
+
+
 def test_kkt_row_terms_on_a_window(day_scenario):
     # home1's bundled-day window at t=0 exercises the equality and <= row
     # terms of every residual

@@ -106,6 +106,24 @@ def test_csv_series_loading(tmp_path):
     assert s.series.irradiance_frac[0] == 0.3
 
 
+@pytest.mark.parametrize("steps, message", [
+    ([0, 1, 1, 3, 4, 5], "repeats step 1"),
+    ([0, 1, 3, 4, 5, 6], "has no step 2"),
+    ([1, 2, 3, 4, 5, 6], "has no step 0"),
+    ([-1, 0, 1, 2, 3, 4], "has a negative step -1"),
+])
+def test_csv_series_steps_must_be_0_to_n_minus_1(tmp_path, steps, message):
+    # a repeated step used to take the slot of the missing one
+    doc = minimal_doc()
+    rows = "\n".join(f"{t},{0.1 * (i + 1)}" for i, t in enumerate(steps))
+    (tmp_path / "price.csv").write_text("step,value\n" + rows + "\n")
+    doc["series"]["lem_price"] = "price.csv"
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioParseError, match=rf"lem_price: .*price\.csv {message}"):
+        load_scenario(p)
+
+
 def test_csv_series_missing_file(tmp_path):
     doc = minimal_doc()
     doc["series"]["irradiance_frac"] = "missing.csv"
