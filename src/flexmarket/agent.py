@@ -20,8 +20,9 @@ bid the interior stationary point.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -88,24 +89,65 @@ def hp_mode_schedule(hp: dev.HpParams, view: HorizonView, t_in_now: float) -> tu
                  for k in range(view.length))
 
 
-@dataclass
-class _MpoLayout:
-    """Variable/row bookkeeping for one agent's window problem. Rows are
-    keyed (kind, role, k), k None for a row that is not per-step; a row
-    with another definition has another role."""
+class _Families(Mapping):
+    """The variables or rows of one sort in a window problem, kept as
+    families: each family, named by a tuple (a device kind, or a kind and
+    a row role), is one list of indices over the window's steps, None at
+    a step without an entry. An entry that is not per step stays apart,
+    in `single`. The keyed reads name + (k,) are derived from the lists,
+    k None for an entry that is not per step."""
 
-    P: dict = field(default_factory=dict)        # (kind, k) -> var
-    delta: dict = field(default_factory=dict)
-    state: dict = field(default_factory=dict)    # (kind, k) -> var, k = 1..H
-    plus: dict = field(default_factory=dict)
-    minus: dict = field(default_factory=dict)
-    z: dict = field(default_factory=dict)
-    eq: dict = field(default_factory=dict)       # (kind, role, k) -> A_eq row
-    le: dict = field(default_factory=dict)       # (kind, role, k) -> A_le row
-    mode_signs: dict = field(default_factory=dict)
-    start: dict = field(default_factory=dict)    # kind -> SOC or temperature at k = 0
-    kinds: tuple = ()
-    H: int = 0
+    def __init__(self, length: int):
+        self.length = length        # steps a new family covers
+        self.lists = {}             # name -> [index or None] per step
+        self.single = {}            # name -> index of an entry not per step
+
+    def new(self, *name) -> list:
+        """A family of no entries yet, to fill in step by step."""
+        fam = self.lists[name] = [None] * self.length
+        return fam
+
+    def __getitem__(self, key):
+        *name, k = key
+        name = tuple(name)
+        if k is None:
+            return self.single[name]
+        fam = self.lists[name]
+        i = fam[k] if 0 <= k < len(fam) else None
+        if i is None:
+            raise KeyError(key)
+        return i
+
+    def __iter__(self):
+        for name, fam in self.lists.items():
+            for k, i in enumerate(fam):
+                if i is not None:
+                    yield name + (k,)
+        for name in self.single:
+            yield name + (None,)
+
+    def __len__(self):
+        return sum(len(fam) - fam.count(None) for fam in self.lists.values()) \
+            + len(self.single)
+
+
+class _MpoLayout:
+    """Variable/row bookkeeping for one agent's window problem. Each
+    device's P, delta, state, plus, minus and z is one family over the
+    window's steps, keyed (kind, k); a state family runs over k = 0..H
+    with None at k = 0, whose state is the fixed start. Rows are families
+    (kind, role) keyed (kind, role, k), k None for a row that is not
+    per-step; a row with another definition has another role."""
+
+    def __init__(self, kinds: tuple, H: int):
+        self.kinds, self.H = kinds, H
+        self.P, self.delta, self.plus, self.minus, self.z = (
+            _Families(H) for _ in range(5))
+        self.state = _Families(H + 1)
+        self.eq = _Families(H)                  # A_eq rows
+        self.le = _Families(H)                  # A_le rows
+        self.mode_signs = {}
+        self.start = {}     # kind -> SOC or temperature at k = 0
 
 
 def build_mpo(spec: AgentSpec, view: HorizonView,
@@ -134,22 +176,21 @@ def build_mpo(spec: AgentSpec, view: HorizonView,
         if kind != dev.PV:
             now = states_now.get(kind)
             lay.start[kind] = d.initial_state if now is None else now
+        P, D = lay.P.new(kind), lay.delta.new(kind)
+        env_hi, env_lo = lay.le.new(kind, "env_hi"), lay.le.new(kind, "env_lo")
         spans = []
         for k in range(H):
             alpha = view.irradiance_frac[k] if kind == dev.PV else 0.0
             lo, hi = dev.feasible_power_interval(d, t0 + k, alpha)
             spans.append((lo, hi))
-            lay.P[kind, k] = b.add_var(lo, hi)
-            lay.delta[kind, k] = b.add_var(0.0, math.inf)
+            P[k] = b.add_var(lo, hi)
+            D[k] = b.add_var(0.0, math.inf)
             # flexibility envelope: limits must hold at P +- delta
-            lay.le[kind, "env_hi", k] = b.add_le(
-                [(lay.P[kind, k], 1.0), (lay.delta[kind, k], 1.0)], hi)
-            lay.le[kind, "env_lo", k] = b.add_ge(
-                [(lay.P[kind, k], 1.0), (lay.delta[kind, k], -1.0)], lo)
-            b.add_linear(lay.delta[kind, k], -1.0)      # reward flexibility
-            b.add_linear(lay.P[kind, k], -1.0)          # reward net injection
-        for k, (lo, hi) in enumerate(spans):
-            _add_band(b, lay, kind, k, lo, hi, spec)
+            env_hi[k] = b.add_le([(P[k], 1.0), (D[k], 1.0)], hi)
+            env_lo[k] = b.add_ge([(P[k], 1.0), (D[k], -1.0)], lo)
+            b.add_linear(D[k], -1.0)        # reward flexibility
+            b.add_linear(P[k], -1.0)        # reward net injection
+        _add_band(b, lay, kind, spans, spec)
 
         if kind in (dev.BATTERY, dev.EV):
             _add_storage(b, lay, d, spec, view, weights)
@@ -159,39 +200,48 @@ def build_mpo(spec: AgentSpec, view: HorizonView,
             _add_pv(b, lay, d, spec, view, weights)
 
     # PV self-consumption: pull PV + battery + EV injections toward zero
-    util_kinds = [kk for kk in (dev.PV, dev.BATTERY, dev.EV) if kk in lay.kinds]
-    if util_kinds:
+    util = [lay.P.lists[kk,] for kk in (dev.PV, dev.BATTERY, dev.EV)
+            if kk in lay.kinds]
+    if util:
         for k in range(H):
-            b.add_square([(lay.P[kk, k], 1.0) for kk in util_kinds], 0.0,
-                         weights.utilization)
+            b.add_square([(P[k], 1.0) for P in util], 0.0, weights.utilization)
     b.add_const(sum(fixed))     # -P_total = -(sum_d P_d - fixed)
-    miqp = MixedIntegerQp(b.build(), lay.z.values())
+    miqp = MixedIntegerQp(b.build(), [i for z in lay.z.lists.values()
+                                      for i in z if i is not None])
     miqp.layout = lay
     return miqp
 
 
-def _add_band(b: QpBuilder, lay: _MpoLayout, kind: str, k: int, lo: float,
-              hi: float, spec: AgentSpec) -> None:
+def _add_band(b: QpBuilder, lay: _MpoLayout, kind: str, spans: list,
+              spec: AgentSpec) -> None:
     """The eps band on flexibility, eps_lo*|P| <= delta <= eps_hi*|P|, at
-    a step whose power interval is [lo, hi]. Where the interval holds
-    both signs, P = P+ - P- with a binary z gating the halves, which makes
-    |P| = P+ + P- exact; elsewhere the interval fixes P's sign and |P| is
-    P or -P (P at lo = hi = 0), with no binary."""
-    P, dl = lay.P[kind, k], lay.delta[kind, k]
-    if lo < 0.0 < hi:
-        pp = lay.plus[kind, k] = b.add_var(0.0, hi)
-        pm = lay.minus[kind, k] = b.add_var(0.0, -lo)
-        z = lay.z[kind, k] = b.add_var(0.0, 1.0)
-        lay.eq[kind, "split", k] = b.add_eq([(P, 1.0), (pp, -1.0), (pm, 1.0)], 0.0)
-        lay.le[kind, "gate_plus", k] = b.add_le([(pp, 1.0), (z, -hi)], 0.0)
-        lay.le[kind, "gate_minus", k] = b.add_le([(pm, 1.0), (z, -lo)], -lo)
-        abs_p = [(pp, 1.0), (pm, 1.0)]
-    else:
-        abs_p = [(P, -1.0 if lo < 0.0 else 1.0)]
-    lay.le[kind, "eps_lo", k] = b.add_le(
-        [(v, spec.eps_lo * s) for v, s in abs_p] + [(dl, -1.0)], 0.0)
-    lay.le[kind, "eps_hi", k] = b.add_le(
-        [(dl, 1.0)] + [(v, -spec.eps_hi * s) for v, s in abs_p], 0.0)
+    each step k, whose power interval is spans[k] = (lo, hi). Where the
+    interval holds both signs, P = P+ - P- with a binary z gating the
+    halves, which makes |P| = P+ + P- exact; elsewhere the interval fixes
+    P's sign and |P| is P or -P (P at lo = hi = 0), with no binary."""
+    P, D = lay.P.lists[kind,], lay.delta.lists[kind,]
+    if any(lo < 0.0 < hi for lo, hi in spans):
+        plus, minus, zs = lay.plus.new(kind), lay.minus.new(kind), lay.z.new(kind)
+        split = lay.eq.new(kind, "split")
+        gate_plus = lay.le.new(kind, "gate_plus")
+        gate_minus = lay.le.new(kind, "gate_minus")
+    eps_lo, eps_hi = lay.le.new(kind, "eps_lo"), lay.le.new(kind, "eps_hi")
+    for k, (lo, hi) in enumerate(spans):
+        dl = D[k]
+        if lo < 0.0 < hi:
+            pp = plus[k] = b.add_var(0.0, hi)
+            pm = minus[k] = b.add_var(0.0, -lo)
+            z = zs[k] = b.add_var(0.0, 1.0)
+            split[k] = b.add_eq([(P[k], 1.0), (pp, -1.0), (pm, 1.0)], 0.0)
+            gate_plus[k] = b.add_le([(pp, 1.0), (z, -hi)], 0.0)
+            gate_minus[k] = b.add_le([(pm, 1.0), (z, -lo)], -lo)
+            abs_p = [(pp, 1.0), (pm, 1.0)]
+        else:
+            abs_p = [(P[k], -1.0 if lo < 0.0 else 1.0)]
+        eps_lo[k] = b.add_le(
+            [(v, spec.eps_lo * s) for v, s in abs_p] + [(dl, -1.0)], 0.0)
+        eps_hi[k] = b.add_le(
+            [(dl, 1.0)] + [(v, -spec.eps_hi * s) for v, s in abs_p], 0.0)
 
 
 def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
@@ -202,15 +252,15 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
     coeff = dt * d.efficiency / d.capacity_kwh
     keep = 1.0 - d.self_discharge
 
+    P, D, S = lay.P.lists[kind,], lay.delta.lists[kind,], lay.state.new(kind)
     for k in range(1, H + 1):
-        lay.state[kind, k] = b.add_var(d.soc_min, d.soc_max)
+        S[k] = b.add_var(d.soc_min, d.soc_max)
     # SOC recurrence soc' = keep*soc - coeff*P
-    lay.eq[kind, "soc", 0] = b.add_eq(
-        [(lay.state[kind, 1], 1.0), (lay.P[kind, 0], coeff)], keep * soc0)
+    soc = lay.eq.new(kind, "soc")
+    soc[0] = b.add_eq([(S[1], 1.0), (P[0], coeff)], keep * soc0)
     for k in range(1, H):
-        lay.eq[kind, "soc", k] = b.add_eq(
-            [(lay.state[kind, k + 1], 1.0), (lay.state[kind, k], -keep),
-             (lay.P[kind, k], coeff)], 0.0)
+        soc[k] = b.add_eq(
+            [(S[k + 1], 1.0), (S[k], -keep), (P[k], coeff)], 0.0)
     # anchor the window end: when the window holds the simulation's end
     # step, the SOC there equals the configured initial SOC
     # (start-equals-end over the whole day); otherwise an anti-depletion
@@ -230,25 +280,22 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
                 f"agent {spec.id}: {kind} cannot return to its initial SOC "
                 f"{d.soc_init} by step {view.end_step} from {soc0} at step {t0} "
                 f"(reachable [{low:.6g}, {reach:.6g}])")
-        lay.eq[kind, "end_eq", None] = b.add_eq(
-            [(lay.state[kind, k_end], 1.0)], d.soc_init)
+        lay.eq.single[kind, "end_eq"] = b.add_eq([(S[k_end], 1.0)], d.soc_init)
     else:
-        lay.le[kind, "end_floor", None] = b.add_ge(
-            [(lay.state[kind, H], 1.0)], min(d.soc_init, reach))
+        lay.le.single[kind, "end_floor"] = b.add_ge(
+            [(S[H], 1.0)], min(d.soc_init, reach))
     # executed-step robustness: an upward settlement deviation within
     # delta must keep the next state feasible
-    lay.le[kind, "robust", None] = b.add_ge(
-        [(lay.P[kind, 0], -coeff), (lay.delta[kind, 0], -coeff)],
-        d.soc_min - keep * soc0)
+    lay.le.single[kind, "robust"] = b.add_ge(
+        [(P[0], -coeff), (D[0], -coeff)], d.soc_min - keep * soc0)
     # cycling: penalize step-to-step power changes
     for k in range(H - 1):
-        b.add_square([(lay.P[kind, k + 1], 1.0), (lay.P[kind, k], -1.0)],
-                     0.0, w.alpha_cyc)
+        b.add_square([(P[k + 1], 1.0), (P[k], -1.0)], 0.0, w.alpha_cyc)
     if kind == dev.EV:
         # charge target at its step; at k = 0 the start state is fixed
         k_star = d.target_step - t0
         if 1 <= k_star <= H - 1:
-            b.add_square([(lay.state[kind, k_star], 1.0)], -d.soc_target, w.xi_ev)
+            b.add_square([(S[k_star], 1.0)], -d.soc_target, w.xi_ev)
         elif k_star == 0:
             b.add_const(w.xi_ev * (soc0 - d.soc_target) ** 2)
 
@@ -262,41 +309,39 @@ def _add_heat_pump(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
     signs = hp_mode_schedule(d, view, t_now)
     lay.mode_signs[kind] = signs
 
+    P, D, S = lay.P.lists[kind,], lay.delta.lists[kind,], lay.state.new(kind)
     for k in range(1, H + 1):
-        lay.state[kind, k] = b.add_var(d.t_min, d.t_max)
+        S[k] = b.add_var(d.t_min, d.t_max)
     # T' = th*T + (1-th)*(T_out + sign*rho*P)
     g = (1.0 - th)
-    lay.eq[kind, "temp", 0] = b.add_eq(
-        [(lay.state[kind, 1], 1.0), (lay.P[kind, 0], -g * signs[0] * d.rho)],
-        th * t_now + g * view.outdoor_temp[0])
+    temp = lay.eq.new(kind, "temp")
+    temp[0] = b.add_eq([(S[1], 1.0), (P[0], -g * signs[0] * d.rho)],
+                       th * t_now + g * view.outdoor_temp[0])
     for k in range(1, H):
-        lay.eq[kind, "temp", k] = b.add_eq(
-            [(lay.state[kind, k + 1], 1.0), (lay.state[kind, k], -th),
-             (lay.P[kind, k], -g * signs[k] * d.rho)],
+        temp[k] = b.add_eq(
+            [(S[k + 1], 1.0), (S[k], -th), (P[k], -g * signs[k] * d.rho)],
             g * view.outdoor_temp[k])
     # executed-step robustness under upward deviation (P rises toward 0):
     # cooling warms the room, heating cools it
     if signs[0] > 0:
-        lay.le[kind, "robust_cool", None] = b.add_le(
-            [(lay.P[kind, 0], g * d.rho), (lay.delta[kind, 0], g * d.rho)],
+        lay.le.single[kind, "robust_cool"] = b.add_le(
+            [(P[0], g * d.rho), (D[0], g * d.rho)],
             d.t_max - th * t_now - g * view.outdoor_temp[0])
     else:
-        lay.le[kind, "robust_heat", None] = b.add_ge(
-            [(lay.P[kind, 0], -g * d.rho), (lay.delta[kind, 0], -g * d.rho)],
+        lay.le.single[kind, "robust_heat"] = b.add_ge(
+            [(P[0], -g * d.rho), (D[0], -g * d.rho)],
             d.t_min - th * t_now - g * view.outdoor_temp[0])
     # comfort over the window's steps; step 0 is the fixed start
     b.add_const(w.xi_ac * (t_now - d.t_setpoint) ** 2)
     for k in range(1, H):
-        b.add_square([(lay.state[kind, k], 1.0)], -d.t_setpoint, w.xi_ac)
+        b.add_square([(S[k], 1.0)], -d.t_setpoint, w.xi_ac)
 
 
 def _add_pv(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
             view: HorizonView, w: ObjectiveWeights) -> None:
-    kind = dev.PV
-    for k in range(view.length):
+    for k, i in enumerate(lay.P.lists[dev.PV,]):
         # curtailment: pull P toward the available output
-        b.add_square([(lay.P[kind, k], -1.0)],
-                     view.irradiance_frac[k] * d.p_rated_kw, w.xi_pv)
+        b.add_square([(i, -1.0)], view.irradiance_frac[k] * d.p_rated_kw, w.xi_pv)
 
 
 def _clip(v: float, lo: float, hi: float) -> float:
@@ -308,21 +353,20 @@ def _extract_schedules(spec: AgentSpec, lay: _MpoLayout, qp: QuadraticProgram,
     """Read device schedules out of a solution, snapping solver dust back
     into the program's own power bounds so downstream dynamics see clean
     values."""
+    xs, lbs, ubs = x.tolist(), qp.lb.tolist(), qp.ub.tolist()
+    eps_hi = spec.eps_hi
     out = {}
     for d in spec.devices:
         kind = d.kind
         powers, deltas, states = [], [], ()
-        for k in range(lay.H):
-            i = lay.P[kind, k]
-            lo, hi = float(qp.lb[i]), float(qp.ub[i])
-            p = _clip(float(x[i]), lo, hi)
-            dl = float(x[lay.delta[kind, k]])
-            dl = _clip(dl, 0.0, min(spec.eps_hi * abs(p), hi - p, p - lo))
+        for i, j in zip(lay.P.lists[kind,], lay.delta.lists[kind,]):
+            lo, hi = lbs[i], ubs[i]
+            p = min(max(xs[i], lo), hi)
             powers.append(p)
-            deltas.append(dl)
+            deltas.append(min(max(xs[j], 0.0), min(eps_hi * abs(p), hi - p, p - lo)))
         if kind in lay.start:
             states = (float(lay.start[kind]),) + tuple(
-                float(x[lay.state[kind, k]]) for k in range(1, lay.H))
+                xs[i] for i in lay.state.lists[kind,][1:lay.H])
         out[kind] = DeviceSchedule(
             kind=kind, power_kw=tuple(powers), delta_kw=tuple(deltas),
             states=states,
@@ -340,38 +384,63 @@ class RootRelaxation:
     solution: QpSolution
 
 
-def _shift_pairs(old: dict, new: dict) -> np.ndarray:
-    """Rows (new index, old index): key (..., k) takes old (..., k+1), or
-    old (..., k) when the old window has no k+1 (its last step holds); a
-    step-free key (k None) takes its own; a key without a match has no
-    row."""
-    pairs = []
-    for key, i in new.items():
-        k = key[-1]
-        j = old.get(key if k is None else key[:-1] + (k + 1,))
-        if j is None and k is not None:
-            j = old.get(key)
-        if j is not None:
-            pairs.append((i, j))
-    return np.array(pairs, dtype=int).reshape(-1, 2)
+def _shift_family(new: list, old: list, to: list, frm: list) -> None:
+    """Append the (new index, old index) pairs of one family: step k
+    takes old step k+1, or old step k when the old family has no entry
+    at k+1 (its last step holds); a step without a match has no pair."""
+    n = len(new)
+    if len(old) != n:
+        old = (old + [None] * n)[:n]
+    src = old[1:] + old[-1:]
+    if None in src:
+        src = [o if s is None else s for s, o in zip(src, old)]
+    if None in new or None in src:
+        for i, j in zip(new, src):
+            if i is not None and j is not None:
+                to.append(i)
+                frm.append(j)
+    else:
+        to += new
+        frm += src
+
+
+def _shift_index(old: _Families, new: _Families, *more) -> tuple:
+    """Index arrays (new, old) pairing the entries of `new` (and of the
+    further (old, new) sorts in `more`, which share its index space) with
+    the old entries that start them: each family shifted by
+    `_shift_family`, and an entry that is not per step paired with its
+    own."""
+    to, frm = [], []
+    for old, new in ((old, new),) + more:
+        for name, fam in new.lists.items():
+            prev = old.lists.get(name)
+            if prev is not None:
+                _shift_family(fam, prev, to, frm)
+        for name, i in new.single.items():
+            j = old.single.get(name)
+            if j is not None:
+                to.append(i)
+                frm.append(j)
+    return np.array(to, dtype=np.intp), np.array(frm, dtype=np.intp)
 
 
 def shift_root(old: _MpoLayout, root: QpSolution, new: _MpoLayout,
                qp: QuadraticProgram) -> QpSolution:
     """The root relaxation of the window one step earlier, moved onto the
-    window `new` lays out: primal and multipliers alike, by name, with
-    unmatched entries 0. A warm start only; its status is "shifted"."""
-    def moved(pairs, values, size):
+    window `new` lays out: primal and multipliers alike, family by
+    family (`_shift_family`), with unmatched entries 0. A warm start
+    only; its status is "shifted"."""
+    def moved(index, values, size):
         out = np.zeros(size)
-        out[pairs[:, 0]] = values[pairs[:, 1]]
+        out[index[0]] = values[index[1]]
         return out
 
-    var = np.vstack([_shift_pairs(getattr(old, f), getattr(new, f))
-                     for f in ("P", "delta", "state", "plus", "minus", "z")])
+    var = _shift_index(old.P, new.P, *((getattr(old, f), getattr(new, f))
+                       for f in ("delta", "state", "plus", "minus", "z")))
     return QpSolution(
         moved(var, root.primal, qp.n), moved(var, root.dual_bounds, qp.n),
-        moved(_shift_pairs(old.eq, new.eq), root.dual_eq, qp.n_eq),
-        moved(_shift_pairs(old.le, new.le), root.dual_ineq, qp.n_le),
+        moved(_shift_index(old.eq, new.eq), root.dual_eq, qp.n_eq),
+        moved(_shift_index(old.le, new.le), root.dual_ineq, qp.n_le),
         np.nan, "shifted")
 
 
