@@ -137,7 +137,12 @@ class _MpoLayout:
     window's steps, keyed (kind, k); a state family runs over k = 0..H
     with None at k = 0, whose state is the fixed start. Rows are families
     (kind, role) keyed (kind, role, k), k None for a row that is not
-    per-step; a row with another definition has another role."""
+    per-step; a row with another definition has another role.
+
+    `shift_root` moves a root onto the next window family by family: in
+    a family of n steps, step k takes old step k+1 for k <= n-3, and
+    steps n-2 and n-1 take their own old steps (for the states, k <= H-2
+    takes k+1, and states H-1 and H keep their own)."""
 
     def __init__(self, kinds: tuple, H: int):
         self.kinds, self.H = kinds, H
@@ -385,13 +390,13 @@ class RootRelaxation:
 
 
 def _shift_family(new: list, old: list, to: list, frm: list) -> None:
-    """Append the (new index, old index) pairs of one family: step k
-    takes old step k+1, or old step k when the old family has no entry
-    at k+1 (its last step holds); a step without a match has no pair."""
+    """Append the (new index, old index) pairs of one family of n steps
+    by `shift_root`'s rule; a step without a match has no pair, and old
+    steps from n on are not read."""
     n = len(new)
     if len(old) != n:
         old = (old + [None] * n)[:n]
-    src = old[1:] + old[-1:]
+    src = old[1:n - 1] + old[max(n - 2, 0):]
     if None in src:
         src = [o if s is None else s for s, o in zip(src, old)]
     if None in new or None in src:
@@ -404,14 +409,12 @@ def _shift_family(new: list, old: list, to: list, frm: list) -> None:
         frm += src
 
 
-def _shift_index(old: _Families, new: _Families, *more) -> tuple:
-    """Index arrays (new, old) pairing the entries of `new` (and of the
-    further (old, new) sorts in `more`, which share its index space) with
-    the old entries that start them: each family shifted by
-    `_shift_family`, and an entry that is not per step paired with its
-    own."""
+def _shift_index(sorts) -> tuple:
+    """Index arrays (new, old) pairing the entries of each (old, new)
+    sort in `sorts`, which share one index space, with the old entries
+    that start them."""
     to, frm = [], []
-    for old, new in ((old, new),) + more:
+    for old, new in sorts:
         for name, fam in new.lists.items():
             prev = old.lists.get(name)
             if prev is not None:
@@ -428,19 +431,23 @@ def shift_root(old: _MpoLayout, root: QpSolution, new: _MpoLayout,
                qp: QuadraticProgram) -> QpSolution:
     """The root relaxation of the window one step earlier, moved onto the
     window `new` lays out: primal and multipliers alike, family by
-    family (`_shift_family`), with unmatched entries 0. A warm start
-    only; its status is "shifted"."""
+    family. In a family of n steps, step k takes old step k+1 for
+    k <= n-3, and steps n-2 and n-1 take their own old steps, so the old
+    window's last step, planned with nothing after it, starts only the
+    new last step. Where the chosen old entry is missing, old step k
+    serves; a row that is not per step takes its own; anything else
+    starts at 0. A warm start only; its status is "shifted"."""
     def moved(index, values, size):
         out = np.zeros(size)
         out[index[0]] = values[index[1]]
         return out
 
-    var = _shift_index(old.P, new.P, *((getattr(old, f), getattr(new, f))
-                       for f in ("delta", "state", "plus", "minus", "z")))
+    var = _shift_index((getattr(old, f), getattr(new, f))
+                       for f in ("P", "delta", "state", "plus", "minus", "z"))
     return QpSolution(
         moved(var, root.primal, qp.n), moved(var, root.dual_bounds, qp.n),
-        moved(_shift_index(old.eq, new.eq), root.dual_eq, qp.n_eq),
-        moved(_shift_index(old.le, new.le), root.dual_ineq, qp.n_le),
+        moved(_shift_index([(old.eq, new.eq)]), root.dual_eq, qp.n_eq),
+        moved(_shift_index([(old.le, new.le)]), root.dual_ineq, qp.n_le),
         np.nan, "shifted")
 
 

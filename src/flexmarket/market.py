@@ -148,7 +148,7 @@ def default_solver_config() -> BnbConfig:
 
     The iterated rounding dive supplies the incumbent, and the rest of
     the budget goes to best-bound search from the root. That budget
-    seldom closes the gap on day-scale windows (67 of the bundled day's
+    seldom closes the gap on day-scale windows (62 of the bundled day's
     72 solves end at the limit), so the returned gap is reported rather
     than closed."""
     return BnbConfig(node_limit=24)

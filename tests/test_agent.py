@@ -1,7 +1,10 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp, minimize
 
 import flexmarket.agent as agent
@@ -10,8 +13,8 @@ from flexmarket.agent import (AgentError, DegenerateAgentError,
                               agent_welfare, shift_root, solve_flexibility)
 from flexmarket.bnb import BnbConfig, enumerate_binaries, solve_miqp
 from flexmarket.devices import BATTERY, EV, HEAT_PUMP, battery_soc_step
-from flexmarket.market import default_solver_config
-from flexmarket.qp import AdmmSolver
+from flexmarket.market import default_solver_config, run_simulation
+from flexmarket.qp import AdmmSolver, QpSolution
 from flexmarket.scenario import read_scenario_doc, scenario_from_dict, slice_horizon
 
 DAY = Path(__file__).resolve().parent.parent / "scenarios" / "three_agent_day.json"
@@ -19,11 +22,12 @@ DAY = Path(__file__).resolve().parent.parent / "scenarios" / "three_agent_day.js
 EXACT_CFG = BnbConfig()
 
 
-def make_scenario(devices, total=6, H=4, fixed=2.0, irr=None, **agent_kw):
+def make_scenario(devices, total=6, H=4, fixed=2.0, irr=None, temps=None,
+                  **agent_kw):
     doc = {
         "time": {"dt_hours": 1.0, "total_steps": total, "horizon_len": H},
         "series": {
-            "outdoor_temp": [75, 78, 82, 85, 83, 80][:total],
+            "outdoor_temp": temps or [75, 78, 82, 85, 83, 80][:total],
             "irradiance_frac": irr or [0.1, 0.4, 0.8, 0.9, 0.6, 0.2][:total],
             "lem_price": [0.1] * total,
         },
@@ -300,7 +304,9 @@ def test_planned_soc_at_the_day_end_is_soc_init(day_scenario, day_run, t):
 
 def test_shift_moves_root_one_step_earlier(day_scenario):
     # home1's windows at clearings 15 and 16: the second one reaches the
-    # day's end, so its window-end floor becomes an equality
+    # day's end, so its window-end floor becomes an equality. Step k takes
+    # old step k+1 up to H-3; steps H-2 and H-1 (states H-1 and H) keep
+    # their own, so the old last step starts only the new last step
     home1, w = day_scenario.agent("home1"), day_scenario.weights
     prev = solve_flexibility(home1, slice_horizon(day_scenario, 15), w).root
     miqp = build_mpo(home1, slice_horizon(day_scenario, 16), w)
@@ -310,22 +316,25 @@ def test_shift_moves_root_one_step_earlier(day_scenario):
     assert warm.status == "shifted"
     for key, i in new.P.items():
         kind, k = key
-        j = old.P[kind, min(k + 1, H - 1)]
+        j = old.P[kind, k + 1 if k <= H - 3 else k]
         assert warm.primal[i] == root.primal[j]
         assert warm.dual_bounds[i] == root.dual_bounds[j]
     for (kind, k), i in new.state.items():
-        assert warm.primal[i] == root.primal[old.state[kind, min(k + 1, H)]]
+        j = old.state[kind, k + 1 if k <= H - 2 else k]
+        assert warm.primal[i] == root.primal[j]
     for (kind, role, k), i in new.le.items():
         if k is not None:
-            j = old.le[kind, role, min(k + 1, H - 1)]
+            j = old.le[kind, role, k + 1 if k <= H - 3 else k]
             assert warm.dual_ineq[i] == root.dual_ineq[j]
     for kind in (BATTERY, EV):
         assert warm.dual_ineq[new.le[kind, "robust", None]] == \
             root.dual_ineq[old.le[kind, "robust", None]]
         assert (kind, "end_floor", None) in old.le
         assert warm.dual_eq[new.eq[kind, "end_eq", None]] == 0.0
+        assert warm.dual_eq[new.eq[kind, "soc", H - 3]] == \
+            root.dual_eq[old.eq[kind, "soc", H - 2]]
         assert warm.dual_eq[new.eq[kind, "soc", H - 2]] == \
-            root.dual_eq[old.eq[kind, "soc", H - 1]]
+            root.dual_eq[old.eq[kind, "soc", H - 2]]
         assert warm.dual_eq[new.eq[kind, "soc", H - 1]] == \
             root.dual_eq[old.eq[kind, "soc", H - 1]]
     # a warm start only: the root relaxation comes out the same, sooner
@@ -334,6 +343,159 @@ def test_shift_moves_root_one_step_earlier(day_scenario):
     assert hot.status == cold.status == "optimal"
     assert abs(hot.objective - cold.objective) <= 1e-9 * abs(cold.objective)
     assert hot.iterations < cold.iterations
+
+
+def _shift_by_name(old, root, new, qp):
+    """shift_root's rule read entry by entry through the keyed layout: an
+    entry at step k of a sort whose last step is `last` (H-1, or H for the
+    states) takes old step k+1 for k < last-1 and its own old step for the
+    last two steps, or its own where the chosen old entry is missing; an
+    entry that is not per step takes its own; anything else starts at 0."""
+    def moved(old_map, new_map, last, values, size):
+        out = np.zeros(size)
+        for key, i in new_map.items():
+            k = key[-1]
+            j = None
+            if k is not None and k < last - 1:
+                j = old_map.get(key[:-1] + (k + 1,))
+            if j is None:
+                j = old_map.get(key)
+            if j is not None:
+                out[i] = values[j]
+        return out
+
+    def var(values):
+        parts = [moved(getattr(old, f), getattr(new, f),
+                       new.H if f == "state" else new.H - 1, values, qp.n)
+                 for f in ("P", "delta", "state", "plus", "minus", "z")]
+        return sum(parts[1:], parts[0])
+
+    return (var(root.primal), var(root.dual_bounds),
+            moved(old.eq, new.eq, new.H - 1, root.dual_eq, qp.n_eq),
+            moved(old.le, new.le, new.H - 1, root.dual_ineq, qp.n_le))
+
+
+def _extract_by_step(spec, lay, qp, x):
+    """_extract_schedules read step by step through the keyed layout."""
+    out = {}
+    for d in spec.devices:
+        kind, powers, deltas, states = d.kind, [], [], ()
+        for k in range(lay.H):
+            i = lay.P[kind, k]
+            lo, hi = float(qp.lb[i]), float(qp.ub[i])
+            p = min(max(float(x[i]), lo), hi)
+            dl = float(x[lay.delta[kind, k]])
+            powers.append(p)
+            deltas.append(min(max(dl, 0.0), min(spec.eps_hi * abs(p), hi - p, p - lo)))
+        if kind in lay.start:
+            states = (float(lay.start[kind]),) + tuple(
+                float(x[lay.state[kind, k]]) for k in range(1, lay.H))
+        out[kind] = agent.DeviceSchedule(kind, tuple(powers), tuple(deltas), states,
+                                         lay.mode_signs.get(kind, ()))
+    return out
+
+
+def _same(a, b):
+    return [v.tobytes() for v in a] == [v.tobytes() for v in b]
+
+
+def _checked_run(monkeypatch, s):
+    """Run the day with every shift_root and _extract_schedules call
+    checked against the by-name references; returns the shifted layouts."""
+    shifted = []
+    shift, extract = agent.shift_root, agent._extract_schedules
+
+    def checked_shift(old, root, new, qp):
+        warm = shift(old, root, new, qp)
+        assert warm.status == "shifted" and np.isnan(warm.objective)
+        assert _same((warm.primal, warm.dual_bounds, warm.dual_eq, warm.dual_ineq),
+                     _shift_by_name(old, root, new, qp))
+        shifted.append((old, new))
+        return warm
+
+    def checked_extract(spec, lay, qp, x):
+        got = extract(spec, lay, qp, x)
+        ref = _extract_by_step(spec, lay, qp, x)
+        assert repr(got) == repr(ref)
+        return got
+
+    monkeypatch.setattr(agent, "shift_root", checked_shift)
+    monkeypatch.setattr(agent, "_extract_schedules", checked_extract)
+    run_simulation(s)
+    return shifted
+
+
+def test_shift_equals_the_rule_by_name_on_the_bundled_day(day_scenario, monkeypatch):
+    # every clearing after the first shifts each home's root; home1's and
+    # home2's storage windows turn their window-end floor into an equality
+    shifted = _checked_run(monkeypatch, day_scenario)
+    assert len(shifted) == 3 * (day_scenario.time_grid.total_steps - 1)
+    assert any((BATTERY, "end_floor", None) in old.le
+               and (BATTERY, "end_eq", None) in new.eq for old, new in shifted)
+
+
+def test_shift_equals_the_rule_by_name_through_a_heat_pump_mode_flip(monkeypatch):
+    # the outdoor temperature crosses the indoor one at every step, so the
+    # executed step's robustness row alternates robust_cool / robust_heat
+    # and the old row has no match in the new window
+    s = make_scenario({"heat_pump": HPD, "pv": PVD}, total=6, H=4,
+                      temps=[75, 64, 76, 63, 77, 62])
+    flips = set()
+    for old, new in _checked_run(monkeypatch, s):
+        was, now = (next(iter(lay.le.single))[1] for lay in (old, new))
+        flips.add((was, now))
+    assert flips == {("robust_cool", "robust_heat"), ("robust_heat", "robust_cool")}
+
+
+_ROLES = {"eq": ("soc", "split"), "le": ("env_hi", "eps_lo", "gate_plus")}
+
+
+def _random_layout(data, H):
+    """A one-device layout with random families: any sort or row role may
+    be missing, and any step of a family may have no entry."""
+    lay = agent._MpoLayout((BATTERY,), H)
+    count = {"var": 0, "eq": 0, "le": 0}
+
+    def fill(fams, name, space):
+        fam = fams.new(*name)
+        for k in range(len(fam)):
+            if data.draw(st.booleans()):
+                fam[k] = count[space]
+                count[space] += 1
+
+    for sort in ("P", "delta", "state", "plus", "minus", "z"):
+        if data.draw(st.booleans()):
+            fill(getattr(lay, sort), (BATTERY,), "var")
+    for sort, roles in _ROLES.items():
+        fams = getattr(lay, sort)
+        for role in data.draw(st.lists(st.sampled_from(roles), unique=True)):
+            fill(fams, (BATTERY, role), sort)
+        for role in data.draw(st.lists(st.sampled_from(("end", "robust")), unique=True)):
+            fams.single[BATTERY, role] = count[sort]
+            count[sort] += 1
+    return lay, SimpleNamespace(n=count["var"], n_eq=count["eq"], n_le=count["le"])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_shift_equals_the_rule_by_name_on_random_families(data):
+    old, old_qp = _random_layout(data, data.draw(st.integers(1, 6)))
+    new, qp = _random_layout(data, data.draw(st.integers(1, 6)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    root = QpSolution(rng.normal(size=old_qp.n), rng.normal(size=old_qp.n),
+                            rng.normal(size=old_qp.n_eq), rng.normal(size=old_qp.n_le),
+                            1.0, "optimal")
+    warm = shift_root(old, root, new, qp)
+    assert _same((warm.primal, warm.dual_bounds, warm.dual_eq, warm.dual_ineq),
+                 _shift_by_name(old, root, new, qp))
+    # the keyed reads list each entry once, as the lists hold them
+    for sort in ("P", "state", "z", "eq", "le"):
+        fams = getattr(new, sort)
+        keys = list(fams)
+        assert len(keys) == len(set(keys)) == len(fams)
+        assert sorted(fams[key] for key in keys) == sorted(
+            [i for fam in fams.lists.values() for i in fam if i is not None]
+            + list(fams.single.values()))
 
 
 # --- stage II best response -------------------------------------------------
