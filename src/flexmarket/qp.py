@@ -26,18 +26,18 @@ optimal solve holds its rows to 1e-9 relative and stationarity to
 minimizer, and its multipliers have the right signs.
 
 Each workspace factors Q + eps*I and forms G = (Q + eps*I)^-1 C' and
-K = C G once, blockwise as [A_eq G; A_le G; G]: C's identity rows give G
-itself. Within a solve, each pass works on the working columns G[:, W];
-a joining row grows the Cholesky factor of K[W, W] by one row, and a
-dropped row refactors it. Changing only lb/ub (as branch-and-bound does
-when fixing binaries) changes only right-hand sides, so one workspace
-serves a whole search tree. A warm start begins from the active set
-read off the multipliers of a start of the program's shape: a search
-node's parent, or another window's solution moved onto this one. A
-start from the workspace's own last optimal solution, or from the
-solution it last started from, takes that working set and its factor
-as they were kept, without factoring K[W, W] again. All
-arithmetic is deterministic; repeated solves of the same data give
+K = C G once, as one sparse-times-dense product whose last rows, from
+C's identity rows, are G itself. Within a solve, each pass works on the
+working columns G[:, W]; a joining row grows the Cholesky factor of
+K[W, W] by one row, and a dropped row refactors it. Changing only lb/ub
+(as branch-and-bound does when fixing binaries) changes only right-hand
+sides, so one workspace serves a whole search tree. A warm start begins
+from the active set read off the multipliers of a start of the
+program's shape: a search node's parent, or another window's solution
+moved onto this one. A start from the workspace's own last optimal
+solution, or from the solution it last started from, takes that working
+set and its factor as they were kept, without factoring K[W, W] again.
+All arithmetic is deterministic; repeated solves of the same data give
 bit-identical results. solve_qp builds a private workspace per call and
 is reentrant; an AdmmSolver instance belongs to one thread at a time.
 """
@@ -57,6 +57,7 @@ DEFAULT_MAX_ITER = 20000             # active-set changes, and proximal rounds
 _EPS = 1e-3                          # proximal weight; 1e-6 made K too ill-conditioned
 _ROW_TOL = 1e-9                      # relative row violation; absolute stationarity
 _DEP_TOL = 1e-8                      # relative Schur complement of a dependent row
+_SYM_BLOCK = 128                     # rows per block when K is symmetrized
 
 
 class QpError(ValueError):
@@ -182,8 +183,8 @@ class AdmmSolver:
     changes only right-hand sides; `solve` accepts per-call overrides of
     the variable bounds plus an optional warm start, which may come from
     another program of the same shape. Set-up reads C off the CSC arrays
-    into a dense C' for G and a CSR C for the loop, frees C', and stacks
-    K from the sparse A blocks times G, and G, symmetrizing it in place.
+    into a dense C' for G and a CSR C for the loop, frees C', and forms
+    K as C G, symmetrizing it in place block by block.
     A solve gathers G[:, W] when it starts warm or factors K[W, W]
     afresh (a drop, a swap); a join appends one column and one factor
     row.
@@ -234,10 +235,17 @@ class AdmmSolver:
         np.add.at(Ct, (c, r), v)            # sums any repeated entry
         self._G = G = _chol_solve(self._chol, Ct)
         del Ct
-        K = np.vstack([qp.A_eq @ G, qp.A_le @ G, G])
-        K += K.T                            # numpy buffers the overlapping K.T
-        K *= 0.5
-        self._K = K
+        self._K = K = self._C @ G
+        # K = (K + K')/2 block by block: a strided whole-matrix transpose
+        # costs more than its flops on a few hundred rows
+        for i in range(0, self.m, _SYM_BLOCK):
+            I = slice(i, i + _SYM_BLOCK)
+            for j in range(i, self.m, _SYM_BLOCK):
+                J = slice(j, j + _SYM_BLOCK)
+                half = K[I, J] + K[J, I].T
+                half *= 0.5
+                K[I, J] = half
+                K[J, I] = half.T
 
     def _bounds(self, lb, ub):
         l = self._l0.copy()
