@@ -53,6 +53,18 @@ def _check(cond: bool, field_name: str, message: str) -> None:
         raise ScenarioValidationError(field_name, message)
 
 
+def agent_id_problem(aid: str) -> Optional[str]:
+    """Why `aid` cannot be an agent id, or None. An id is part of the
+    report file names `flexmarket report` writes, so it must be one
+    nonempty path component."""
+    if aid in ("", ".", ".."):
+        return f"{aid!r} is not a file name"
+    for c in ("/", "\\", "\0"):
+        if c in aid:
+            return f"{aid!r} must not contain {c!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     dt_hours: float
@@ -377,6 +389,9 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
         if not isinstance(a, dict):
             raise ScenarioParseError(f"agents[{idx}] must be an object")
         aid = str(a.get("id", f"agent{idx + 1}"))
+        problem = agent_id_problem(aid)
+        if problem:
+            raise ScenarioValidationError(f"agents[{idx}].id", problem)
         if a.get("gamma") is None:
             raise ScenarioParseError(f"agents.{aid}.gamma is required")
         gamma = _number(a["gamma"], f"agents.{aid}.gamma")

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .market import SimulationTrace
+from .scenario import agent_id_problem
 
 
 class TraceIoError(ValueError):
@@ -154,6 +155,9 @@ def read_trace(trace_dir) -> TraceData:
 
 def write_report(data: TraceData, out_dir, agent_id: str) -> list:
     """Emit the four plot-ready report CSVs; returns the paths written."""
+    problem = agent_id_problem(agent_id)
+    if problem:
+        raise TraceIoError(f"agent id {problem}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     agent_ids = {r["agent_id"] for r in data.agents}

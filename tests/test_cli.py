@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from flexmarket.cli import main
+from flexmarket.traceio import TraceIoError, read_trace, write_report
 
 MINI = str(Path(__file__).resolve().parent.parent / "scenarios" / "mini_two_agent.json")
 
@@ -242,6 +243,34 @@ def test_report_trace_without_agent_rows(mini_run, tmp_path, capsys):
     agents.write_text(agents.read_text().splitlines(keepends=True)[0])
     assert main(["report", "--out", str(bare)]) == 2
     assert "trace has no agent rows" in capsys.readouterr().err
+
+
+def test_run_rejects_an_agent_id_that_names_a_path(tmp_path, capsys):
+    doc = json.loads(Path(MINI).read_text())
+    doc["agents"][1]["id"] = "../../escaped"
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "agents[1].id" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_report_rejects_a_trace_agent_id_that_names_a_path(mini_run, tmp_path, capsys):
+    # a hand-edited trace: the id would put report files outside --out
+    out = tmp_path / "a" / "b" / "trace"
+    out.mkdir(parents=True)
+    for name in ("clearings.csv", "agents.csv", "devices.csv", "metadata.json"):
+        text = (mini_run / name).read_text()
+        (out / name).write_text(text.replace("a2,", "../../escaped,"))
+    before = sorted(p for p in tmp_path.rglob("*"))
+    assert main(["report", "--out", str(out), "--agent", "../../escaped"]) == 2
+    assert "must not contain '/'" in capsys.readouterr().err
+    data = read_trace(out)
+    assert "../../escaped" in {r["agent_id"] for r in data.agents}
+    with pytest.raises(TraceIoError):
+        write_report(data, out, "../../escaped")
+    assert sorted(p for p in tmp_path.rglob("*")) == before
 
 
 def test_outputs_deterministic(tmp_path):

@@ -42,6 +42,17 @@ def test_negative_gamma_names_field():
     assert "gamma" in str(err.value)
 
 
+@pytest.mark.parametrize("aid", ["", ".", "..", "../../escaped", "a/b",
+                                 "a\\b", "a\0b"])
+def test_agent_id_must_be_one_file_name_component(aid):
+    # the id names report files, so it must not be empty or name a path
+    doc = minimal_doc()
+    doc["agents"].append(dict(doc["agents"][0], id=aid))
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_from_dict(doc)
+    assert err.value.field == "agents[1].id"
+
+
 def test_short_series_names_length():
     doc = minimal_doc()
     doc["series"]["irradiance_frac"] = [0.5] * 4      # < total_steps
