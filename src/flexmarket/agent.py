@@ -93,14 +93,13 @@ class _Families(Mapping):
     """The variables or rows of one sort in a window problem, kept as
     families: each family, named by a tuple (a device kind, or a kind and
     a row role), is one list of indices over the window's steps, None at
-    a step without an entry. An entry that is not per step stays apart,
-    in `single`. The keyed reads name + (k,) are derived from the lists,
-    k None for an entry that is not per step."""
+    a step without an entry. An entry that is not per step is a family
+    of one, [index]. The keyed reads name + (k,) are derived from the
+    lists."""
 
     def __init__(self, length: int):
         self.length = length        # steps a new family covers
         self.lists = {}             # name -> [index or None] per step
-        self.single = {}            # name -> index of an entry not per step
 
     def new(self, *name) -> list:
         """A family of no entries yet, to fill in step by step."""
@@ -109,10 +108,7 @@ class _Families(Mapping):
 
     def __getitem__(self, key):
         *name, k = key
-        name = tuple(name)
-        if k is None:
-            return self.single[name]
-        fam = self.lists[name]
+        fam = self.lists[tuple(name)]
         i = fam[k] if 0 <= k < len(fam) else None
         if i is None:
             raise KeyError(key)
@@ -123,12 +119,9 @@ class _Families(Mapping):
             for k, i in enumerate(fam):
                 if i is not None:
                     yield name + (k,)
-        for name in self.single:
-            yield name + (None,)
 
     def __len__(self):
-        return sum(len(fam) - fam.count(None) for fam in self.lists.values()) \
-            + len(self.single)
+        return sum(len(fam) - fam.count(None) for fam in self.lists.values())
 
 
 class _MpoLayout:
@@ -136,13 +129,15 @@ class _MpoLayout:
     device's P, delta, state, plus, minus and z is one family over the
     window's steps, keyed (kind, k); a state family runs over k = 0..H
     with None at k = 0, whose state is the fixed start. Rows are families
-    (kind, role) keyed (kind, role, k), k None for a row that is not
-    per-step; a row with another definition has another role.
+    (kind, role) keyed (kind, role, k); a row that is not per step is a
+    family of one, keyed (kind, role, 0), and a row with another
+    definition has another role.
 
     `shift_root` moves a root onto the next window family by family: in
     a family of n steps, step k takes old step k+1 for k <= n-3, and
     steps n-2 and n-1 take their own old steps (for the states, k <= H-2
-    takes k+1, and states H-1 and H keep their own)."""
+    takes k+1, and states H-1 and H keep their own), so a family of one
+    takes its own old entry."""
 
     def __init__(self, kinds: tuple, H: int):
         self.kinds, self.H = kinds, H
@@ -198,7 +193,7 @@ def build_mpo(spec: AgentSpec, view: HorizonView,
         _add_band(b, lay, kind, spans, spec)
 
         if kind in (dev.BATTERY, dev.EV):
-            _add_storage(b, lay, d, spec, view, weights)
+            _add_storage(b, lay, d, spec, view, weights, spans)
         elif kind == dev.HEAT_PUMP:
             _add_heat_pump(b, lay, d, spec, view, weights)
         else:
@@ -250,7 +245,7 @@ def _add_band(b: QpBuilder, lay: _MpoLayout, kind: str, spans: list,
 
 
 def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
-                 view: HorizonView, w: ObjectiveWeights) -> None:
+                 view: HorizonView, w: ObjectiveWeights, spans: list) -> None:
     kind = d.kind
     H, dt, t0 = view.length, view.dt_hours, view.t_start
     soc0 = lay.start[kind]
@@ -275,8 +270,7 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
     # the anchored state.
     k_end = min(H, view.end_step - t0)
     low = reach = soc0
-    for k in range(k_end):
-        lo, hi = dev.feasible_power_interval(d, t0 + k)
+    for lo, hi in spans[:k_end]:
         low = max(keep * low - coeff * hi, d.soc_min)
         reach = min(keep * reach - coeff * lo, d.soc_max)
     if view.reaches_end:
@@ -285,14 +279,14 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
                 f"agent {spec.id}: {kind} cannot return to its initial SOC "
                 f"{d.soc_init} by step {view.end_step} from {soc0} at step {t0} "
                 f"(reachable [{low:.6g}, {reach:.6g}])")
-        lay.eq.single[kind, "end_eq"] = b.add_eq([(S[k_end], 1.0)], d.soc_init)
+        lay.eq.lists[kind, "end_eq"] = [b.add_eq([(S[k_end], 1.0)], d.soc_init)]
     else:
-        lay.le.single[kind, "end_floor"] = b.add_ge(
-            [(S[H], 1.0)], min(d.soc_init, reach))
+        lay.le.lists[kind, "end_floor"] = [b.add_ge(
+            [(S[H], 1.0)], min(d.soc_init, reach))]
     # executed-step robustness: an upward settlement deviation within
     # delta must keep the next state feasible
-    lay.le.single[kind, "robust"] = b.add_ge(
-        [(P[0], -coeff), (D[0], -coeff)], d.soc_min - keep * soc0)
+    lay.le.lists[kind, "robust"] = [b.add_ge(
+        [(P[0], -coeff), (D[0], -coeff)], d.soc_min - keep * soc0)]
     # cycling: penalize step-to-step power changes
     for k in range(H - 1):
         b.add_square([(P[k + 1], 1.0), (P[k], -1.0)], 0.0, w.alpha_cyc)
@@ -329,13 +323,13 @@ def _add_heat_pump(b: QpBuilder, lay: _MpoLayout, d, spec: AgentSpec,
     # executed-step robustness under upward deviation (P rises toward 0):
     # cooling warms the room, heating cools it
     if signs[0] > 0:
-        lay.le.single[kind, "robust_cool"] = b.add_le(
+        lay.le.lists[kind, "robust_cool"] = [b.add_le(
             [(P[0], g * d.rho), (D[0], g * d.rho)],
-            d.t_max - th * t_now - g * view.outdoor_temp[0])
+            d.t_max - th * t_now - g * view.outdoor_temp[0])]
     else:
-        lay.le.single[kind, "robust_heat"] = b.add_ge(
+        lay.le.lists[kind, "robust_heat"] = [b.add_ge(
             [(P[0], -g * d.rho), (D[0], -g * d.rho)],
-            d.t_min - th * t_now - g * view.outdoor_temp[0])
+            d.t_min - th * t_now - g * view.outdoor_temp[0])]
     # comfort over the window's steps; step 0 is the fixed start
     b.add_const(w.xi_ac * (t_now - d.t_setpoint) ** 2)
     for k in range(1, H):
@@ -419,11 +413,6 @@ def _shift_index(sorts) -> tuple:
             prev = old.lists.get(name)
             if prev is not None:
                 _shift_family(fam, prev, to, frm)
-        for name, i in new.single.items():
-            j = old.single.get(name)
-            if j is not None:
-                to.append(i)
-                frm.append(j)
     return np.array(to, dtype=np.intp), np.array(frm, dtype=np.intp)
 
 
@@ -434,9 +423,9 @@ def shift_root(old: _MpoLayout, root: QpSolution, new: _MpoLayout,
     family. In a family of n steps, step k takes old step k+1 for
     k <= n-3, and steps n-2 and n-1 take their own old steps, so the old
     window's last step, planned with nothing after it, starts only the
-    new last step. Where the chosen old entry is missing, old step k
-    serves; a row that is not per step takes its own; anything else
-    starts at 0. A warm start only; its status is "shifted"."""
+    new last step, and a family of one takes its own old entry. Where the
+    chosen old entry is missing, old step k serves; anything else starts
+    at 0. A warm start only; its status is "shifted"."""
     def moved(index, values, size):
         out = np.zeros(size)
         out[index[0]] = values[index[1]]

@@ -7,23 +7,24 @@ Canonical problem shape used throughout the package:
                 A_eq x  = b_eq
                 A_le x <= b_le
 
-The solver stacks the rows C = [A_eq; A_le; I] with row bounds
-l <= C x <= u and works in the dual (Goldfarb & Idnani 1983): a working
-set of rows held at one of their bounds, with multipliers y such that
-Q x + c + C' y = 0. A violated row joins the set; a row whose multiplier
-would take the wrong sign leaves it. A violated row that depends
-linearly on the working set and that no multiplier blocks certifies
-infeasibility. Q need only be positive semidefinite: an outer
+Q, A_eq and A_le are CSR matrices, each row's columns ascending. The
+solver lays their arrays end to end as the rows C = [A_eq; A_le; I] with
+row bounds l <= C x <= u and works in the dual (Goldfarb & Idnani 1983):
+a working set of rows held at one of their bounds, with multipliers y
+such that Q x + c + C' y = 0. A violated row joins the set; a row whose
+multiplier would take the wrong sign leaves it. A violated row that
+depends linearly on the working set and that no multiplier blocks
+certifies infeasibility. Q need only be positive semidefinite: an outer
 proximal-point loop (as in DAQP, Arnstrom, Bemporad & Axehill 2022)
-solves strictly convex problems with Q + eps*I and the term
--eps*x_c'x, moving the centre x_c to each result. A round's result
-meets Q x + c + C'y = eps*(x_c - x), so the loop ends once
-eps*|x - x_c| is within the row tolerance, and only that last result
-gets the refinement step that pins the working rows on x; the others
-serve only as centres. The engine has that one tolerance: every
-optimal solve holds its rows to 1e-9 relative and stationarity to
-1e-9 absolute, so x lies within 1e-9 divided by the curvature of the
-minimizer, and its multipliers have the right signs.
+solves strictly convex problems with Q + eps*I and the term -eps*x_c'x,
+moving the centre x_c to each result. A round's result meets
+Q x + c + C'y = eps*(x_c - x), so the loop ends once eps*|x - x_c| is
+within the row tolerance, and only that last result gets the refinement
+step that pins the working rows on x; the others serve only as centres.
+The engine has that one tolerance: every optimal solve holds its rows to
+1e-9 relative and stationarity to 1e-9 absolute, so x lies within 1e-9
+divided by the curvature of the minimizer, and its multipliers have the
+right signs.
 
 Each workspace factors Q + eps*I and forms G = (Q + eps*I)^-1 C' and
 K = C G once, as one sparse-times-dense product whose last rows, from
@@ -65,20 +66,15 @@ class QpError(ValueError):
     or a working set the solver could not factorize."""
 
 
-class _CscArrays(tuple):
-    """A CSC matrix's (data, indices, indptr) from QpBuilder, for
-    QuadraticProgram to copy into its matrix in one construction."""
-
-
-def _as_csc(mat, shape) -> sp.csc_matrix:
+def _as_csr(mat, shape) -> sp.csr_matrix:
+    """A block as a float CSR matrix; a float CSR matrix is taken as it is,
+    without a copy."""
     if mat is None:
-        return sp.csc_matrix(shape)
-    if isinstance(mat, _CscArrays):
-        out = sp.csc_matrix(mat, shape=shape, copy=True)
-    elif sp.issparse(mat):
-        out = mat.tocsc().astype(float)
+        return sp.csr_matrix(shape)
+    if sp.issparse(mat):
+        out = mat.tocsr().astype(float, copy=False)
     else:
-        out = sp.csc_matrix(np.atleast_2d(np.asarray(mat, dtype=float)))
+        out = sp.csr_matrix(np.atleast_2d(np.asarray(mat, dtype=float)))
     if out.shape != shape:
         raise QpError(f"matrix shape {out.shape} != expected {shape}")
     return out
@@ -89,7 +85,8 @@ class QuadraticProgram:
 
     The quadratic term must be symmetric positive semidefinite; this is
     checked once at construction by an attempted Cholesky factorization
-    of Q + jitter*I.
+    of Q + jitter*I. A float CSR block is kept without a copy, as float
+    arrays are for c, lb and ub.
     """
 
     def __init__(self, n, Q=None, c=None, lb=None, ub=None,
@@ -108,12 +105,12 @@ class QuadraticProgram:
         if np.any(self.lb > self.ub + 1e-12):
             bad = int(np.argmax(self.lb - self.ub))
             raise QpError(f"bounds empty for variable {bad}: lb {self.lb[bad]} > ub {self.ub[bad]}")
-        self.Q = _as_csc(Q, (self.n, self.n))
+        self.Q = _as_csr(Q, (self.n, self.n))
         n_eq = 0 if b_eq is None else len(np.atleast_1d(b_eq))
         n_le = 0 if b_le is None else len(np.atleast_1d(b_le))
-        self.A_eq = _as_csc(A_eq, (n_eq, self.n))
+        self.A_eq = _as_csr(A_eq, (n_eq, self.n))
         self.b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
-        self.A_le = _as_csc(A_le, (n_le, self.n))
+        self.A_le = _as_csr(A_le, (n_le, self.n))
         self.b_le = np.zeros(0) if b_le is None else np.asarray(b_le, dtype=float).ravel()
         self.c0 = float(c0)
         if self.n and validate_psd:
@@ -157,7 +154,10 @@ class QpSolution:
     objective: float
     status: str                      # "optimal" | "infeasible" | "iteration_limit" | "shifted"
     iterations: int = 0              # active-set changes
-    polished: bool = False           # true on every optimal solve
+
+    @property
+    def polished(self) -> bool:      # the former ADMM engine's flag, derived
+        return self.status == "optimal"
 
 
 @dataclass
@@ -182,9 +182,10 @@ class AdmmSolver:
     Branch-and-bound fixes binaries by shrinking their box bounds, which
     changes only right-hand sides; `solve` accepts per-call overrides of
     the variable bounds plus an optional warm start, which may come from
-    another program of the same shape. Set-up reads C off the CSC arrays
-    into a dense C' for G and a CSR C for the loop, frees C', and forms
-    K as C G, symmetrizing it in place block by block.
+    another program of the same shape. Set-up lays the CSR arrays of
+    A_eq, A_le and the identity end to end as the loop's C, forms G
+    from the dense C', and forms K as C G, symmetrizing it in place
+    block by block.
     A solve gathers G[:, W] when it starts warm or factors K[W, W]
     afresh (a drop, a swap); a join appends one column and one factor
     row.
@@ -217,24 +218,19 @@ class AdmmSolver:
         self._exit = self._start = None
         if n == 0:
             return
-        # C's (row, column, value) triplets, column-major within each block
-        r = np.concatenate([qp.A_eq.indices, qp.n_eq + qp.A_le.indices,
-                            self.m - n + np.arange(n)])
-        c = np.concatenate([np.repeat(np.arange(n), np.diff(A.indptr))
-                            for A in (qp.A_eq, qp.A_le)] + [np.arange(n)])
-        v = np.concatenate([qp.A_eq.data, qp.A_le.data, np.ones(n)])
-        order = np.argsort(r, kind="stable")
-        indptr = np.searchsorted(r[order], np.arange(self.m + 1)).astype(np.int32)
-        self._C = sp.csr_matrix((v[order], c[order].astype(np.int32), indptr), shape=(self.m, n))
+        # C = [A_eq; A_le; I]: the blocks' CSR arrays laid end to end
+        A, B = qp.A_eq, qp.A_le
+        self._C = sp.csr_matrix((
+            np.concatenate([A.data, B.data, np.ones(n)]),
+            np.concatenate([A.indices, B.indices, np.arange(n)]),
+            np.concatenate([A.indptr, A.nnz + B.indptr[1:], A.nnz + B.nnz + np.arange(1, n + 1)])),
+            shape=(self.m, n))
         self._chol = _cholesky(qp.Q.toarray() + _EPS * np.eye(n))
         if self._chol is None:
             raise QpError("quadratic term not positive semidefinite")
         # G = H^-1 C' maps working multipliers to the primal, K = C G
         # maps them to row values; C's identity rows make G K's last rows
-        Ct = np.zeros((n, self.m))
-        np.add.at(Ct, (c, r), v)            # sums any repeated entry
-        self._G = G = _chol_solve(self._chol, Ct)
-        del Ct
+        self._G = G = _chol_solve(self._chol, self._C.T.toarray())
         self._K = K = self._C @ G
         # K = (K + K')/2 block by block: a strided whole-matrix transpose
         # costs more than its flops on a few hundred rows
@@ -277,7 +273,7 @@ class AdmmSolver:
         qp, n = self.qp, self.n
         if n == 0:
             return QpSolution(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0),
-                              qp.c0, "optimal", polished=True)
+                              qp.c0, "optimal")
         l, u = self._bounds(lb, ub)
         if np.any(l > u + 1e-12):
             # proven-empty bound pair
@@ -395,7 +391,6 @@ class AdmmSolver:
                     y[W] += dy
                     x -= dy @ GW[:len(W)]
                 sol = self._package(x, y, "optimal", iters)
-                sol.polished = True
                 self._exit = (sol, W, fac, side[W])
                 return sol
             x_c = x
@@ -522,7 +517,7 @@ class QpBuilder:
     which keeps the result PSD by construction, so `build` skips the
     dense check. Row indices returned by add_le are stable and index into
     the final A_le block. Terms are kept as (row, column, value)
-    triplets, which `build` compresses block by block.
+    triplets, which `build` compresses row by row into each CSR block.
     """
 
     def __init__(self):
@@ -590,7 +585,7 @@ class QpBuilder:
 
     def build(self) -> QuadraticProgram:
         n = self.n
-        Q = _csc(*self._q, (n, n), "objective")
+        Q = _csr(*self._q, (n, n), "objective")
         c = np.zeros(n)
         for i, v in self._lin.items():
             if not 0 <= i < n:
@@ -598,28 +593,29 @@ class QpBuilder:
             c[i] = v
         (*eq, b_eq), (*le, b_le) = self._eq, self._le
         return QuadraticProgram(n, Q, c, np.array(self._lb), np.array(self._ub),
-                                _csc(*eq, (len(b_eq), n), "eq"), np.array(b_eq),
-                                _csc(*le, (len(b_le), n), "le"), np.array(b_le),
+                                _csr(*eq, (len(b_eq), n), "eq"), np.array(b_eq),
+                                _csr(*le, (len(b_le), n), "le"), np.array(b_le),
                                 self._c0, validate_psd=False)
 
 
-def _csc(rows, cols, vals, shape, block) -> _CscArrays:
-    """CSC arrays of (row, column, value) triplets: sorted by column, then
-    row; repeated entries summed in the order they were given."""
+def _csr(rows, cols, vals, shape, block) -> sp.csr_matrix:
+    """CSR matrix of (row, column, value) triplets: sorted by row, then
+    column; repeated entries summed in the order they were given."""
     m, n = shape
-    key = np.array(cols, dtype=np.int64) * m + np.array(rows, dtype=np.int64)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    if key.size and not 0 <= key[0] <= key[-1] < m * n:
-        # rows are numbered by the builder, and a square term names each of
-        # its variables as a row too, so only a column can be out of range
+    col = np.array(cols, dtype=np.int64)
+    if col.size and not 0 <= col.min() <= col.max() < n:
+        # the builder numbers the rows, and a square's rows are its columns
         bad = next(j for j in cols if not 0 <= j < n)
         raise QpError(f"{block} term names variable {bad} of {n}")
+    key = np.array(rows, dtype=np.int64) * n + col
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     data = np.array(vals, dtype=float)[order]
     repeat = key[1:] == key[:-1]
     if repeat.any():
         first = np.concatenate(([True], ~repeat))
         data = np.bincount(np.cumsum(first) - 1, weights=data)
         key = key[first]
-    indptr = np.searchsorted(key, m * np.arange(n + 1))
-    return _CscArrays((data, (key % max(m, 1)).astype(np.int32), indptr.astype(np.int32)))
+    indptr = np.searchsorted(key, n * np.arange(m + 1))
+    return sp.csr_matrix((data, (key % max(n, 1)).astype(np.int32), indptr.astype(np.int32)),
+                         shape=shape)

@@ -323,14 +323,15 @@ def test_shift_moves_root_one_step_earlier(day_scenario):
         j = old.state[kind, k + 1 if k <= H - 2 else k]
         assert warm.primal[i] == root.primal[j]
     for (kind, role, k), i in new.le.items():
-        if k is not None:
+        if len(new.le.lists[kind, role]) == H:
             j = old.le[kind, role, k + 1 if k <= H - 3 else k]
             assert warm.dual_ineq[i] == root.dual_ineq[j]
     for kind in (BATTERY, EV):
-        assert warm.dual_ineq[new.le[kind, "robust", None]] == \
-            root.dual_ineq[old.le[kind, "robust", None]]
-        assert (kind, "end_floor", None) in old.le
-        assert warm.dual_eq[new.eq[kind, "end_eq", None]] == 0.0
+        # a family of one takes its own old entry
+        assert warm.dual_ineq[new.le[kind, "robust", 0]] == \
+            root.dual_ineq[old.le[kind, "robust", 0]]
+        assert (kind, "end_floor", 0) in old.le
+        assert warm.dual_eq[new.eq[kind, "end_eq", 0]] == 0.0
         assert warm.dual_eq[new.eq[kind, "soc", H - 3]] == \
             root.dual_eq[old.eq[kind, "soc", H - 2]]
         assert warm.dual_eq[new.eq[kind, "soc", H - 2]] == \
@@ -349,14 +350,15 @@ def _shift_by_name(old, root, new, qp):
     """shift_root's rule read entry by entry through the keyed layout: an
     entry at step k of a sort whose last step is `last` (H-1, or H for the
     states) takes old step k+1 for k < last-1 and its own old step for the
-    last two steps, or its own where the chosen old entry is missing; an
-    entry that is not per step takes its own; anything else starts at 0."""
+    last two steps, or its own where the chosen old entry is missing (so a
+    family of one, which has no step 1, takes its own); anything else
+    starts at 0."""
     def moved(old_map, new_map, last, values, size):
         out = np.zeros(size)
         for key, i in new_map.items():
             k = key[-1]
             j = None
-            if k is not None and k < last - 1:
+            if k < last - 1:
                 j = old_map.get(key[:-1] + (k + 1,))
             if j is None:
                 j = old_map.get(key)
@@ -430,8 +432,8 @@ def test_shift_equals_the_rule_by_name_on_the_bundled_day(day_scenario, monkeypa
     # home2's storage windows turn their window-end floor into an equality
     shifted = _checked_run(monkeypatch, day_scenario)
     assert len(shifted) == 3 * (day_scenario.time_grid.total_steps - 1)
-    assert any((BATTERY, "end_floor", None) in old.le
-               and (BATTERY, "end_eq", None) in new.eq for old, new in shifted)
+    assert any((BATTERY, "end_floor", 0) in old.le
+               and (BATTERY, "end_eq", 0) in new.eq for old, new in shifted)
 
 
 def test_shift_equals_the_rule_by_name_through_a_heat_pump_mode_flip(monkeypatch):
@@ -442,7 +444,8 @@ def test_shift_equals_the_rule_by_name_through_a_heat_pump_mode_flip(monkeypatch
                       temps=[75, 64, 76, 63, 77, 62])
     flips = set()
     for old, new in _checked_run(monkeypatch, s):
-        was, now = (next(iter(lay.le.single))[1] for lay in (old, new))
+        was, now = (next(role for _, role in lay.le.lists if role.startswith("robust"))
+                    for lay in (old, new))
         flips.add((was, now))
     assert flips == {("robust_cool", "robust_heat"), ("robust_heat", "robust_cool")}
 
@@ -471,7 +474,7 @@ def _random_layout(data, H):
         for role in data.draw(st.lists(st.sampled_from(roles), unique=True)):
             fill(fams, (BATTERY, role), sort)
         for role in data.draw(st.lists(st.sampled_from(("end", "robust")), unique=True)):
-            fams.single[BATTERY, role] = count[sort]
+            fams.lists[BATTERY, role] = [count[sort]]
             count[sort] += 1
     return lay, SimpleNamespace(n=count["var"], n_eq=count["eq"], n_le=count["le"])
 
@@ -494,8 +497,7 @@ def test_shift_equals_the_rule_by_name_on_random_families(data):
         keys = list(fams)
         assert len(keys) == len(set(keys)) == len(fams)
         assert sorted(fams[key] for key in keys) == sorted(
-            [i for fam in fams.lists.values() for i in fam if i is not None]
-            + list(fams.single.values()))
+            i for fam in fams.lists.values() for i in fam if i is not None)
 
 
 # --- stage II best response -------------------------------------------------

@@ -166,6 +166,22 @@ def test_certified_infeasible_equality():
     assert sol.status == "infeasible"
 
 
+def test_polished_is_the_optimal_status():
+    optimal = solve_qp(QuadraticProgram(1, Q=[[2.0]], c=[-2.0], lb=[0.0], ub=[2.0]))
+    infeasible = solve_qp(QuadraticProgram(1, Q=[[2.0]], ub=[1.0], A_eq=[[1.0]], b_eq=[5.0]))
+    rng = np.random.default_rng(3)
+    M = rng.normal(size=(6, 6))
+    limited = solve_qp(QuadraticProgram(6, M @ M.T, rng.normal(size=6),
+                                        lb=-np.ones(6), ub=np.ones(6),
+                                        A_le=rng.normal(size=(3, 6)),
+                                        b_le=rng.normal(size=3) + 2), max_iter=4)
+    sols = (optimal, infeasible, limited)
+    assert [s.status for s in sols] == ["optimal", "infeasible", "iteration_limit"]
+    assert [s.polished for s in sols] == [True, False, False]
+    for s in sols:
+        assert s.polished == (s.status == "optimal")
+
+
 def test_iteration_limit_status():
     rng = np.random.default_rng(3)
     M = rng.normal(size=(6, 6))
@@ -316,19 +332,19 @@ def _reference_programs(day_scenario):
 
 
 def test_assembly_matches_scipy_coo_reference(day_scenario, monkeypatch):
-    # each block compressed from its triplets equals scipy's coo -> csc
+    # each block compressed from its triplets equals scipy's coo -> csr
     # conversion: the same structure, the same row data, and Q's sums of
-    # repeated square terms to a few ulp. scipy sums a long column in an
+    # repeated square terms to a few ulp. scipy sums a long row in an
     # order of its own; summing four terms of one sign in any two orders
     # differs by at most 3 eps relative
     refs = []
-    csc = qpmod._csc
+    csr = qpmod._csr
 
     def recorded(rows, cols, vals, shape, block):
         refs.append((block, sp.coo_matrix(
-            (list(vals), (list(rows), list(cols))), shape=shape).tocsc()))
-        return csc(rows, cols, vals, shape, block)
-    monkeypatch.setattr(qpmod, "_csc", recorded)
+            (list(vals), (list(rows), list(cols))), shape=shape).tocsr()))
+        return csr(rows, cols, vals, shape, block)
+    monkeypatch.setattr(qpmod, "_csr", recorded)
     for make in _reference_programs(day_scenario):
         refs.clear()
         qp = make()
@@ -342,6 +358,18 @@ def test_assembly_matches_scipy_coo_reference(day_scenario, monkeypatch):
                               <= 4 * np.finfo(float).eps * np.abs(ref.data))
             else:
                 assert np.array_equal(got.data, ref.data)
+
+
+def test_blocks_are_csr_rows_with_ascending_columns(day_scenario):
+    # each row of Q, A_eq and A_le lists its columns once, in ascending
+    # order, so C, C', G, K and every row product sum in column order
+    for make in _reference_programs(day_scenario):
+        qp = make()
+        for block in (qp.Q, qp.A_eq, qp.A_le):
+            assert isinstance(block, sp.csr_matrix)
+            for r in range(block.shape[0]):
+                cols = block.indices[block.indptr[r]:block.indptr[r + 1]]
+                assert (np.diff(cols) > 0).all()
 
 
 def test_workspace_setup_matches_vstack_reference(day_scenario):
