@@ -62,8 +62,29 @@ _SYM_BLOCK = 128                     # rows per block when K is symmetrized
 
 
 class QpError(ValueError):
-    """Malformed quadratic program (dimension mismatch, non-PSD objective),
-    or a working set the solver could not factorize."""
+    """Malformed quadratic program (dimension mismatch, non-finite data,
+    non-PSD objective), or a working set the solver could not factorize."""
+
+
+def _check_finite(name, v) -> None:
+    """Fail the first entry of a vector, or stored entry of a CSR matrix,
+    that is not finite, naming it."""
+    data = v.data if sp.issparse(v) else v
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        k = int(bad[0])
+        at = (f"{np.searchsorted(v.indptr, k, side='right') - 1}, {v.indices[k]}"
+              if sp.issparse(v) else k)
+        raise QpError(f"{name}[{at}] must be finite, got {data[k]}")
+
+
+def _check_box(lb, ub) -> None:
+    """Each lower bound must be below +inf and each upper bound above
+    -inf; a NaN bound fails too."""
+    for name, v, ok in (("lb", lb, lb < INF), ("ub", ub, ub > -INF)):
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise QpError(f"{name}[{i}] is {v[i]}: need lb < inf and ub > -inf")
 
 
 def _as_csr(mat, shape) -> sp.csr_matrix:
@@ -102,6 +123,7 @@ class QuadraticProgram:
         self.ub = np.full(self.n, INF) if ub is None else np.asarray(ub, dtype=float).ravel()
         if self.lb.shape != (self.n,) or self.ub.shape != (self.n,):
             raise QpError("bound vectors must have one entry per variable")
+        _check_box(self.lb, self.ub)
         if np.any(self.lb > self.ub + 1e-12):
             bad = int(np.argmax(self.lb - self.ub))
             raise QpError(f"bounds empty for variable {bad}: lb {self.lb[bad]} > ub {self.ub[bad]}")
@@ -113,6 +135,10 @@ class QuadraticProgram:
         self.A_le = _as_csr(A_le, (n_le, self.n))
         self.b_le = np.zeros(0) if b_le is None else np.asarray(b_le, dtype=float).ravel()
         self.c0 = float(c0)
+        if not np.isfinite(self.c0):
+            raise QpError(f"c0 must be finite, got {self.c0}")
+        for name in ("c", "b_eq", "b_le", "Q", "A_eq", "A_le"):
+            _check_finite(name, getattr(self, name))
         if self.n and validate_psd:
             self._check_psd()
 
@@ -275,6 +301,9 @@ class AdmmSolver:
             return QpSolution(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0),
                               qp.c0, "optimal")
         l, u = self._bounds(lb, ub)
+        if not ((l < INF).all() and (u > -INF).all()):
+            # the rows' sides are finite, so a variable bound fails
+            _check_box(l[self.m - n:], u[self.m - n:])
         if np.any(l > u + 1e-12):
             # proven-empty bound pair
             return self._empty("infeasible")

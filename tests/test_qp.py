@@ -149,6 +149,42 @@ def test_repeated_entries_of_a_caller_matrix_are_summed():
     assert sol.primal == pytest.approx([1.0, 0.5], abs=1e-9)
 
 
+_NONFINITE = [
+    ({"lb": [np.inf]}, r"lb\[0\] is inf"),
+    ({"ub": [-np.inf]}, r"ub\[0\] is -inf"),
+    ({"A_eq": [[1.0]], "b_eq": [np.inf]}, r"b_eq\[0\] must be finite"),
+    ({"A_le": [[1.0]], "b_le": [-np.inf]}, r"b_le\[0\] must be finite"),
+    ({"lb": [np.nan]}, r"lb\[0\] is nan"),
+    ({"A_le": [[1.0]], "b_le": [np.nan]}, r"b_le\[0\] must be finite"),
+    ({"A_le": [[np.nan]], "b_le": [1.0]}, r"A_le\[0, 0\] must be finite"),
+    ({"ub": [np.nan], "c": [-5.0]}, r"ub\[0\] is nan"),
+    ({"c0": np.nan}, r"c0 must be finite"),
+    ({"c": [np.nan]}, r"c\[0\] must be finite"),
+    ({"Q": [[np.nan]]}, r"Q\[0, 0\] must be finite"),
+]
+
+
+@pytest.mark.parametrize("data, message", _NONFINITE)
+def test_nonfinite_program_data_is_rejected(data, message):
+    # each of these used to solve to a false "optimal" (x = 0, or x = 5
+    # past a NaN ub), end at "iteration_limit", or escape as scipy's
+    # ValueError
+    with pytest.raises(QpError, match=message):
+        solve_qp(QuadraticProgram(1, **{"Q": [[1.0]], **data}))
+
+
+@pytest.mark.parametrize("lb, ub, message", [
+    ([np.inf], None, r"lb\[1\] is inf"), (None, [-np.inf], r"ub\[1\] is -inf"),
+    ([np.nan], None, r"lb\[1\] is nan"), (None, [np.nan], r"ub\[1\] is nan")])
+def test_nonfinite_bound_override_is_rejected(lb, ub, message):
+    # solve's bound overrides follow the constructor's rule; the index is
+    # the variable's, past the program's rows
+    ws = AdmmSolver(QuadraticProgram(2, Q=np.eye(2), A_le=[[1.0, 1.0]], b_le=[1.0]))
+    box = (lambda v: None if v is None else np.array([0.0] + v))
+    with pytest.raises(QpError, match=message):
+        ws.solve(box(lb), box(ub))
+
+
 def test_empty_bound_pair_infeasible():
     with pytest.raises(QpError):
         QuadraticProgram(1, Q=[[2.0]], lb=[2.0], ub=[1.0])
