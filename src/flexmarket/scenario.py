@@ -318,6 +318,15 @@ def _section(doc: dict, key: str, required: bool = True) -> dict:
     return sec
 
 
+def _known_keys(sec: Mapping, known, path: str) -> None:
+    """Fail the first key of `sec` (sorted) that is not in `known`,
+    naming it under `path`: a misspelled key would otherwise be ignored
+    and its default used."""
+    bad = sorted(set(sec) - set(known))
+    if bad:
+        raise ScenarioValidationError(f"{path}.{bad[0]}" if path else bad[0], "unknown key")
+
+
 def _number(value, name: str, integer: bool = False):
     """A finite document value as a float, or as an int for a step count;
     a fractional step count is an error, not truncated, and a JSON
@@ -338,7 +347,9 @@ def _number(value, name: str, integer: bool = False):
 
 
 def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
+    _known_keys(doc, ("time", "weights", "policy", "series", "agents"), "")
     time_sec = _section(doc, "time")
+    _known_keys(time_sec, (f.name for f in fields(TimeGrid)), "time")
     grid = TimeGrid(
         dt_hours=_number(time_sec.get("dt_hours", 1.0), "time.dt_hours"),
         total_steps=_number(time_sec.get("total_steps", 24), "time.total_steps",
@@ -348,10 +359,7 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
         temperature_unit=str(time_sec.get("temperature_unit", "F")))
 
     weights_sec = _section(doc, "weights", required=False)
-    known = {f.name for f in fields(ObjectiveWeights)}
-    bad = set(weights_sec) - known
-    if bad:
-        raise ScenarioValidationError(f"weights.{sorted(bad)[0]}", "unknown weight")
+    _known_keys(weights_sec, (f.name for f in fields(ObjectiveWeights)), "weights")
     try:
         weights = ObjectiveWeights(**{k: _number(v, f"weights.{k}")
                                       for k, v in weights_sec.items()})
@@ -359,6 +367,7 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
         raise ScenarioValidationError(f"weights.{exc.field}", "must be nonnegative") from exc
 
     series_sec = _section(doc, "series")
+    _known_keys(series_sec, (f.name for f in fields(ExogenousSeries)), "series")
     raw = {}
     for name in ("outdoor_temp", "irradiance_frac", "lem_price"):
         if name not in series_sec:
@@ -370,6 +379,7 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
         lem_price=pad_series(raw["lem_price"], grid, "series.lem_price"))
 
     policy_sec = _section(doc, "policy", required=False)
+    _known_keys(policy_sec, (f.name for f in fields(SetpointPolicy)), "policy")
     beta_ref = policy_sec.get("beta", 0.0)
     if isinstance(beta_ref, (int, float)):
         beta = (_number(beta_ref, "policy.beta"),) * grid.total_steps
@@ -392,6 +402,7 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
         problem = agent_id_problem(aid)
         if problem:
             raise ScenarioValidationError(f"agents[{idx}].id", problem)
+        _known_keys(a, (f.name for f in fields(AgentSpec)), f"agents.{aid}")
         if a.get("gamma") is None:
             raise ScenarioParseError(f"agents.{aid}.gamma is required")
         gamma = _number(a["gamma"], f"agents.{aid}.gamma")

@@ -71,6 +71,19 @@ def test_run_invalid_eps_names_its_field(tmp_path, capsys, path, value, field):
     assert f"{field}: need 0 <= eps_lo < eps_hi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, field", [
+    ("time.horizon=3", "time.horizon"),
+    ("agents.0.eps_high=0.9", "agents.a1.eps_high"),
+    ("polcy.beta=0.5", "polcy")])
+def test_run_misspelled_key_exits_2_naming_it(tmp_path, capsys, override, field):
+    # a misspelled key used to be ignored, and its default used
+    code = main(["run", "--scenario", MINI, "--out", str(tmp_path / "o"),
+                 "--override", override])
+    assert code == 2
+    assert f"{field}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("value, message", [
     ("-1", "must be positive"),
     ("abc", "not a number: 'abc'"),

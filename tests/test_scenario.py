@@ -239,6 +239,24 @@ def test_ev_target_must_be_inside_simulation():
     assert "target_step" in str(err.value)
 
 
+@pytest.mark.parametrize("section, key, field", [
+    ("time", "horizn_len", "time.horizn_len"),
+    ("agent", "gama", "agents.a1.gama"),
+    ("policy", "bta", "policy.bta"),
+    ("series", "lem_prices", "series.lem_prices"),
+    ("weights", "alpha_cycle", "weights.alpha_cycle"),
+    (None, "note", "note")])
+def test_unknown_key_names_its_path(section, key, field):
+    # every section and each agent take only the keys they read
+    doc = minimal_doc(weights={})
+    sec = doc if section is None else (
+        doc["agents"][0] if section == "agent" else doc[section])
+    sec[key] = 1.0
+    with pytest.raises(ScenarioValidationError, match="unknown key") as err:
+        scenario_from_dict(doc)
+    assert err.value.field == field
+
+
 def test_unknown_device_kind_rejected():
     doc = minimal_doc()
     doc["agents"][0]["devices"] = {"flux_capacitor": {}}
