@@ -210,8 +210,8 @@ class AdmmSolver:
     the variable bounds plus an optional warm start, which may come from
     another program of the same shape. Set-up lays the CSR arrays of
     A_eq, A_le and the identity end to end as the loop's C, forms G
-    from the dense C', and forms K as C G, symmetrizing it in place
-    block by block.
+    from C' (C densified, then transposed), and forms K as C G,
+    symmetrizing it in place block by block.
     A solve gathers G[:, W] when it starts warm or factors K[W, W]
     afresh (a drop, a swap); a join appends one column and one factor
     row.
@@ -245,18 +245,18 @@ class AdmmSolver:
         if n == 0:
             return
         # C = [A_eq; A_le; I]: the blocks' CSR arrays laid end to end
-        A, B = qp.A_eq, qp.A_le
+        A, B, ids = qp.A_eq, qp.A_le, np.arange(n + 1, dtype=np.int32)
         self._C = sp.csr_matrix((
             np.concatenate([A.data, B.data, np.ones(n)]),
-            np.concatenate([A.indices, B.indices, np.arange(n)]),
-            np.concatenate([A.indptr, A.nnz + B.indptr[1:], A.nnz + B.nnz + np.arange(1, n + 1)])),
+            np.concatenate([A.indices, B.indices, ids[:n]]),
+            np.concatenate([A.indptr, A.nnz + B.indptr[1:], A.nnz + B.nnz + ids[1:]])),
             shape=(self.m, n))
         self._chol = _cholesky(qp.Q.toarray() + _EPS * np.eye(n))
         if self._chol is None:
             raise QpError("quadratic term not positive semidefinite")
         # G = H^-1 C' maps working multipliers to the primal, K = C G
         # maps them to row values; C's identity rows make G K's last rows
-        self._G = G = _chol_solve(self._chol, self._C.T.toarray())
+        self._G = G = _chol_solve(self._chol, self._C.toarray().T)
         self._K = K = self._C @ G
         # K = (K + K')/2 block by block: a strided whole-matrix transpose
         # costs more than its flops on a few hundred rows
