@@ -66,18 +66,6 @@ class QpError(ValueError):
     non-PSD objective), or a working set the solver could not factorize."""
 
 
-def _check_finite(name, v) -> None:
-    """Fail the first entry of a vector, or stored entry of a CSR matrix,
-    that is not finite, naming it."""
-    data = v.data if sp.issparse(v) else v
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        k = int(bad[0])
-        at = (f"{np.searchsorted(v.indptr, k, side='right') - 1}, {v.indices[k]}"
-              if sp.issparse(v) else k)
-        raise QpError(f"{name}[{at}] must be finite, got {data[k]}")
-
-
 def _check_box(lb, ub) -> None:
     """Each lower bound must be below +inf and each upper bound above
     -inf; a NaN bound fails too."""
@@ -135,10 +123,7 @@ class QuadraticProgram:
         self.A_le = _as_csr(A_le, (n_le, self.n))
         self.b_le = np.zeros(0) if b_le is None else np.asarray(b_le, dtype=float).ravel()
         self.c0 = float(c0)
-        if not np.isfinite(self.c0):
-            raise QpError(f"c0 must be finite, got {self.c0}")
-        for name in ("c", "b_eq", "b_le", "Q", "A_eq", "A_le"):
-            _check_finite(name, getattr(self, name))
+        self._check_finite()
         if self.n and validate_psd:
             self._check_psd()
 
@@ -149,6 +134,22 @@ class QuadraticProgram:
     @property
     def n_le(self) -> int:
         return self.A_le.shape[0]
+
+    def _check_finite(self):
+        """c0, c, b_eq, b_le and every stored entry of Q, A_eq and A_le
+        must be finite; the first that is not is named with its index."""
+        parts = {"c0": np.array([self.c0]), "c": self.c, "b_eq": self.b_eq,
+                 "b_le": self.b_le, "Q": self.Q, "A_eq": self.A_eq, "A_le": self.A_le}
+        data = [v.data if sp.issparse(v) else v for v in parts.values()]
+        if np.isfinite(np.concatenate(data)).all():
+            return
+        for (name, v), d in zip(parts.items(), data):
+            bad = np.flatnonzero(~np.isfinite(d))
+            if bad.size:
+                k = int(bad[0])
+                at = (f"[{np.searchsorted(v.indptr, k, side='right') - 1}, {v.indices[k]}]"
+                      if sp.issparse(v) else "" if name == "c0" else f"[{k}]")
+                raise QpError(f"{name}{at} must be finite, got {d[k]}")
 
     def _check_psd(self):
         Qd = self.Q.toarray()
