@@ -46,6 +46,7 @@ is reentrant; an AdmmSolver instance belongs to one thread at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 import scipy.linalg
@@ -58,6 +59,7 @@ DEFAULT_MAX_ITER = 20000             # active-set changes, and proximal rounds
 _EPS = 1e-3                          # proximal weight; 1e-6 made K too ill-conditioned
 _ROW_TOL = 1e-9                      # relative row violation; absolute stationarity
 _DEP_TOL = 1e-8                      # relative Schur complement of a dependent row
+_column = itemgetter(0)              # a (variable, coefficient) term's variable
 _SYM_BLOCK = 128                     # rows per block when K is symmetrized
 
 
@@ -546,18 +548,22 @@ class QpBuilder:
     from squares of affine expressions with finite nonnegative weights,
     which keeps the result PSD by construction, so `build` skips the
     dense check. Row indices returned by add_le are stable and index into
-    the final A_le block. Terms are kept as (row, column, value)
-    triplets, which `build` compresses row by row into each CSR block.
+    the final A_le block. Each row is compressed as it arrives into its
+    block's CSR lists (indptr, indices, data): columns ascending, a
+    repeated column summed in the order given. Q's entries are summed
+    per (i, j) from 0.0 in call order, one {column: value} dict per row.
+    `build` sorts each Q row's columns, checks that every column names a
+    variable, and turns the lists into arrays.
     """
 
     def __init__(self):
         self._lb: list[float] = []
         self._ub: list[float] = []
-        self._q: tuple[list, list, list] = ([], [], [])
+        self._q: dict[int, dict[int, float]] = {}
         self._lin: dict[int, float] = {}
         self._c0 = 0.0
-        self._eq: tuple[list, list, list, list] = ([], [], [], [])   # triplets, rhs
-        self._le: tuple[list, list, list, list] = ([], [], [], [])
+        self._eq: tuple[list, list, list, list] = ([0], [], [], [])   # CSR lists, rhs
+        self._le: tuple[list, list, list, list] = ([0], [], [], [])
 
     @property
     def n(self) -> int:
@@ -581,12 +587,10 @@ class QpBuilder:
         if weight == 0.0:
             return
         terms = [(i, float(a)) for i, a in terms if a != 0.0]
-        qi, qj, qv = self._q
         for i, ai in terms:
+            row = self._q.setdefault(i, {})
             for j, aj in terms:
-                qi.append(i)
-                qj.append(j)
-                qv.append(2.0 * weight * ai * aj)
+                row[j] = row.get(j, 0.0) + 2.0 * weight * ai * aj
             if const:
                 self.add_linear(i, 2.0 * weight * const * ai)
         if const:
@@ -594,14 +598,18 @@ class QpBuilder:
 
     @staticmethod
     def _add_row(block, terms, rhs: float) -> int:
-        ri, ci, vi, b = block
-        k = len(b)
-        for i, a in terms:
-            ri.append(k)
-            ci.append(i)
-            vi.append(float(a))
+        indptr, cols, vals, b = block
+        last = None
+        for i, a in sorted(terms, key=_column):      # stable: call order kept
+            if i == last:
+                vals[-1] += float(a)
+            else:
+                cols.append(i)
+                vals.append(0.0 + float(a))
+                last = i
+        indptr.append(len(cols))
         b.append(float(rhs))
-        return k
+        return len(b) - 1
 
     def add_eq(self, terms, rhs: float) -> int:
         return self._add_row(self._eq, terms, rhs)
@@ -615,37 +623,35 @@ class QpBuilder:
 
     def build(self) -> QuadraticProgram:
         n = self.n
-        Q = _csr(*self._q, (n, n), "objective")
-        c = np.zeros(n)
-        for i, v in self._lin.items():
+        # a square's rows are its columns, so Q's row keys name them all
+        for i in [*self._q, *self._lin]:
             if not 0 <= i < n:
                 raise QpError(f"objective term names variable {i} of {n}")
+        indptr, cols, vals = [0], [], []
+        for i in range(n):
+            row = self._q.get(i, {})
+            for j in sorted(row):
+                cols.append(j)
+                vals.append(row[j])
+            indptr.append(len(cols))
+        c = np.zeros(n)
+        for i, v in self._lin.items():
             c[i] = v
         (*eq, b_eq), (*le, b_le) = self._eq, self._le
-        return QuadraticProgram(n, Q, c, np.array(self._lb), np.array(self._ub),
-                                _csr(*eq, (len(b_eq), n), "eq"), np.array(b_eq),
-                                _csr(*le, (len(b_le), n), "le"), np.array(b_le),
+        return QuadraticProgram(n, _csr((indptr, cols, vals), (n, n), "objective"), c,
+                                np.array(self._lb), np.array(self._ub),
+                                _csr(eq, (len(b_eq), n), "eq"), np.array(b_eq),
+                                _csr(le, (len(b_le), n), "le"), np.array(b_le),
                                 self._c0, validate_psd=False)
 
 
-def _csr(rows, cols, vals, shape, block) -> sp.csr_matrix:
-    """CSR matrix of (row, column, value) triplets: sorted by row, then
-    column; repeated entries summed in the order they were given."""
-    m, n = shape
-    col = np.array(cols, dtype=np.int64)
-    if col.size and not 0 <= col.min() <= col.max() < n:
-        # the builder numbers the rows, and a square's rows are its columns
+def _csr(block, shape, name) -> sp.csr_matrix:
+    """The CSR matrix of a block's lists (indptr, indices, data); a column
+    outside the program names the block."""
+    indptr, cols, vals = block
+    n = shape[1]
+    if cols and not (0 <= min(cols) and max(cols) < n):
         bad = next(j for j in cols if not 0 <= j < n)
-        raise QpError(f"{block} term names variable {bad} of {n}")
-    key = np.array(rows, dtype=np.int64) * n + col
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    data = np.array(vals, dtype=float)[order]
-    repeat = key[1:] == key[:-1]
-    if repeat.any():
-        first = np.concatenate(([True], ~repeat))
-        data = np.bincount(np.cumsum(first) - 1, weights=data)
-        key = key[first]
-    indptr = np.searchsorted(key, n * np.arange(m + 1))
-    return sp.csr_matrix((data, (key % max(n, 1)).astype(np.int32), indptr.astype(np.int32)),
-                         shape=shape)
+        raise QpError(f"{name} term names variable {bad} of {n}")
+    return sp.csr_matrix((np.array(vals, dtype=float), np.array(cols, dtype=np.int32),
+                          np.array(indptr, dtype=np.int32)), shape=shape)

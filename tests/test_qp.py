@@ -365,23 +365,68 @@ def _reference_programs(day_scenario):
     return day + [_thermal_window(), _repeated_squares]
 
 
-def test_assembly_matches_scipy_coo_reference(day_scenario, monkeypatch):
-    # each block compressed from its triplets equals scipy's coo -> csr
-    # conversion: the same structure, the same row data, and Q's sums of
-    # repeated square terms to a few ulp. scipy sums a long row in an
-    # order of its own; summing four terms of one sign in any two orders
-    # differs by at most 3 eps relative
-    refs = []
-    csr = qpmod._csr
+def _record_builder_calls(monkeypatch):
+    """Record every builder's square and row calls, in call order, as
+    (builder, block, terms, weight); add_ge reaches add_le negated."""
+    calls = []
+    square, add_eq, add_le = QpBuilder.add_square, QpBuilder.add_eq, QpBuilder.add_le
 
-    def recorded(rows, cols, vals, shape, block):
-        refs.append((block, sp.coo_matrix(
-            (list(vals), (list(rows), list(cols))), shape=shape).tocsr()))
-        return csr(rows, cols, vals, shape, block)
-    monkeypatch.setattr(qpmod, "_csr", recorded)
+    def rec_square(self, terms, const=0.0, weight=1.0):
+        terms = list(terms)
+        calls.append((self, "objective", terms, weight))
+        return square(self, terms, const, weight)
+
+    def rec_row(block, add):
+        def rec(self, terms, rhs):
+            terms = list(terms)
+            calls.append((self, block, terms, None))
+            return add(self, terms, rhs)
+        return rec
+    monkeypatch.setattr(QpBuilder, "add_square", rec_square)
+    monkeypatch.setattr(QpBuilder, "add_eq", rec_row("eq", add_eq))
+    monkeypatch.setattr(QpBuilder, "add_le", rec_row("le", add_le))
+    return calls
+
+
+def _triplets(calls):
+    """Each block's (row, column, value) triplets from recorded calls: a
+    square of weight w > 0 adds 2 w a_i a_j at (i, j) for each pair of its
+    nonzero terms, a row one entry per term."""
+    trip = {block: ([], [], []) for block in ("objective", "eq", "le")}
+    n_rows = {"eq": 0, "le": 0}
+    for _, block, terms, weight in calls:
+        ri, ci, vi = trip[block]
+        if block == "objective":
+            nz = [(i, float(a)) for i, a in terms if a != 0.0] if weight > 0.0 else []
+            for i, ai in nz:
+                for j, aj in nz:
+                    ri.append(i)
+                    ci.append(j)
+                    vi.append(2.0 * weight * ai * aj)
+        else:
+            for i, a in terms:
+                ri.append(n_rows[block])
+                ci.append(i)
+                vi.append(float(a))
+            n_rows[block] += 1
+    return trip
+
+
+def test_assembly_matches_scipy_coo_reference(day_scenario, monkeypatch):
+    # each block compressed from the builder's calls equals scipy's
+    # coo -> csr conversion of their triplets: the same structure, the
+    # same row data, and Q's sums of repeated square terms to a few ulp.
+    # scipy sums a long row in an order of its own; summing four terms of
+    # one sign in any two orders differs by at most 3 eps relative
+    calls = _record_builder_calls(monkeypatch)
     for make in _reference_programs(day_scenario):
-        refs.clear()
+        calls.clear()
         qp = make()
+        assert len({id(builder) for builder, *_ in calls}) == 1
+        trip = _triplets(calls)
+        shapes = {"objective": (qp.n, qp.n), "eq": (qp.n_eq, qp.n), "le": (qp.n_le, qp.n)}
+        refs = [(block, sp.coo_matrix((vals, (rows, cols)), shape=shapes[block]).tocsr())
+                for block, (rows, cols, vals) in trip.items()]
         assert [block for block, _ in refs] == ["objective", "eq", "le"]
         for (block, ref), got in zip(refs, (qp.Q, qp.A_eq, qp.A_le)):
             assert got.shape == ref.shape
@@ -392,6 +437,57 @@ def test_assembly_matches_scipy_coo_reference(day_scenario, monkeypatch):
                               <= 4 * np.finfo(float).eps * np.abs(ref.data))
             else:
                 assert np.array_equal(got.data, ref.data)
+
+
+_COEFS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-3, 7.25])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(0, 5), data=st.data())
+def test_builder_blocks_equal_a_per_row_reference(n, data):
+    # random streams of row and square calls, with repeated columns, zero
+    # coefficients and empty rows, build each block as a plain per-row
+    # reference does: columns ascending, each entry the sum from 0.0 of
+    # its terms in call order (a square's terms 2 w a_i a_j); the
+    # structure is scipy's coo -> csr, whose sums may take another order
+    terms = st.lists(st.tuples(st.integers(0, n - 1), _COEFS), max_size=6) if n else st.just([])
+    ops = data.draw(st.lists(st.tuples(st.sampled_from(["eq", "le", "ge", "square"]), terms,
+                                       st.sampled_from([0.0, 0.5, 2.0])), max_size=12))
+    b = QpBuilder()
+    for _ in range(n):
+        b.add_var()
+    ref = {"objective": [{} for _ in range(n)], "eq": [], "le": []}
+    trip = {block: ([], [], []) for block in ref}
+
+    def add(block, r, j, v):
+        ref[block][r][j] = ref[block][r].get(j, 0.0) + v
+        for part, x in zip(trip[block], (r, j, v)):
+            part.append(x)
+    for kind, ts, w in ops:
+        if kind == "square":
+            b.add_square(ts, 1.0, w)
+            nz = [(i, a) for i, a in ts if a != 0.0] if w > 0.0 else []
+            for i, ai in nz:
+                for j, aj in nz:
+                    add("objective", i, j, 2.0 * w * ai * aj)
+            continue
+        block, sign = ("eq", 1.0) if kind == "eq" else ("le", -1.0 if kind == "ge" else 1.0)
+        getattr(b, "add_" + kind)(ts, w)
+        ref[block].append({})
+        for i, a in ts:
+            add(block, len(ref[block]) - 1, i, sign * a)
+    qp = b.build()
+    for block, got in zip(ref, (qp.Q, qp.A_eq, qp.A_le)):
+        rows = ref[block]
+        assert got.shape == (len(rows), n)
+        want = [(j, row[j]) for row in rows for j in sorted(row)]
+        assert list(got.indptr) == list(np.cumsum([0] + [len(row) for row in rows]))
+        assert list(zip(got.indices.tolist(), got.data.tolist())) == want
+        rows_, cols_, vals_ = trip[block]
+        coo = sp.coo_matrix((vals_, (rows_, cols_)), shape=got.shape).tocsr()
+        assert np.array_equal(got.indptr, coo.indptr)
+        assert np.array_equal(got.indices, coo.indices)
+        assert np.allclose(got.data, coo.data, rtol=1e-14, atol=0.0)
 
 
 def test_blocks_are_csr_rows_with_ascending_columns(day_scenario):
