@@ -26,10 +26,10 @@ The engine has that one tolerance: every optimal solve holds its rows to
 divided by the curvature of the minimizer, and its multipliers have the
 right signs.
 
-Each workspace factors Q + eps*I and forms G = (Q + eps*I)^-1 C' and
-K = C G once, as one sparse-times-dense product whose last rows, from
-C's identity rows, are G itself. Within a solve, each pass works on the
-working columns G[:, W]; a joining row grows the Cholesky factor of
+Each workspace factors Q + eps*I = L L' and forms V = L^-1 C' once, by
+one triangular solve over the dense C'; then K = V'V = C (Q + eps*I)^-1 C',
+exactly symmetric, and G = L'^-1 V = (Q + eps*I)^-1 C'. Within a solve,
+each pass works on the working columns G[:, W]; a joining row grows the Cholesky factor of
 K[W, W] by one row, and a dropped row refactors it. Changing only lb/ub
 (as branch-and-bound does when fixing binaries) changes only right-hand
 sides, so one workspace serves a whole search tree. A warm start begins
@@ -60,7 +60,6 @@ _EPS = 1e-3                          # proximal weight; 1e-6 made K too ill-cond
 _ROW_TOL = 1e-9                      # relative row violation; absolute stationarity
 _DEP_TOL = 1e-8                      # relative Schur complement of a dependent row
 _column = itemgetter(0)              # a (variable, coefficient) term's variable
-_SYM_BLOCK = 128                     # rows per block when K is symmetrized
 
 
 class QpError(ValueError):
@@ -212,9 +211,9 @@ class AdmmSolver:
     changes only right-hand sides; `solve` accepts per-call overrides of
     the variable bounds plus an optional warm start, which may come from
     another program of the same shape. Set-up lays the CSR arrays of
-    A_eq, A_le and the identity end to end as the loop's C, forms G
-    from C' (C densified, then transposed), and forms K as C G,
-    symmetrizing it in place block by block.
+    A_eq, A_le and the identity end to end as the loop's C, densifies
+    C', and overwrites it with V = L^-1 C' (L the Cholesky factor of
+    Q + eps*I), then V with G = L'^-1 V, after taking K = V'V.
     A solve gathers G[:, W] when it starts warm or factors K[W, W]
     afresh (a drop, a swap); a join appends one column and one factor
     row.
@@ -257,20 +256,13 @@ class AdmmSolver:
         self._chol = _cholesky(qp.Q.toarray() + _EPS * np.eye(n))
         if self._chol is None:
             raise QpError("quadratic term not positive semidefinite")
-        # G = H^-1 C' maps working multipliers to the primal, K = C G
-        # maps them to row values; C's identity rows make G K's last rows
-        self._G = G = _chol_solve(self._chol, self._C.toarray().T)
-        self._K = K = self._C @ G
-        # K = (K + K')/2 block by block: a strided whole-matrix transpose
-        # costs more than its flops on a few hundred rows
-        for i in range(0, self.m, _SYM_BLOCK):
-            I = slice(i, i + _SYM_BLOCK)
-            for j in range(i, self.m, _SYM_BLOCK):
-                J = slice(j, j + _SYM_BLOCK)
-                half = K[I, J] + K[J, I].T
-                half *= 0.5
-                K[I, J] = half
-                K[J, I] = half.T
+        # H = L L': V = L^-1 C', K = V'V = C H^-1 C' (exactly symmetric)
+        # and G = L'^-1 V = H^-1 C', which maps working multipliers to the
+        # primal; these are the two solves dpotrs makes. V overwrites C'
+        # and G overwrites V
+        V = _tri_solve(self._chol, self._C.toarray().T, overwrite=1)
+        self._K = V.T @ V
+        self._G = _tri_solve(self._chol, V, trans=1, overwrite=1)
 
     def _bounds(self, lb, ub):
         l = self._l0.copy()
@@ -531,9 +523,11 @@ def _chol_solve(fac, b):
     return scipy.linalg.lapack.dpotrs(fac, b, lower=1)[0]
 
 
-def _tri_solve(fac, b, trans=0):
-    """fac^-1 b, or fac'^-1 b with trans=1, for a lower triangular fac."""
-    return scipy.linalg.lapack.dtrtrs(fac, b, lower=1, trans=trans)[0] if len(b) else b
+def _tri_solve(fac, b, trans=0, overwrite=0):
+    """fac^-1 b, or fac'^-1 b with trans=1, for a lower triangular fac; a
+    Fortran-ordered b is overwritten with overwrite=1."""
+    return (scipy.linalg.lapack.dtrtrs(fac, b, lower=1, trans=trans, overwrite_b=overwrite)[0]
+            if len(b) else b)
 
 
 def _inf_norm(v) -> float:

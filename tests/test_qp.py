@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -503,16 +504,23 @@ def test_blocks_are_csr_rows_with_ascending_columns(day_scenario):
 
 
 def test_workspace_setup_matches_vstack_reference(day_scenario):
-    # G = H^-1 C' and K = C G formed blockwise equal the forms built from
-    # one stacked sparse C; the loop's CSR C equals the stacked one
+    # G = H^-1 C' equals dpotrs on the stacked sparse C, bit for bit: it
+    # is L'^-1 V with V = L^-1 C', the two solves dpotrs makes. K = V'V
+    # exactly, so K is exactly symmetric, and it lies within 4 ulp of
+    # the largest entry of (CG + (CG)')/2, the form K had as C G averaged
+    # with its transpose. The loop's CSR C equals the stacked one
     for make in _reference_programs(day_scenario):
         qp = make()
         ws = AdmmSolver(qp)
         C = sp.vstack([qp.A_eq, qp.A_le, sp.identity(qp.n, format="csc")], format="csr")
         G = qpmod._chol_solve(ws._chol, C.T.toarray())
+        V = scipy.linalg.solve_triangular(ws._chol, C.T.toarray(), lower=True)
         K = np.asarray(C @ G)
+        K = 0.5 * (K + K.T)
         assert np.array_equal(ws._G, G)
-        assert np.array_equal(ws._K, 0.5 * (K + K.T))
+        assert np.array_equal(ws._K, V.T @ V)
+        assert np.array_equal(ws._K, ws._K.T)
+        assert np.all(np.abs(ws._K - K) <= 4 * np.spacing(np.abs(K).max()))
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(ws._C, part), getattr(C, part))
 
