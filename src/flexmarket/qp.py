@@ -265,18 +265,23 @@ class AdmmSolver:
         self._G = _tri_solve(self._chol, V, trans=1, overwrite=1)
 
     def _bounds(self, lb, ub):
+        """The rows' sides with the variable bounds overridden; an override
+        must have shape (n,)."""
         l = self._l0.copy()
         u = self._u0.copy()
-        if lb is not None:
-            l[self.m - self.n:] = lb
-        if ub is not None:
-            u[self.m - self.n:] = ub
+        for name, v, side in (("lb", lb, l), ("ub", ub, u)):
+            if v is not None:
+                if np.shape(v) != (self.n,):
+                    raise QpError(f"{name} has shape {np.shape(v)}, expected {(self.n,)}")
+                side[self.m - self.n:] = v
         return l, u
 
     def solve(self, lb=None, ub=None, warm=None, tol=None,
               max_iter=DEFAULT_MAX_ITER) -> QpSolution:
         """Exact minimizer under the given variable bounds.
 
+        `lb` and `ub`, when given, replace the program's variable bounds
+        and must have shape (n,).
         `warm` is any start with a finite primal and finite multipliers
         of this program's shape, whatever its status: a branch-and-bound
         parent's solution, or the previous clearing's root shifted one
@@ -292,10 +297,10 @@ class AdmmSolver:
         "iteration_limit".
         """
         qp, n = self.qp, self.n
+        l, u = self._bounds(lb, ub)
         if n == 0:
             return QpSolution(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0),
                               qp.c0, "optimal")
-        l, u = self._bounds(lb, ub)
         if not ((l < INF).all() and (u > -INF).all()):
             # the rows' sides are finite, so a variable bound fails
             _check_box(l[self.m - n:], u[self.m - n:])

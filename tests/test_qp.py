@@ -186,6 +186,19 @@ def test_nonfinite_bound_override_is_rejected(lb, ub, message):
         ws.solve(box(lb), box(ub))
 
 
+@pytest.mark.parametrize("lb, ub, message", [
+    (np.zeros(3), None, r"lb has shape \(3,\), expected \(2,\)"),
+    (0.75, None, r"lb has shape \(\), expected \(2,\)"),
+    (None, np.ones((1, 2)), r"ub has shape \(1, 2\), expected \(2,\)")])
+def test_bound_override_must_have_one_entry_per_variable(lb, ub, message):
+    # a length-3 lb on two variables escaped as numpy's broadcast
+    # ValueError; a scalar lb or a (1, 2) ub was broadcast and solved
+    ws = AdmmSolver(QuadraticProgram(2, Q=np.eye(2), A_le=[[1.0, 1.0]], b_le=[1.0]))
+    with pytest.raises(QpError, match=message):
+        ws.solve(lb, ub)
+    assert ws.solve(np.zeros(2), np.ones(2)).status == "optimal"
+
+
 def test_empty_bound_pair_infeasible():
     with pytest.raises(QpError):
         QuadraticProgram(1, Q=[[2.0]], lb=[2.0], ub=[1.0])
