@@ -39,6 +39,7 @@ results for identical inputs.
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +90,11 @@ class BnbConfig:
     gap_tol: float = 1e-6            # relative optimality gap at termination
 
     def __post_init__(self):
+        # a nan limit never stops the search, and a limit below 1 still
+        # runs the dive; a bool is not a count
+        limit = self.node_limit
+        if isinstance(limit, bool) or not isinstance(limit, numbers.Integral) or limit < 1:
+            raise ValueError(f"node_limit must be an integer >= 1, got {limit!r}")
         # with a nan tolerance no child is ever pushed, and the search
         # would end after the root's children claiming "optimal"
         if not 0.0 <= self.gap_tol < np.inf:

@@ -167,6 +167,15 @@ def test_config_rejects_bad_gap_tol(gap_tol):
         BnbConfig(gap_tol=gap_tol)
 
 
+@pytest.mark.parametrize("node_limit", [np.nan, -3, 0, 2.5, 8.0, True, "24"])
+def test_config_rejects_a_node_limit_that_is_not_a_count(node_limit):
+    # on home1's window at step 18, node_limit nan searched unbounded and
+    # ended "optimal" after 5,879 nodes, and -3 ran the 17-node dive
+    with pytest.raises(ValueError, match="node_limit must be an integer >= 1"):
+        BnbConfig(node_limit=node_limit)
+    assert BnbConfig(node_limit=np.int64(1)).node_limit == 1
+
+
 def test_deterministic():
     rng = np.random.default_rng(13)
     mi = _bigm_instance(rng, 3)
