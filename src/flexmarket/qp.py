@@ -26,21 +26,22 @@ The engine has that one tolerance: every optimal solve holds its rows to
 divided by the curvature of the minimizer, and its multipliers have the
 right signs.
 
-Each workspace factors Q + eps*I = L L' and forms V = L^-1 C' once, by
-one triangular solve over the dense C'; then K = V'V = C (Q + eps*I)^-1 C',
-exactly symmetric, and G = L'^-1 V = (Q + eps*I)^-1 C'. Within a solve,
-each pass works on the working columns G[:, W]; a joining row grows the Cholesky factor of
-K[W, W] by one row, and a dropped row refactors it. Changing only lb/ub
-(as branch-and-bound does when fixing binaries) changes only right-hand
-sides, so one workspace serves a whole search tree. A warm start begins
-from the active set read off the multipliers of a start of the
-program's shape: a search node's parent, or another window's solution
-moved onto this one. A start from the workspace's own last optimal
-solution, or from the solution it last started from, takes that working
-set and its factor as they were kept, without factoring K[W, W] again.
-All arithmetic is deterministic; repeated solves of the same data give
-bit-identical results. solve_qp builds a private workspace per call and
-is reentrant; an AdmmSolver instance belongs to one thread at a time.
+Each workspace factors Q + eps*I = L L' once, solves V = L^-1 C' over
+the dense C', and forms K = V'V = C (Q + eps*I)^-1 C', exactly
+symmetric, and G = L'^-1 V = (Q + eps*I)^-1 C'. Within a solve, each
+pass works on the working columns G[:, W]; a joining row grows the
+Cholesky factor of K[W, W] by one row, and a dropped row refactors it.
+Changing only lb/ub (as branch-and-bound does when fixing binaries)
+changes only right-hand sides, so one workspace serves a whole search
+tree. A warm start begins from the active set read off the multipliers
+of a start of the program's shape: a search node's parent, or another
+window's solution moved onto this one. A start from the workspace's own
+last optimal solution, or from the solution it last started from, takes
+that working set and its factor as they were kept, without factoring
+K[W, W] again. All arithmetic is deterministic; repeated solves of the
+same data give bit-identical results. solve_qp builds a private
+workspace per call and is reentrant; an AdmmSolver instance belongs to
+one thread at a time.
 """
 
 from __future__ import annotations
@@ -265,8 +266,7 @@ class AdmmSolver:
         self._G = _tri_solve(self._chol, V, trans=1, overwrite=1)
 
     def _bounds(self, lb, ub):
-        """The rows' sides with the variable bounds overridden; an override
-        must have shape (n,)."""
+        """The rows' sides, with lb and ub of shape (n,) as variable bounds."""
         l = self._l0.copy()
         u = self._u0.copy()
         for name, v, side in (("lb", lb, l), ("ub", ub, u)):
@@ -529,10 +529,10 @@ def _chol_solve(fac, b):
 
 
 def _tri_solve(fac, b, trans=0, overwrite=0):
-    """fac^-1 b, or fac'^-1 b with trans=1, for a lower triangular fac; a
-    Fortran-ordered b is overwritten with overwrite=1."""
-    return (scipy.linalg.lapack.dtrtrs(fac, b, lower=1, trans=trans, overwrite_b=overwrite)[0]
-            if len(b) else b)
+    """fac^-1 b, or fac'^-1 b with trans=1, for a lower triangular fac;
+    overwrite=1 solves a Fortran-ordered b in place."""
+    return scipy.linalg.lapack.dtrtrs(fac, b, lower=1, trans=trans,
+                                      overwrite_b=overwrite)[0] if len(b) else b
 
 
 def _inf_norm(v) -> float:
@@ -548,17 +548,17 @@ class QpBuilder:
     which keeps the result PSD by construction, so `build` skips the
     dense check. Row indices returned by add_le are stable and index into
     the final A_le block. Each row is compressed as it arrives into its
-    block's CSR lists (indptr, indices, data): columns ascending, a
-    repeated column summed in the order given. Q's entries are summed
-    per (i, j) from 0.0 in call order, one {column: value} dict per row.
-    `build` sorts each Q row's columns, checks that every column names a
-    variable, and turns the lists into arrays.
+    block's CSR lists (indptr, indices, data): columns ascending, each
+    entry summed from 0.0 over its terms in the order given. A square's
+    terms are kept per row of Q until `build` compresses each row the
+    same way, checks that every column names a variable, and turns the
+    lists into arrays.
     """
 
     def __init__(self):
         self._lb: list[float] = []
         self._ub: list[float] = []
-        self._q: dict[int, dict[int, float]] = {}
+        self._q: dict[int, list] = {}        # Q's (column, value) terms per row
         self._lin: dict[int, float] = {}
         self._c0 = 0.0
         self._eq: tuple[list, list, list, list] = ([0], [], [], [])   # CSR lists, rhs
@@ -587,9 +587,7 @@ class QpBuilder:
             return
         terms = [(i, float(a)) for i, a in terms if a != 0.0]
         for i, ai in terms:
-            row = self._q.setdefault(i, {})
-            for j, aj in terms:
-                row[j] = row.get(j, 0.0) + 2.0 * weight * ai * aj
+            self._q.setdefault(i, []).extend((j, 2.0 * weight * ai * aj) for j, aj in terms)
             if const:
                 self.add_linear(i, 2.0 * weight * const * ai)
         if const:
@@ -599,13 +597,13 @@ class QpBuilder:
     def _add_row(block, terms, rhs: float) -> int:
         indptr, cols, vals, b = block
         last = None
-        for i, a in sorted(terms, key=_column):      # stable: call order kept
-            if i == last:
+        for j, a in sorted(terms, key=_column):      # stable: call order kept
+            if j == last:
                 vals[-1] += float(a)
             else:
-                cols.append(i)
+                cols.append(j)
                 vals.append(0.0 + float(a))
-                last = i
+                last = j
         indptr.append(len(cols))
         b.append(float(rhs))
         return len(b) - 1
@@ -626,18 +624,13 @@ class QpBuilder:
         for i in [*self._q, *self._lin]:
             if not 0 <= i < n:
                 raise QpError(f"objective term names variable {i} of {n}")
-        indptr, cols, vals = [0], [], []
+        q = ([0], [], [], [])                 # Q's CSR lists; its sides go unused
         for i in range(n):
-            row = self._q.get(i, {})
-            for j in sorted(row):
-                cols.append(j)
-                vals.append(row[j])
-            indptr.append(len(cols))
+            self._add_row(q, self._q.get(i, ()), 0.0)
         c = np.zeros(n)
-        for i, v in self._lin.items():
-            c[i] = v
+        c[list(self._lin)] = list(self._lin.values())
         (*eq, b_eq), (*le, b_le) = self._eq, self._le
-        return QuadraticProgram(n, _csr((indptr, cols, vals), (n, n), "objective"), c,
+        return QuadraticProgram(n, _csr(q[:3], (n, n), "objective"), c,
                                 np.array(self._lb), np.array(self._ub),
                                 _csr(eq, (len(b_eq), n), "eq"), np.array(b_eq),
                                 _csr(le, (len(b_le), n), "le"), np.array(b_le),
