@@ -14,7 +14,11 @@ advances device states one step through the device dynamics. The next
 clearing re-plans from those states (receding horizon). Agent types
 gamma are read once from the scenario and held fixed across clearings.
 
-Runs are deterministic: identical scenarios produce identical traces.
+Runs are deterministic: identical scenarios produce identical traces,
+given the same BLAS build and BLAS thread count. The thread count sets
+the order in which BLAS sums, so a run at another count can differ in
+the last bits (the bundled day's trace hashes differently with
+OPENBLAS_NUM_THREADS=1 and 2); processes at the same count agree.
 """
 
 from __future__ import annotations
