@@ -46,6 +46,7 @@ one thread at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -114,7 +115,7 @@ class QuadraticProgram:
         if self.lb.shape != (self.n,) or self.ub.shape != (self.n,):
             raise QpError("bound vectors must have one entry per variable")
         _check_box(self.lb, self.ub)
-        if np.any(self.lb > self.ub + 1e-12):
+        if (self.lb > self.ub + 1e-12).any():
             bad = int(np.argmax(self.lb - self.ub))
             raise QpError(f"bounds empty for variable {bad}: lb {self.lb[bad]} > ub {self.ub[bad]}")
         self.Q = _as_csr(Q, (self.n, self.n))
@@ -140,11 +141,13 @@ class QuadraticProgram:
     def _check_finite(self):
         """c0, c, b_eq, b_le and every stored entry of Q, A_eq and A_le
         must be finite; the first that is not is named with its index."""
+        if math.isfinite(self.c0) and np.isfinite(np.concatenate(
+                (self.c, self.b_eq, self.b_le,
+                 self.Q.data, self.A_eq.data, self.A_le.data))).all():
+            return
         parts = {"c0": np.array([self.c0]), "c": self.c, "b_eq": self.b_eq,
                  "b_le": self.b_le, "Q": self.Q, "A_eq": self.A_eq, "A_le": self.A_le}
         data = [v.data if sp.issparse(v) else v for v in parts.values()]
-        if np.isfinite(np.concatenate(data)).all():
-            return
         for (name, v), d in zip(parts.items(), data):
             bad = np.flatnonzero(~np.isfinite(d))
             if bad.size:

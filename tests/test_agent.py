@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,7 +14,7 @@ from flexmarket.agent import (AgentError, DegenerateAgentError,
                               InfeasibleMpoError, best_response, build_mpo,
                               agent_welfare, shift_root, solve_flexibility)
 from flexmarket.bnb import BnbConfig, enumerate_binaries, solve_miqp
-from flexmarket.devices import BATTERY, EV, HEAT_PUMP, battery_soc_step
+from flexmarket.devices import BATTERY, EV, HEAT_PUMP, PV, battery_soc_step
 from flexmarket.market import default_solver_config, run_simulation
 from flexmarket.qp import AdmmSolver, QpSolution
 from flexmarket.scenario import read_scenario_doc, scenario_from_dict, slice_horizon
@@ -377,8 +379,9 @@ def _shift_by_name(old, root, new, qp):
             moved(old.le, new.le, new.H - 1, root.dual_ineq, qp.n_le))
 
 
-def _extract_by_step(spec, lay, qp, x):
+def _extract_by_step(spec, miqp, x):
     """_extract_schedules read step by step through the keyed layout."""
+    lay, qp = miqp.layout, miqp.base
     out = {}
     for d in spec.devices:
         kind, powers, deltas, states = d.kind, [], [], ()
@@ -389,11 +392,11 @@ def _extract_by_step(spec, lay, qp, x):
             dl = float(x[lay.delta[kind, k]])
             powers.append(p)
             deltas.append(min(max(dl, 0.0), min(spec.eps_hi * abs(p), hi - p, p - lo)))
-        if kind in lay.start:
-            states = (float(lay.start[kind]),) + tuple(
+        if kind in miqp.start:
+            states = (float(miqp.start[kind]),) + tuple(
                 float(x[lay.state[kind, k]]) for k in range(1, lay.H))
         out[kind] = agent.DeviceSchedule(kind, tuple(powers), tuple(deltas), states,
-                                         lay.mode_signs.get(kind, ()))
+                                         miqp.mode_signs.get(kind, ()))
     return out
 
 
@@ -415,9 +418,9 @@ def _checked_run(monkeypatch, s):
         shifted.append((old, new))
         return warm
 
-    def checked_extract(spec, lay, qp, x):
-        got = extract(spec, lay, qp, x)
-        ref = _extract_by_step(spec, lay, qp, x)
+    def checked_extract(spec, miqp, x):
+        got = extract(spec, miqp, x)
+        ref = _extract_by_step(spec, miqp, x)
         assert repr(got) == repr(ref)
         return got
 
@@ -498,6 +501,194 @@ def test_shift_equals_the_rule_by_name_on_random_families(data):
         assert len(keys) == len(set(keys)) == len(fams)
         assert sorted(fams[key] for key in keys) == sorted(
             i for fam in fams.lists.values() for i in fam if i is not None)
+
+
+# --- frames: a window shape declared once, refreshed per window ------------
+
+_SORTS = ("P", "delta", "state", "plus", "minus", "z", "eq", "le")
+
+
+def _program_facts(miqp):
+    """All of a window's program: each array's dtype, shape and bytes (so
+    a zero's sign counts), the blocks' shapes, c0's bytes, the binaries,
+    the layout families, and the window's start states and mode signs."""
+    qp, lay = miqp.base, miqp.layout
+    arrays = [qp.lb, qp.ub, qp.c, qp.b_eq, qp.b_le]
+    for m in (qp.Q, qp.A_eq, qp.A_le):
+        arrays += [m.data, m.indices, m.indptr]
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+            [m.shape for m in (qp.Q, qp.A_eq, qp.A_le)],
+            np.float64(qp.c0).tobytes(), miqp.binary_vars, lay.kinds, lay.H,
+            {sort: getattr(lay, sort).lists for sort in _SORTS},
+            repr(miqp.start), repr(miqp.mode_signs))
+
+
+def _carried_builds(spec, views, weights, frame=None):
+    """Each view's program built through the frame the last build left,
+    each checked equal to a fresh build of its view."""
+    out = []
+    for view in views:
+        got = build_mpo(spec, view, weights, frame)
+        assert _program_facts(got) == _program_facts(build_mpo(spec, view, weights))
+        out.append(got)
+        frame = got.frame
+    return out
+
+
+_LEVELS = {BATTERY: (0.1, 0.5, 0.9), EV: (0.1, 0.5, 0.9),
+           HEAT_PUMP: (66.0, 69.5, 70.5, 74.0)}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_carried_frame_builds_what_a_fresh_build_does(data):
+    # agents of one to four devices over 2-4 successive windows from drawn
+    # states: where a window keeps the shape of the one before, the frame
+    # is refreshed, and the program must still equal a fresh build's
+    total = 8
+    H = data.draw(st.integers(2, 4))
+    kinds = data.draw(st.lists(st.sampled_from((BATTERY, EV, HEAT_PUMP, PV)),
+                               min_size=1, max_size=4, unique=True))
+    devices = {BATTERY: BS, HEAT_PUMP: HPD, PV: PVD}
+    devices = {kind: devices.get(kind) for kind in kinds}
+    if EV in devices:
+        away = data.draw(st.integers(0, total + H))
+        devices[EV] = dict(EVD, away_start=away,
+                           away_end=data.draw(st.integers(away, total + H)),
+                           target_step=data.draw(st.integers(0, total - 1)))
+    series = lambda values: data.draw(st.lists(st.sampled_from(values),
+                                               min_size=total, max_size=total))
+    s = make_scenario(devices, total=total, H=H, fixed=series((0.0, 1.5)),
+                      irr=series((0.0, 0.3, 1.0)),
+                      temps=series((62.0, 69.5, 70.0, 78.0)))
+    spec, frame = s.agents[0], None
+    t0 = data.draw(st.integers(0, total - 2))
+    for t in range(t0, t0 + data.draw(st.integers(2, min(4, total - t0)))):
+        states = {kind: data.draw(st.sampled_from(_LEVELS[kind]))
+                  for kind in devices if kind in _LEVELS}
+        view = slice_horizon(s, t, {spec.id: states})
+        try:
+            fresh = build_mpo(spec, view, s.weights)
+        except AgentError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                build_mpo(spec, view, s.weights, frame)
+            continue
+        got = build_mpo(spec, view, s.weights, frame)
+        assert _program_facts(got) == _program_facts(fresh)
+        frame = got.frame
+
+
+def test_frame_follows_an_ev_leaving_home_inside_the_window():
+    # the EV leaves at step 3: windows 0-2 hold 3, 2 and 1 steps at home,
+    # each a binary and a shape of its own; windows 3-5 lie away
+    # throughout and share one frame
+    evd = dict(EVD, away_start=3, away_end=9, target_step=1)
+    s = make_scenario({"ev": evd, "pv": PVD}, total=10, H=4,
+                      irr=[0.5] * 10, temps=[75.0] * 10)
+    progs = _carried_builds(s.agents[0], [slice_horizon(s, t) for t in range(6)],
+                            s.weights)
+    assert [len(p.binary_vars) for p in progs] == [3, 2, 1, 0, 0, 0]
+    frames = [p.frame for p in progs]
+    assert len({id(f) for f in frames[:4]}) == 4
+    assert frames[3] is frames[4] is frames[5]
+
+
+def test_frame_declared_anew_where_the_window_end_becomes_an_equality(
+        day_scenario, day_run):
+    # home2's windows at clearings 14-17 from the day's states: 15
+    # refreshes 14's frame; 16 holds the day's end, so its floor becomes
+    # an equality, and 17 anchors the end one step earlier in its window
+    home2 = day_scenario.agent("home2")
+    states = {}
+    for r in day_run["trace"].device_records:
+        if r.agent_id == "home2":
+            states.setdefault(r.step, {})[r.kind] = r.state_begin
+    views = [slice_horizon(day_scenario, t, {"home2": states[t]})
+             for t in (14, 15, 16, 17)]
+    progs = _carried_builds(home2, views, day_scenario.weights)
+    assert progs[1].frame is progs[0].frame
+    assert progs[2].frame is not progs[1].frame
+    assert progs[3].frame is not progs[2].frame
+    assert (BATTERY, "end_floor") in progs[1].layout.le.lists
+    assert (BATTERY, "end_eq") in progs[2].layout.eq.lists
+
+
+def test_frame_follows_heat_pump_mode_flips():
+    # window 1 keeps window 0's cooling step 0, so it refreshes the frame
+    # with other later signs; window 2 heats at step 0, a new role
+    s = make_scenario({"heat_pump": HPD, "pv": PVD}, total=6, H=4,
+                      temps=[75, 75, 64, 76, 63, 62])
+    progs = _carried_builds(s.agents[0], [slice_horizon(s, t) for t in range(3)],
+                            s.weights)
+    assert [p.mode_signs[HEAT_PUMP] for p in progs[:2]] == [
+        (1.0, 1.0, -1.0, 1.0), (1.0, -1.0, 1.0, -1.0)]
+    assert progs[1].frame is progs[0].frame
+    assert not np.array_equal(progs[0].base.A_eq.data, progs[1].base.A_eq.data)
+    assert progs[2].frame is not progs[1].frame
+    assert (HEAT_PUMP, "robust_cool") in progs[1].layout.le.lists
+    assert (HEAT_PUMP, "robust_heat") in progs[2].layout.le.lists
+
+
+def test_frame_refreshes_pv_through_zero_irradiance():
+    s = make_scenario({"pv": PVD}, total=6, H=4, irr=[0.0, 0.0, 0.5, 1.0, 0.0, 0.0])
+    progs = _carried_builds(s.agents[0], [slice_horizon(s, t) for t in range(3)],
+                            s.weights)
+    assert progs[0].frame is progs[1].frame is progs[2].frame
+    qp, P = progs[0].base, progs[0].layout.P
+    # no output: P is pinned at 0, its envelope side is -0.0, and the
+    # curtailment adds nothing to the injection reward
+    assert qp.ub[P[PV, 0]] == 0.0 and np.signbit(qp.b_le[progs[0].layout.le[PV, "env_lo", 0]])
+    assert qp.c[P[PV, 0]] == -1.0
+
+
+def test_writing_into_a_window_program_leaves_the_next_unchanged():
+    # the battery's gates refresh A_le and the heat pump's temperatures
+    # A_eq, so each window owns those; Q and the blocks' structure are
+    # shared and read-only
+    s = make_scenario({"battery": BS, "heat_pump": HPD, "pv": PVD}, total=8, H=4,
+                      temps=[75, 78, 82, 85, 83, 80, 78, 76], irr=[0.5] * 8)
+    spec, w = s.agents[0], s.weights
+    first = build_mpo(spec, slice_horizon(s, 0), w)
+    second = build_mpo(spec, slice_horizon(s, 1), w, first.frame)
+    assert second.frame is first.frame
+    before = _program_facts(second)
+    qp = first.base
+    for a in (qp.lb, qp.ub, qp.c, qp.b_eq, qp.b_le, qp.A_eq.data, qp.A_le.data):
+        a[:] = 7.0
+    for a in (qp.Q.data, qp.Q.indices, qp.A_eq.indptr, qp.A_le.indices):
+        with pytest.raises(ValueError, match="read-only"):
+            a[:] = 7
+    assert _program_facts(second) == before
+    third = _carried_builds(spec, [slice_horizon(s, 2)], w, first.frame)
+    assert third[0].frame is first.frame
+
+
+def test_per_window_checks_hold_on_a_refreshed_frame():
+    # each check runs on a window whose shape the frame has, where a
+    # feasible window refreshes it
+    w = make_scenario({}).weights
+    s = make_scenario({}, total=8, H=2, fixed=[1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                      irr=[0.5] * 8, temps=[75.0] * 8)
+    frame = build_mpo(s.agents[0], slice_horizon(s, 0), w).frame
+    assert build_mpo(s.agents[0], slice_horizon(s, 1), w, frame).frame is frame
+    with pytest.raises(DegenerateAgentError):
+        build_mpo(s.agents[0], slice_horizon(s, 3), w, frame)
+
+    s = make_scenario({"battery": dict(BS, p_min_kw=-0.5, p_max_kw=0.5)}, total=4, H=4)
+    spec = s.agents[0]
+    at = lambda soc: slice_horizon(s, 0, {spec.id: {BATTERY: soc}})
+    frame = build_mpo(spec, at(0.45), w).frame
+    assert build_mpo(spec, at(0.55), w, frame).frame is frame
+    with pytest.raises(InfeasibleMpoError, match="cannot return to its initial SOC"):
+        build_mpo(spec, at(0.1), w, frame)
+
+    s = make_scenario({"pv": PVD}, total=6, H=4)
+    view = slice_horizon(s, 1)
+    frame = build_mpo(s.agents[0], slice_horizon(s, 0), w).frame
+    assert build_mpo(s.agents[0], view, w, frame).frame is frame
+    bad = dataclasses.replace(view, irradiance_frac=(0.4, 1.5, 0.9, 0.6))
+    with pytest.raises(ValueError, match="irradiance fraction must be in"):
+        build_mpo(s.agents[0], bad, w, frame)
 
 
 # --- stage II best response -------------------------------------------------

@@ -431,11 +431,17 @@ def test_assembly_matches_scipy_coo_reference(day_scenario, monkeypatch):
     # coo -> csr conversion of their triplets: the same structure, the
     # same row data, and Q's sums of repeated square terms to a few ulp.
     # scipy sums a long row in an order of its own; summing four terms of
-    # one sign in any two orders differs by at most 3 eps relative
+    # one sign in any two orders differs by at most 3 eps relative. A
+    # window's program is the builder's declared one with the window's
+    # numbers refreshed, so the builder's own result is compared
     calls = _record_builder_calls(monkeypatch)
+    built, build = [], QpBuilder.build
+    monkeypatch.setattr(QpBuilder, "build", lambda self: built.append(build(self)) or built[-1])
     for make in _reference_programs(day_scenario):
         calls.clear()
-        qp = make()
+        built.clear()
+        make()
+        (qp,) = built
         assert len({id(builder) for builder, *_ in calls}) == 1
         trip = _triplets(calls)
         shapes = {"objective": (qp.n, qp.n), "eq": (qp.n_eq, qp.n), "le": (qp.n_le, qp.n)}
