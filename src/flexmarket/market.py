@@ -235,7 +235,8 @@ def run_simulation(s: Scenario, solver_cfg: Optional[BnbConfig] = None) -> Simul
             "non_optimal_solves": solver_notes,
         },
         "policy": {"clip_to_positivity": s.policy.clip_to_positivity},
-        "determinism": "seed-free; identical scenarios yield identical traces",
+        "determinism": ("seed-free; identical scenarios yield identical traces "
+                        "given the same BLAS build and BLAS thread count"),
         "notes": [
             "ev charge-target term is dropped for windows that do not "
             "contain the target step",

@@ -228,6 +228,8 @@ def test_trace_metadata_records_configuration(mini_trace):
     meta = mini_trace.metadata
     assert meta["weights"]["alpha_cyc"] == 0.1
     assert "identical traces" in meta["determinism"]
+    # the BLAS thread count sets the order in which BLAS sums
+    assert "same BLAS build and BLAS thread count" in meta["determinism"]
     assert "solver" in meta
 
 
