@@ -26,18 +26,18 @@ bid the interior stationary point.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import devices as dev
 from .bnb import BnbConfig, MixedIntegerQp, solve_miqp
 from .devices import ObjectiveWeights
-from .qp import QpBuilder, QpSolution, QuadraticProgram
+from .qp import QpBuilder, QpSolution, QuadraticProgram, csr_with_data
 from .scenario import AgentSpec, HorizonView
 
 
@@ -243,6 +243,11 @@ class _Window:
         return end
 
 
+def _doubles(values: np.ndarray) -> array:
+    """A float array's values as an array of doubles, bit for bit."""
+    return array("d", values.tobytes())
+
+
 def _shared(mat):
     """A CSR block made read-only, to be shared between programs."""
     for a in (mat.data, mat.indices, mat.indptr):
@@ -306,8 +311,9 @@ class _Frame:
         self.n, self.Q = qp.n, _shared(qp.Q)
         self.binary_vars = tuple(i for z in lay.z.lists.values()
                                  for i in z if i is not None)
-        self.lb, self.ub, self.c = qp.lb.tolist(), qp.ub.tolist(), qp.c.tolist()
-        self.b_eq, self.b_le = qp.b_eq.tolist(), qp.b_le.tolist()
+        # the arrays a window refreshes, as compact arrays of doubles
+        self.lb, self.ub, self.c = _doubles(qp.lb), _doubles(qp.ub), _doubles(qp.c)
+        self.b_eq, self.b_le = _doubles(qp.b_eq), _doubles(qp.b_le)
         # data positions of the refreshed coefficients: each heat-pump
         # temperature row's P entry, and each gate row's z entry
         self.at = {}
@@ -321,8 +327,8 @@ class _Frame:
                         qp.A_le, lay.le.lists[kind, role], lay.z.lists[kind,])
         # a block without refreshed entries is shared as it is
         self.A_eq, self.A_le = _shared(qp.A_eq), _shared(qp.A_le)
-        self.eq_data = qp.A_eq.data.tolist() if (dev.HEAT_PUMP, "temp") in self.at else None
-        self.le_data = qp.A_le.data.tolist() if lay.z.lists else None
+        self.eq_data = _doubles(qp.A_eq.data) if (dev.HEAT_PUMP, "temp") in self.at else None
+        self.le_data = _doubles(qp.A_le.data) if lay.z.lists else None
 
     def refresh(self, spec: AgentSpec, win: _Window,
                 w: ObjectiveWeights) -> MixedIntegerQp:
@@ -356,21 +362,18 @@ class _Frame:
 
 
 class _Numbers:
-    """One window's refreshed arrays, kept as lists while they are written."""
+    """One window's refreshed arrays: copies of the frame's, written
+    entry by entry."""
 
     def __init__(self, f: _Frame):
-        self.lb, self.ub, self.c = f.lb.copy(), f.ub.copy(), f.c.copy()
-        self.b_eq, self.b_le = f.b_eq.copy(), f.b_le.copy()
-        self.eq = None if f.eq_data is None else f.eq_data.copy()
-        self.le = None if f.le_data is None else f.le_data.copy()
+        self.lb, self.ub, self.c = f.lb[:], f.ub[:], f.c[:]
+        self.b_eq, self.b_le = f.b_eq[:], f.b_le[:]
+        self.eq = None if f.eq_data is None else f.eq_data[:]
+        self.le = None if f.le_data is None else f.le_data[:]
 
     def program(self, f: _Frame, c0: float) -> QuadraticProgram:
         def block(shared, data):
-            if data is None:
-                return shared
-            out = sp.csr_matrix(shared)         # the shared structure
-            out.data = np.array(data, dtype=float)
-            return out
+            return shared if data is None else csr_with_data(shared, data)
 
         arr = partial(np.array, dtype=float)
         return QuadraticProgram(

@@ -640,6 +640,14 @@ class QpBuilder:
                                 self._c0, validate_psd=False)
 
 
+def csr_with_data(mat: sp.csr_matrix, data) -> sp.csr_matrix:
+    """A CSR block holding `data` in the structure of `mat`, whose indices
+    and indptr it shares."""
+    out = sp.csr_matrix(mat)
+    out.data = np.array(data, dtype=float)
+    return out
+
+
 def _csr(block, shape, name) -> sp.csr_matrix:
     """The CSR matrix of a block's lists (indptr, indices, data); a column
     outside the program names the block."""
