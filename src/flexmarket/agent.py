@@ -75,7 +75,8 @@ class FlexibilityOffer:
     schedules: Mapping[str, DeviceSchedule]
     solver_status: str = "optimal"
     solver_gap: float = 0.0
-    # the window's root relaxation, to warm-start the agent's next clearing
+    # the window's root relaxation and frame: the agent's next clearing
+    # starts from the one and refreshes the other
     root: Optional["RootRelaxation"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
