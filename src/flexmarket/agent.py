@@ -13,9 +13,11 @@ results aggregate into a FlexibilityOffer.
 
 An agent's consecutive windows often share a shape: the same
 variables, rows and sparsity, with other numbers. So a window's program
-is declared once per shape, as a frame, and each window of the frame's
-shape only refreshes the numbers: bounds, sides, the coefficients that
-depend on the window, and the objective's linear and constant terms.
+is declared once per shape, as a frame. Each device's model is one
+function (`_add_*`) that builds the program with a parameter slot
+wherever a number depends on the window (`qp.QpBuilder.param`), and a
+later window of the frame's shape refreshes those numbers: its program
+is the frame's template evaluated at that window.
 
 Stage II: given announced prices, the agent's welfare is concave
 quadratic in its bid, so the best response has a closed form: saturate
@@ -26,10 +28,10 @@ bid the interior stationary point.
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import partial
+from functools import reduce
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -37,7 +39,7 @@ import numpy as np
 from . import devices as dev
 from .bnb import BnbConfig, MixedIntegerQp, solve_miqp
 from .devices import ObjectiveWeights
-from .qp import QpBuilder, QpSolution, QuadraticProgram, csr_with_data
+from .qp import QpBuilder, QpSolution, QpTemplate, QuadraticProgram
 from .scenario import AgentSpec, HorizonView
 
 
@@ -141,7 +143,7 @@ class _MpoLayout:
     (kind, role) keyed (kind, role, k); a row that is not per step is a
     family of one, keyed (kind, role, 0), and a row with another
     definition has another role. A layout belongs to a frame and is
-    shared by every window the frame refreshes.
+    shared by every window of the frame's shape.
 
     `shift_root` moves a root onto the next window family by family: in
     a family of n steps, step k takes old step k+1 for k <= n-3, and
@@ -165,21 +167,17 @@ def _storage_rates(d, dt: float) -> tuple:
     return 1.0 - d.self_discharge, dt * d.efficiency / d.capacity_kwh
 
 
-def _square_c0(weight: float, const: float) -> float:
-    """What `QpBuilder.add_square(terms, const, weight)` adds to c0. A
-    zero adds nothing to a c0, which is a sum of such terms from 0.0."""
-    return weight * const * const
-
-
 class _Window:
-    """One agent's window: the numbers its program is refreshed from, read
+    """One agent's window: the numbers its program's slots read, taken
     off the agent and the view with every per-window check, and its
     shape. The shape is every discrete decision that names a variable,
-    row, column or family: the agent, weights, step length and horizon,
-    and per device the class of each step (0.0 where its power interval
-    holds both signs, else the sign s with |P| = s*P), storage's
-    window-end row, the EV target step's position in the window, and the
-    heat pump's executed-step robustness role."""
+    row, column or family, and every number no slot reads: the agent,
+    weights, step length and horizon, per device each step's power
+    interval (PV's lower end only; its upper end follows the irradiance
+    forecast) and so its class (0.0 where the interval holds both signs,
+    else the sign s with |P| = s*P), storage's window-end row, the EV
+    target step's position in the window, and the heat pump's
+    executed-step robustness role."""
 
     def __init__(self, spec: AgentSpec, view: HorizonView, weights: ObjectiveWeights):
         H, t0 = view.length, view.t_start
@@ -199,7 +197,9 @@ class _Window:
             spans = self.spans[kind] = [interval(d, t0 + k, alphas[k]) for k in range(H)]
             steps = self.steps[kind] = tuple([
                 0.0 if lo < 0.0 < hi else -1.0 if lo < 0.0 else 1.0 for lo, hi in spans])
-            shape.append(steps)
+            # each step's interval, but for the upper end of PV's, which
+            # follows the irradiance forecast
+            shape.append(tuple(lo for lo, _ in spans) if kind == dev.PV else tuple(spans))
             if kind == dev.PV:
                 continue
             now = states_now.get(kind)
@@ -244,143 +244,40 @@ class _Window:
         return end
 
 
-def _doubles(values: np.ndarray) -> array:
-    """A float array's values as an array of doubles, bit for bit."""
-    return array("d", values.tobytes())
-
-
-def _shared(mat):
-    """A CSR block made read-only, to be shared between programs."""
-    for a in (mat.data, mat.indices, mat.indptr):
-        a.flags.writeable = False
-    return mat
-
-
-def _positions(mat, rows: list, cols: list) -> list:
-    """Where each (row, column) entry lies in a CSR block's data, None
-    where the row is."""
-    indptr, indices = mat.indptr.tolist(), mat.indices.tolist()
-    return [None if r is None else indices.index(j, indptr[r], indptr[r + 1])
-            for r, j in zip(rows, cols)]
-
-
 class _Frame:
-    """One window shape's program, declared once: its variables, rows,
-    CSR structure, layout families and every coefficient that no window
-    changes. `refresh` writes one window's numbers into copies of the
-    declared arrays: bounds from each step's power interval, every
-    right-hand side, the heat pump's temperature coefficients, the gate
-    coefficients, c and c0. Q, and A_eq or A_le where no entry of theirs
-    is refreshed, are shared read-only by every program of the frame.
-    Each refreshed number is made as the builder makes it: a row entry
-    0.0 + a, a side or bound as it is, c and c0 summed in the builder's
-    call order."""
+    """One window shape's program, declared by the first window of the
+    shape: its layout, binaries and template. The template's program at
+    a window of the frame's shape is that window's program."""
 
-    def __init__(self, spec: AgentSpec, win: _Window, w: ObjectiveWeights):
-        self.shape = win.shape
-        view, H = win.view, win.view.length
-        b = QpBuilder()
-        lay = self.layout = _MpoLayout(tuple(d.kind for d in spec.devices), H)
-        for d in spec.devices:
-            kind = d.kind
-            P, D = lay.P.new(kind), lay.delta.new(kind)
-            env_hi, env_lo = lay.le.new(kind, "env_hi"), lay.le.new(kind, "env_lo")
-            for k in range(H):
-                # P's bounds and the envelope's sides are the step's power
-                # interval; the envelope's limits must hold at P +- delta
-                P[k] = b.add_var(0.0, 0.0)
-                D[k] = b.add_var(0.0, math.inf)
-                env_hi[k] = b.add_le([(P[k], 1.0), (D[k], 1.0)], 0.0)
-                env_lo[k] = b.add_ge([(P[k], 1.0), (D[k], -1.0)], 0.0)
-                b.add_linear(D[k], -1.0)        # reward flexibility
-                b.add_linear(P[k], -1.0)        # reward net injection
-            _declare_band(b, lay, kind, win.steps[kind], spec)
-            if kind in (dev.BATTERY, dev.EV):
-                _declare_storage(b, lay, d, view, w, win)
-            elif kind == dev.HEAT_PUMP:
-                _declare_heat_pump(b, lay, d, view, w, win.mode_signs[kind][0] > 0)
-            else:
-                _declare_pv(b, lay, w)
-
-        # PV self-consumption: pull PV + battery + EV injections toward zero
-        util = [lay.P.lists[kk,] for kk in (dev.PV, dev.BATTERY, dev.EV)
-                if kk in lay.kinds]
-        if util:
-            for k in range(H):
-                b.add_square([(P[k], 1.0) for P in util], 0.0, w.utilization)
-        qp = b.build()
-        self.n, self.Q = qp.n, _shared(qp.Q)
-        self.binary_vars = tuple(i for z in lay.z.lists.values()
+    def __init__(self, shape: tuple, layout: _MpoLayout, template: QpTemplate):
+        self.shape, self.layout, self.template = shape, layout, template
+        self.binary_vars = tuple(i for z in layout.z.lists.values()
                                  for i in z if i is not None)
-        # the arrays a window refreshes, as compact arrays of doubles
-        self.lb, self.ub, self.c = _doubles(qp.lb), _doubles(qp.ub), _doubles(qp.c)
-        self.b_eq, self.b_le = _doubles(qp.b_eq), _doubles(qp.b_le)
-        # data positions of the refreshed coefficients: each heat-pump
-        # temperature row's P entry, and each gate row's z entry
-        self.at = {}
-        for kind in lay.kinds:
-            if (kind, "temp") in lay.eq.lists:
-                self.at[kind, "temp"] = _positions(
-                    qp.A_eq, lay.eq.lists[kind, "temp"], lay.P.lists[kind,])
-            if (kind,) in lay.z.lists:
-                for role in ("gate_plus", "gate_minus"):
-                    self.at[kind, role] = _positions(
-                        qp.A_le, lay.le.lists[kind, role], lay.z.lists[kind,])
-        # a block without refreshed entries is shared as it is
-        self.A_eq, self.A_le = _shared(qp.A_eq), _shared(qp.A_le)
-        self.eq_data = _doubles(qp.A_eq.data) if (dev.HEAT_PUMP, "temp") in self.at else None
-        self.le_data = _doubles(qp.A_le.data) if lay.z.lists else None
-
-    def refresh(self, spec: AgentSpec, win: _Window,
-                w: ObjectiveWeights) -> MixedIntegerQp:
-        """The program of a window of this frame's shape."""
-        lay = self.layout
-        r = _Numbers(self)
-        c0 = 0.0
-        for d in spec.devices:
-            kind = d.kind
-            spans = win.spans[kind]
-            P = lay.P.lists[kind,]
-            env_hi, env_lo = lay.le.lists[kind, "env_hi"], lay.le.lists[kind, "env_lo"]
-            for k, (lo, hi) in enumerate(spans):
-                r.lb[P[k]] = lo
-                r.ub[P[k]] = hi
-                r.b_le[env_hi[k]] = hi          # P + delta <= hi
-                r.b_le[env_lo[k]] = -lo         # -P + delta <= -lo
-            if (kind,) in lay.z.lists:
-                _refresh_band(self, r, kind, spans)
-            if kind in (dev.BATTERY, dev.EV):
-                c0 = _refresh_storage(self, r, d, win, w, c0)
-            elif kind == dev.HEAT_PUMP:
-                c0 = _refresh_heat_pump(self, r, d, win, w, c0)
-            else:
-                c0 = _refresh_pv(self, r, d, win, w, c0)
-        c0 += sum(win.fixed)        # -P_total = -(sum_d P_d - fixed)
-        miqp = MixedIntegerQp(r.program(self, c0), self.binary_vars)
-        miqp.layout, miqp.frame = lay, self
-        miqp.start, miqp.mode_signs = win.start, win.mode_signs
-        return miqp
 
 
-class _Numbers:
-    """One window's refreshed arrays: copies of the frame's, written
-    entry by entry."""
-
-    def __init__(self, f: _Frame):
-        self.lb, self.ub, self.c = f.lb[:], f.ub[:], f.c[:]
-        self.b_eq, self.b_le = f.b_eq[:], f.b_le[:]
-        self.eq = None if f.eq_data is None else f.eq_data[:]
-        self.le = None if f.le_data is None else f.le_data[:]
-
-    def program(self, f: _Frame, c0: float) -> QuadraticProgram:
-        def block(shared, data):
-            return shared if data is None else csr_with_data(shared, data)
-
-        arr = partial(np.array, dtype=float)
-        return QuadraticProgram(
-            f.n, f.Q, arr(self.c), arr(self.lb), arr(self.ub),
-            block(f.A_eq, self.eq), arr(self.b_eq), block(f.A_le, self.le),
-            arr(self.b_le), c0, validate_psd=False)
+def _declare(spec: AgentSpec, win: _Window, w: ObjectiveWeights) -> tuple:
+    """A frame for the window's shape, and the window's program: each
+    device's model, with a slot wherever a number depends on the window."""
+    b = QpBuilder(win)
+    lay = _MpoLayout(tuple(d.kind for d in spec.devices), win.view.length)
+    for d in spec.devices:
+        spans = _add_band(b, lay, d.kind, win, spec)
+        if d.kind in (dev.BATTERY, dev.EV):
+            _add_storage(b, lay, d, win, w)
+        elif d.kind == dev.HEAT_PUMP:
+            _add_heat_pump(b, lay, d, win, w)
+        else:
+            _add_pv(b, lay, spans, w)
+    # PV self-consumption: pull PV + battery + EV injections toward zero
+    util = [lay.P.lists[kk,] for kk in (dev.PV, dev.BATTERY, dev.EV)
+            if kk in lay.kinds]
+    for k in range(lay.H if util else 0):
+        b.add_square([(P[k], 1.0) for P in util], 0.0, w.utilization)
+    # -P_total = -(sum_d P_d - fixed), the fixed load summed in step
+    # order (Python 3.12's sum compensates)
+    b.add_const(b.param(lambda win: [reduce(add, win.fixed, 0.0)])[0])
+    qp = b.build()
+    return _Frame(win.shape, lay, QpTemplate(b, qp)), qp
 
 
 def build_mpo(spec: AgentSpec, view: HorizonView, weights: ObjectiveWeights,
@@ -393,41 +290,60 @@ def build_mpo(spec: AgentSpec, view: HorizonView, weights: ObjectiveWeights,
     The returned problem carries its variable layout (as `.layout`) and
     the window's start states and heat-pump mode signs (`.start`,
     `.mode_signs`), so schedules can be read back from a solution, and
-    its frame (`.frame`). A `frame` of an earlier window is refreshed
-    with this window's numbers when this window has the frame's shape;
-    otherwise a frame is declared for this window's shape and refreshed.
+    its frame (`.frame`). A `frame` of an earlier window makes this
+    window's program when this window has the frame's shape; otherwise
+    this window declares a frame for its shape.
     """
     win = _Window(spec, view, weights)
-    if frame is None or frame.shape != win.shape:
-        frame = _Frame(spec, win, weights)
-    return frame.refresh(spec, win, weights)
+    if frame is not None and frame.shape == win.shape:
+        qp = frame.template.program(win)
+    else:
+        frame, qp = _declare(spec, win, weights)
+    miqp = MixedIntegerQp(qp, frame.binary_vars)
+    miqp.layout, miqp.frame = frame.layout, frame
+    miqp.start, miqp.mode_signs = win.start, win.mode_signs
+    return miqp
 
 
-def _declare_band(b: QpBuilder, lay: _MpoLayout, kind: str, steps: tuple,
-                  spec: AgentSpec) -> None:
-    """The eps band on flexibility, eps_lo*|P| <= delta <= eps_hi*|P|, at
-    each step k of class steps[k]. Where the step's power interval holds
-    both signs (class 0.0), P = P+ - P- with a binary z gating the
-    halves, which makes |P| = P+ + P- exact; the halves' bounds and the
-    gates' z coefficients and sides are the interval's, refreshed.
-    Elsewhere the interval fixes P's sign s, |P| is s*P (P at
-    lo = hi = 0), and there is no binary."""
-    P, D = lay.P.lists[kind,], lay.delta.lists[kind,]
-    if 0.0 in steps:
+def _add_band(b: QpBuilder, lay: _MpoLayout, kind: str, win: _Window,
+              spec: AgentSpec) -> list:
+    """Each step's power interval [lo, hi] bounds P, and the envelope's
+    limits must hold at P +- delta; flexibility and net injection are
+    rewarded. Then the eps band on flexibility,
+    eps_lo*|P| <= delta <= eps_hi*|P|, at each step k of class steps[k].
+    Where the interval holds both signs (class 0.0), P = P+ - P- with a
+    binary z gating the halves, P+ <= hi*z and P- <= -lo*(1 - z), which
+    makes |P| = P+ + P- exact. Elsewhere the interval fixes P's sign s,
+    |P| is s*P (P at lo = hi = 0), and there is no binary."""
+    spans = win.spans[kind]
+    if kind == dev.PV:
+        his = b.param(lambda win: [hi for _, hi in win.spans[kind]])
+        spans = [(lo, hi) for (lo, _), hi in zip(spans, his)]
+    P, D = lay.P.new(kind), lay.delta.new(kind)
+    env_hi, env_lo = lay.le.new(kind, "env_hi"), lay.le.new(kind, "env_lo")
+    for k, (lo, hi) in enumerate(spans):
+        P[k] = b.add_var(lo, hi)
+        D[k] = b.add_var(0.0, math.inf)
+        env_hi[k] = b.add_le([(P[k], 1.0), (D[k], 1.0)], hi)
+        env_lo[k] = b.add_ge([(P[k], 1.0), (D[k], -1.0)], lo)
+        b.add_linear(D[k], -1.0)        # reward flexibility
+        b.add_linear(P[k], -1.0)        # reward net injection
+    if 0.0 in win.steps[kind]:
         plus, minus, zs = lay.plus.new(kind), lay.minus.new(kind), lay.z.new(kind)
         split = lay.eq.new(kind, "split")
         gate_plus = lay.le.new(kind, "gate_plus")
         gate_minus = lay.le.new(kind, "gate_minus")
     eps_lo, eps_hi = lay.le.new(kind, "eps_lo"), lay.le.new(kind, "eps_hi")
-    for k, s in enumerate(steps):
+    for k, s in enumerate(win.steps[kind]):
         dl = D[k]
         if s == 0.0:
-            pp = plus[k] = b.add_var(0.0, 0.0)
-            pm = minus[k] = b.add_var(0.0, 0.0)
+            lo, hi = spans[k]
+            pp = plus[k] = b.add_var(0.0, hi)
+            pm = minus[k] = b.add_var(0.0, -lo)
             z = zs[k] = b.add_var(0.0, 1.0)
             split[k] = b.add_eq([(P[k], 1.0), (pp, -1.0), (pm, 1.0)], 0.0)
-            gate_plus[k] = b.add_le([(pp, 1.0), (z, 0.0)], 0.0)
-            gate_minus[k] = b.add_le([(pm, 1.0), (z, 0.0)], 0.0)
+            gate_plus[k] = b.add_le([(pp, 1.0), (z, -hi)], 0.0)
+            gate_minus[k] = b.add_le([(pm, 1.0), (z, -lo)], -lo)
             abs_p = [(pp, 1.0), (pm, 1.0)]
         else:
             abs_p = [(P[k], s)]
@@ -435,142 +351,94 @@ def _declare_band(b: QpBuilder, lay: _MpoLayout, kind: str, steps: tuple,
             [(v, spec.eps_lo * s) for v, s in abs_p] + [(dl, -1.0)], 0.0)
         eps_hi[k] = b.add_le(
             [(dl, 1.0)] + [(v, -spec.eps_hi * s) for v, s in abs_p], 0.0)
+    return spans
 
 
-def _refresh_band(f: _Frame, r: _Numbers, kind: str, spans: list) -> None:
-    """The split steps' numbers: 0 <= P+ <= hi, 0 <= P- <= -lo, and the
-    gates P+ - hi*z <= 0 and P- - lo*z <= -lo."""
-    lay = f.layout
-    plus, minus = lay.plus.lists[kind,], lay.minus.lists[kind,]
-    gate_minus = lay.le.lists[kind, "gate_minus"]
-    at_plus, at_minus = f.at[kind, "gate_plus"], f.at[kind, "gate_minus"]
-    for k, (lo, hi) in enumerate(spans):
-        if plus[k] is not None:
-            r.ub[plus[k]] = hi
-            r.ub[minus[k]] = -lo
-            r.le[at_plus[k]] = 0.0 + -hi
-            r.le[at_minus[k]] = 0.0 + -lo
-            r.b_le[gate_minus[k]] = -lo
-
-
-def _declare_storage(b: QpBuilder, lay: _MpoLayout, d, view: HorizonView,
-                     w: ObjectiveWeights, win: _Window) -> None:
-    kind, H = d.kind, view.length
-    keep, coeff = _storage_rates(d, view.dt_hours)
+def _add_storage(b: QpBuilder, lay: _MpoLayout, d, win: _Window,
+                 w: ObjectiveWeights) -> None:
+    kind, H = d.kind, win.view.length
+    keep, coeff = _storage_rates(d, win.view.dt_hours)
+    # the start SOC enters step 0's side and the robustness side
+    side0, robust = b.param(lambda win: [keep * win.start[kind],
+                                         d.soc_min - keep * win.start[kind]])
     P, D, S = lay.P.lists[kind,], lay.delta.lists[kind,], lay.state.new(kind)
     for k in range(1, H + 1):
         S[k] = b.add_var(d.soc_min, d.soc_max)
-    # SOC recurrence soc' = keep*soc - coeff*P; step 0's side, keep*soc0,
-    # is refreshed
+    # SOC recurrence soc' = keep*soc - coeff*P
     soc = lay.eq.new(kind, "soc")
-    soc[0] = b.add_eq([(S[1], 1.0), (P[0], coeff)], 0.0)
+    soc[0] = b.add_eq([(S[1], 1.0), (P[0], coeff)], side0)
     for k in range(1, H):
         soc[k] = b.add_eq(
             [(S[k + 1], 1.0), (S[k], -keep), (P[k], coeff)], 0.0)
     # the window end (`_Window._anchor_end`): an equality at the
-    # simulation's end step, or a floor on the last state, refreshed
+    # simulation's end step, or a floor on the last state
     end = win.end[kind]
     if end[0] == "end_eq":
         lay.eq.lists[kind, "end_eq"] = [b.add_eq([(S[end[1]], 1.0)], d.soc_init)]
     else:
-        lay.le.lists[kind, "end_floor"] = [b.add_ge([(S[H], 1.0)], 0.0)]
+        (floor,) = b.param(lambda win: [win.floor[kind]])
+        lay.le.lists[kind, "end_floor"] = [b.add_ge([(S[H], 1.0)], floor)]
     # executed-step robustness: an upward settlement deviation within
-    # delta must keep the next state feasible; the side is refreshed
+    # delta must keep the next state feasible
     lay.le.lists[kind, "robust"] = [b.add_ge(
-        [(P[0], -coeff), (D[0], -coeff)], 0.0)]
+        [(P[0], -coeff), (D[0], -coeff)], robust)]
     # cycling: penalize step-to-step power changes
     for k in range(H - 1):
         b.add_square([(P[k + 1], 1.0), (P[k], -1.0)], 0.0, w.alpha_cyc)
     if win.target.get(kind) is not None:
         # charge target at its step within the window
         b.add_square([(S[win.target[kind]], 1.0)], -d.soc_target, w.xi_ev)
+    elif kind == dev.EV:
+        # at the window's first step the start state is fixed; 0 at others
+        (first,) = b.param(lambda win: [
+            w.xi_ev * (win.start[kind] - d.soc_target) ** 2
+            if d.target_step == win.view.t_start else 0.0])
+        b.add_const(first)
 
 
-def _refresh_storage(f: _Frame, r: _Numbers, d, win: _Window,
-                     w: ObjectiveWeights, c0: float) -> float:
-    kind, lay = d.kind, f.layout
-    soc0 = win.start[kind]
-    keep, _ = _storage_rates(d, win.view.dt_hours)
-    r.b_eq[lay.eq.lists[kind, "soc"][0]] = keep * soc0
-    if kind in win.floor:
-        r.b_le[lay.le.lists[kind, "end_floor"][0]] = -win.floor[kind]
-    r.b_le[lay.le.lists[kind, "robust"][0]] = -(d.soc_min - keep * soc0)
-    if kind == dev.EV:
-        if win.target[kind] is not None:
-            c0 += _square_c0(w.xi_ev, -d.soc_target)
-        elif d.target_step == win.view.t_start:
-            # at k = 0 the start state is fixed
-            c0 += w.xi_ev * (soc0 - d.soc_target) ** 2
-    return c0
-
-
-def _declare_heat_pump(b: QpBuilder, lay: _MpoLayout, d, view: HorizonView,
-                       w: ObjectiveWeights, cooling: bool) -> None:
-    kind, H = dev.HEAT_PUMP, view.length
-    th = d.theta(view.dt_hours)
+def _add_heat_pump(b: QpBuilder, lay: _MpoLayout, d, win: _Window,
+                   w: ObjectiveWeights) -> None:
+    kind, H = dev.HEAT_PUMP, win.view.length
+    th = d.theta(win.view.dt_hours)
     g = 1.0 - th
+    cooling = win.mode_signs[kind][0] > 0
+    limit = d.t_max if cooling else d.t_min
+
+    def numbers(win):
+        """Each temperature row's side, the robustness side, and the
+        start temperature's comfort."""
+        t, t_out = win.start[kind], win.view.outdoor_temp
+        return [th * t + g * t_out[0], *[g * x for x in t_out[1:]],
+                limit - th * t - g * t_out[0], w.xi_ac * (t - d.t_setpoint) ** 2]
+
+    coef = b.param(lambda win: [-g * s * d.rho for s in win.mode_signs[kind]])
+    side = b.param(numbers)
     P, D, S = lay.P.lists[kind,], lay.delta.lists[kind,], lay.state.new(kind)
     for k in range(1, H + 1):
         S[k] = b.add_var(d.t_min, d.t_max)
-    # T' = th*T + (1-th)*(T_out + sign*rho*P); P's coefficient and the
-    # sides are refreshed
+    # T' = th*T + (1-th)*(T_out + sign*rho*P), with each step's mode sign
     temp = lay.eq.new(kind, "temp")
-    temp[0] = b.add_eq([(S[1], 1.0), (P[0], 0.0)], 0.0)
+    temp[0] = b.add_eq([(S[1], 1.0), (P[0], coef[0])], side[0])
     for k in range(1, H):
-        temp[k] = b.add_eq([(S[k + 1], 1.0), (S[k], -th), (P[k], 0.0)], 0.0)
+        temp[k] = b.add_eq([(S[k + 1], 1.0), (S[k], -th), (P[k], coef[k])], side[k])
     # executed-step robustness under upward deviation (P rises toward 0):
-    # cooling warms the room, heating cools it; the side is refreshed
+    # cooling warms the room, heating cools it
     if cooling:
         lay.le.lists[kind, "robust_cool"] = [b.add_le(
-            [(P[0], g * d.rho), (D[0], g * d.rho)], 0.0)]
+            [(P[0], g * d.rho), (D[0], g * d.rho)], side[H])]
     else:
         lay.le.lists[kind, "robust_heat"] = [b.add_ge(
-            [(P[0], -g * d.rho), (D[0], -g * d.rho)], 0.0)]
-    # comfort over the window's steps; step 0 is the fixed start, refreshed
+            [(P[0], -g * d.rho), (D[0], -g * d.rho)], side[H])]
+    # comfort over the window's steps; step 0 is the fixed start
+    b.add_const(side[H + 1])
     for k in range(1, H):
         b.add_square([(S[k], 1.0)], -d.t_setpoint, w.xi_ac)
 
 
-def _refresh_heat_pump(f: _Frame, r: _Numbers, d, win: _Window,
-                       w: ObjectiveWeights, c0: float) -> float:
-    kind, lay, view = dev.HEAT_PUMP, f.layout, win.view
-    t_now, signs, t_out = win.start[kind], win.mode_signs[kind], view.outdoor_temp
-    th = d.theta(view.dt_hours)
-    g = 1.0 - th
-    temp, at = lay.eq.lists[kind, "temp"], f.at[kind, "temp"]
-    for k in range(view.length):
-        r.eq[at[k]] = 0.0 + -g * signs[k] * d.rho
-    r.b_eq[temp[0]] = th * t_now + g * t_out[0]
-    for k in range(1, view.length):
-        r.b_eq[temp[k]] = g * t_out[k]
-    if signs[0] > 0:
-        r.b_le[lay.le.lists[kind, "robust_cool"][0]] = (
-            d.t_max - th * t_now - g * t_out[0])
-    else:
-        r.b_le[lay.le.lists[kind, "robust_heat"][0]] = -(
-            d.t_min - th * t_now - g * t_out[0])
-    c0 += w.xi_ac * (t_now - d.t_setpoint) ** 2
-    comfort = _square_c0(w.xi_ac, -d.t_setpoint)
-    for k in range(1, view.length):
-        c0 += comfort
-    return c0
-
-
-def _declare_pv(b: QpBuilder, lay: _MpoLayout, w: ObjectiveWeights) -> None:
-    for i in lay.P.lists[dev.PV,]:
-        # curtailment: pull P toward the available output, refreshed
-        b.add_square([(i, -1.0)], 0.0, w.xi_pv)
-
-
-def _refresh_pv(f: _Frame, r: _Numbers, d, win: _Window,
-                w: ObjectiveWeights, c0: float) -> float:
-    irr = win.view.irradiance_frac
-    for k, i in enumerate(f.layout.P.lists[dev.PV,]):
-        # the curtailment square's linear and constant terms
-        avail = irr[k] * d.p_rated_kw
-        r.c[i] += 2.0 * w.xi_pv * avail * -1.0
-        c0 += _square_c0(w.xi_pv, avail)
-    return c0
+def _add_pv(b: QpBuilder, lay: _MpoLayout, spans: list, w: ObjectiveWeights) -> None:
+    for i, (_, avail) in zip(lay.P.lists[dev.PV,], spans):
+        # curtailment: pull P toward the available output
+        b.add_square([(i, -1.0)], avail, w.xi_pv)
 
 
 def _clip(v: float, lo: float, hi: float) -> float:

@@ -543,6 +543,18 @@ def _inf_norm(v) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
+class Slot(tuple):
+    """A builder's stand-in for a number that depends on its source:
+    (index,) of one of the numbers `QpBuilder.param` gave. It is no
+    number, so it fails where the builder takes none."""
+
+    __slots__ = ()
+
+
+# the parts of a program a slotted term lands in, in QpTemplate's order
+_LB, _UB, _C, _B_EQ, _B_LE, _EQ, _LE, _C0 = range(8)
+
+
 class QpBuilder:
     """Incremental construction of a QuadraticProgram.
 
@@ -556,9 +568,16 @@ class QpBuilder:
     terms are kept per row of Q until `build` compresses each row the
     same way, checks that every column names a variable, and turns the
     lists into arrays.
+
+    A slot from `param` stands for a number that depends on the
+    builder's `source`: a bound, a row's side, a row coefficient alone in
+    its column, a linear or a constant term, or a square's constant. The
+    program built takes the slot's value at `source`, by the arithmetic
+    a number gets, and records where it went, so that `QpTemplate` makes
+    the same calls' program at another source.
     """
 
-    def __init__(self):
+    def __init__(self, source=None):
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._q: dict[int, list] = {}        # Q's (column, value) terms per row
@@ -566,23 +585,68 @@ class QpBuilder:
         self._c0 = 0.0
         self._eq: tuple[list, list, list, list] = ([0], [], [], [])   # CSR lists, rhs
         self._le: tuple[list, list, list, list] = ([0], [], [], [])
+        self.source = source
+        self._p = [1.0]          # 1.0, then the slots' values at source
+        self._fns = []           # the functions that gave them
+        # each slotted term (part, position, base, a, m1, m2, b) adds
+        # ((p[a] * m1) * m2) * p[b] to its base: -0.0 at a bound or side,
+        # 0.0 at a row entry, and at c[i] or c0 the sum before its first
+        # slot; from that slot on, each term of the sum is recorded, a
+        # number v as (0, v, 1.0, 0)
+        self._terms: list[tuple] = []
+        self._bases: dict = {}   # a slotted sum's base: c[i] at i, c0 at None
+        self._slotted = set()    # the blocks with a slotted coefficient
 
     @property
     def n(self) -> int:
         return len(self._lb)
 
+    def param(self, fn) -> list:
+        """Slots for the numbers fn(source), a list of floats whose length
+        the calls that use them fix."""
+        start = len(self._p)
+        self._p += fn(self.source)
+        self._fns.append(fn)
+        return list(map(Slot, zip(range(start, len(self._p)))))
+
+    def _slot(self, part: int, pos: int, s: Slot, sign=1.0, base=-0.0) -> float:
+        """Record slot s, times sign, at part[pos]; its value here."""
+        self._terms.append((part, pos, base, s[0], sign, 1.0, 0))
+        return self._p[s[0]] * sign
+
     def add_var(self, lb=-INF, ub=INF) -> int:
+        i = len(self._lb)
+        if type(lb) is Slot:
+            lb = self._slot(_LB, i, lb)
+        if type(ub) is Slot:
+            ub = self._slot(_UB, i, ub)
         self._lb.append(float(lb))
         self._ub.append(float(ub))
-        return len(self._lb) - 1
+        return i
 
-    def add_linear(self, idx: int, coef: float) -> None:
-        self._lin[idx] = self._lin.get(idx, 0.0) + float(coef)
+    def add_linear(self, idx: int, coef) -> None:
+        prev = self._lin.get(idx, 0.0)
+        self._lin[idx] = (self._sum(idx, prev, coef) if type(coef) is Slot or idx in self._bases
+                          else prev + float(coef))
 
-    def add_const(self, value: float) -> None:
-        self._c0 += float(value)
+    def add_const(self, value) -> None:
+        self._c0 = (self._sum(None, self._c0, value) if type(value) is Slot or None in self._bases
+                    else self._c0 + float(value))
 
-    def add_square(self, terms, const: float = 0.0, weight: float = 1.0) -> None:
+    def _sum(self, idx, prev: float, value, term=None) -> float:
+        """prev + value, the next sum of c[idx] (c0 at idx None), with
+        value recorded: a number, a slot, or a slot's product whose
+        (a, m1, m2, b) is `term`. From a sum's first slot on, each of its
+        terms is recorded."""
+        if type(value) is Slot:
+            value, term = self._p[value[0]], (value[0], 1.0, 1.0, 0)
+        value = float(value)
+        base = self._bases.setdefault(idx, prev)
+        self._terms.append(((_C0, 0) if idx is None else (_C, idx)) + (base,)
+                           + (term or (0, value, 1.0, 0)))
+        return prev + value
+
+    def add_square(self, terms, const=0.0, weight: float = 1.0) -> None:
         """Accumulate weight * (sum coef*x + const)^2 into the objective."""
         if not 0.0 <= weight < INF:
             raise QpError(f"square weight must be finite and nonnegative, got {weight}")
@@ -591,37 +655,53 @@ class QpBuilder:
         terms = [(i, float(a)) for i, a in terms if a != 0.0]
         for i, ai in terms:
             self._q.setdefault(i, []).extend((j, 2.0 * weight * ai * aj) for j, aj in terms)
-            if const:
+        if type(const) is Slot:
+            j, v = const[0], self._p[const[0]]
+            for i, ai in terms:
+                self._lin[i] = self._sum(i, self._lin.get(i, 0.0), 2.0 * weight * v * ai,
+                                         (j, 2.0 * weight, ai, 0))
+            self._c0 = self._sum(None, self._c0, weight * v * v, (j, weight, 1.0, j))
+        elif const:
+            for i, ai in terms:
                 self.add_linear(i, 2.0 * weight * const * ai)
-        if const:
-            self._c0 += weight * const * const
+            self.add_const(weight * const * const)
 
-    @staticmethod
-    def _add_row(block, terms, rhs: float) -> int:
+    def _add_row(self, block, parts, terms, rhs, sign=1.0) -> int:
+        """Row sign * sum(coef*x) <= sign * rhs."""
         indptr, cols, vals, b = block
-        last = None
+        last = slotted = None                        # slotted: len(vals) after a slot
         for j, a in sorted(terms, key=_column):      # stable: call order kept
             if j == last:
-                vals[-1] += float(a)
+                if type(a) is Slot or slotted == len(vals):
+                    raise QpError(f"a slotted coefficient shares column {j} of its row")
+                vals[-1] += sign * float(a)
+                continue
+            if type(a) is Slot:
+                self._slotted.add(parts[1])
+                vals.append(0.0 + self._slot(parts[1], len(vals), a, sign, 0.0))
+                slotted = len(vals)
             else:
-                cols.append(j)
-                vals.append(0.0 + float(a))
-                last = j
+                vals.append(0.0 + sign * float(a))
+            cols.append(j)
+            last = j
         indptr.append(len(cols))
-        b.append(float(rhs))
+        b.append(self._slot(parts[0], len(b), rhs, sign) if type(rhs) is Slot
+                 else float(rhs if sign > 0.0 else -rhs))
         return len(b) - 1
 
-    def add_eq(self, terms, rhs: float) -> int:
-        return self._add_row(self._eq, terms, rhs)
+    def add_eq(self, terms, rhs) -> int:
+        return self._add_row(self._eq, (_B_EQ, _EQ), terms, rhs)
 
-    def add_le(self, terms, rhs: float) -> int:
+    def add_le(self, terms, rhs) -> int:
         """Row sum(coef*x) <= rhs; returns the row's index in A_le."""
-        return self._add_row(self._le, terms, rhs)
+        return self._add_row(self._le, (_B_LE, _LE), terms, rhs)
 
-    def add_ge(self, terms, rhs: float) -> int:
-        return self.add_le([(i, -a) for i, a in terms], -rhs)
+    def add_ge(self, terms, rhs) -> int:
+        """Row sum(coef*x) >= rhs, kept in A_le as -sum(coef*x) <= -rhs."""
+        return self._add_row(self._le, (_B_LE, _LE), terms, rhs, -1.0)
 
     def build(self) -> QuadraticProgram:
+        """The program at the builder's source."""
         n = self.n
         # a square's rows are its columns, so Q's row keys name them all
         for i in [*self._q, *self._lin]:
@@ -629,7 +709,7 @@ class QpBuilder:
                 raise QpError(f"objective term names variable {i} of {n}")
         q = ([0], [], [], [])                 # Q's CSR lists; its sides go unused
         for i in range(n):
-            self._add_row(q, self._q.get(i, ()), 0.0)
+            self._add_row(q, None, self._q.get(i, ()), 0.0)
         c = np.zeros(n)
         c[list(self._lin)] = list(self._lin.values())
         (*eq, b_eq), (*le, b_le) = self._eq, self._le
@@ -640,11 +720,62 @@ class QpBuilder:
                                 self._c0, validate_psd=False)
 
 
-def csr_with_data(mat: sp.csr_matrix, data) -> sp.csr_matrix:
+class QpTemplate:
+    """`program(source)` is the program a builder's calls build at
+    `source`: the builder's parameter functions give p = [1.0, ...] there,
+    and the recorded terms ((p[a] * m1) * m2) * p[b] are added, in call
+    order, to the program's numbers laid end to end (lb, ub, c, b_eq,
+    b_le, A_eq's and A_le's data, c0) with each slotted entry at its
+    base. That is the builder's arithmetic, since x + -0.0 is x and a
+    product keeps its value when its factors swap. Q, the blocks'
+    structure and each block without a slotted coefficient are shared
+    read-only."""
+
+    def __init__(self, b: QpBuilder, qp: QuadraticProgram):
+        """`qp` is what `b` built, and `b` takes no further calls."""
+        self.n, self.Q, self._fns, self._n_p = qp.n, qp.Q, tuple(b._fns), len(b._p)
+        # the numbers as the builder holds them (c as built), and its terms
+        self._todo = ((b._lb, b._ub, qp.c.copy(), b._eq[3], b._le[3], b._eq[2], b._le[2],
+                       [qp.c0]), b._terms)
+        self._blocks = [(m, code in b._slotted) for m, code in ((qp.A_eq, _EQ), (qp.A_le, _LE))]
+        for m, own in [(qp.Q, False)] + self._blocks:
+            for v in (m.indices, m.indptr) + (() if own else (m.data,)):
+                v.setflags(write=False)
+
+    def _plan(self) -> None:
+        parts, terms = self._todo
+        self._starts = np.cumsum([0] + [len(x) for x in parts])
+        self._x = np.concatenate(parts)
+        terms = np.array(terms, dtype=float).reshape(-1, 7).T
+        part, pos, a, b = terms[[0, 1, 3, 6]].astype(np.intp)
+        self._dst = self._starts[part] + pos
+        self._x[self._dst] = terms[2]
+        self._a, self._m1, self._m2, self._b = a, terms[4], terms[5], b
+        self._todo = None
+
+    def program(self, source) -> QuadraticProgram:
+        p = [1.0]
+        for fn in self._fns:
+            p += fn(source)
+        if len(p) != self._n_p:
+            raise QpError(f"the parameters give {len(p) - 1} numbers, not {self._n_p - 1}")
+        if self._todo is not None:
+            self._plan()
+        p = np.array(p)
+        x = self._x.copy()
+        np.add.at(x, self._dst, p[self._a] * self._m1 * self._m2 * p[self._b])
+        lb, ub, c, b_eq, b_le, *data = (x[i:j] for i, j in zip(self._starts[:-2],
+                                                               self._starts[1:-1]))
+        A_eq, A_le = (_with_data(m, d) if own else m for (m, own), d in zip(self._blocks, data))
+        return QuadraticProgram(self.n, self.Q, c, lb, ub, A_eq, b_eq, A_le, b_le, x[-1],
+                                validate_psd=False)
+
+
+def _with_data(mat: sp.csr_matrix, data) -> sp.csr_matrix:
     """A CSR block holding `data` in the structure of `mat`, whose indices
     and indptr it shares."""
     out = sp.csr_matrix(mat)
-    out.data = np.array(data, dtype=float)
+    out.data = data
     return out
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -578,6 +579,27 @@ def test_a_carried_frame_builds_what_a_fresh_build_does(data):
         frame = got.frame
 
 
+def test_bundled_day_window_programs_keep_their_bytes(day_scenario):
+    # each agent's 24 windows from the scenario's initial states, each
+    # built through the frame the window before left (no solve, so no
+    # BLAS): the bytes of all 72 programs, hashed in call order, are
+    # those this digest was taken from before slots replaced the frame's
+    # hand-written refresh. They rest on IEEE doubles and on math.exp
+    # (a heat pump's theta) rounding as glibc's does
+    h = hashlib.sha256()
+    for spec in day_scenario.agents:
+        frame = None
+        for t in range(day_scenario.time_grid.total_steps):
+            miqp = build_mpo(spec, slice_horizon(day_scenario, t), day_scenario.weights, frame)
+            frame, qp = miqp.frame, miqp.base
+            for part in (qp.Q.data, qp.Q.indices, qp.Q.indptr, qp.c, qp.lb, qp.ub,
+                         qp.A_eq.data, qp.A_eq.indices, qp.A_eq.indptr, qp.b_eq,
+                         qp.A_le.data, qp.A_le.indices, qp.A_le.indptr, qp.b_le):
+                h.update(part.tobytes())
+            h.update(repr(float(qp.c0)).encode())
+    assert h.hexdigest() == "8ec01c3108fb49a448a27b519b6693a6ea12591dc8a63d789eec4b79b516adbc"
+
+
 def test_frame_follows_an_ev_leaving_home_inside_the_window():
     # the EV leaves at step 3: windows 0-2 hold 3, 2 and 1 steps at home,
     # each a binary and a shape of its own; windows 3-5 lie away
@@ -642,9 +664,10 @@ def test_frame_refreshes_pv_through_zero_irradiance():
 
 
 def test_writing_into_a_window_program_leaves_the_next_unchanged():
-    # the battery's gates refresh A_le and the heat pump's temperatures
-    # A_eq, so each window owns those; Q and the blocks' structure are
-    # shared and read-only
+    # the heat pump's temperature coefficients make A_eq each window's
+    # own; the battery's power interval is the shape's, so A_le holds no
+    # window's number and is shared read-only, as Q and the blocks'
+    # structure are
     s = make_scenario({"battery": BS, "heat_pump": HPD, "pv": PVD}, total=8, H=4,
                       temps=[75, 78, 82, 85, 83, 80, 78, 76], irr=[0.5] * 8)
     spec, w = s.agents[0], s.weights
@@ -653,9 +676,9 @@ def test_writing_into_a_window_program_leaves_the_next_unchanged():
     assert second.frame is first.frame
     before = _program_facts(second)
     qp = first.base
-    for a in (qp.lb, qp.ub, qp.c, qp.b_eq, qp.b_le, qp.A_eq.data, qp.A_le.data):
+    for a in (qp.lb, qp.ub, qp.c, qp.b_eq, qp.b_le, qp.A_eq.data):
         a[:] = 7.0
-    for a in (qp.Q.data, qp.Q.indices, qp.A_eq.indptr, qp.A_le.indices):
+    for a in (qp.Q.data, qp.Q.indices, qp.A_eq.indptr, qp.A_le.indices, qp.A_le.data):
         with pytest.raises(ValueError, match="read-only"):
             a[:] = 7
     assert _program_facts(second) == before

@@ -11,8 +11,8 @@ from scipy.optimize import linprog
 import flexmarket.qp as qpmod
 from flexmarket.agent import build_mpo
 from flexmarket.bnb import solve_miqp
-from flexmarket.qp import (AdmmSolver, QpBuilder, QpError, QpSolution,
-                           QuadraticProgram, check_kkt, solve_qp)
+from flexmarket.qp import (INF, AdmmSolver, QpBuilder, QpError, QpSolution, QpTemplate,
+                           QuadraticProgram, Slot, check_kkt, solve_qp)
 from flexmarket.scenario import scenario_from_dict, slice_horizon
 
 
@@ -381,24 +381,29 @@ def _reference_programs(day_scenario):
 
 def _record_builder_calls(monkeypatch):
     """Record every builder's square and row calls, in call order, as
-    (builder, block, terms, weight); add_ge reaches add_le negated."""
+    (builder, block, terms, weight), each slot evaluated at the builder's
+    source; add_ge is recorded as the <= row it adds, negated."""
     calls = []
-    square, add_eq, add_le = QpBuilder.add_square, QpBuilder.add_eq, QpBuilder.add_le
+    square = QpBuilder.add_square
 
     def rec_square(self, terms, const=0.0, weight=1.0):
         terms = list(terms)
         calls.append((self, "objective", terms, weight))
         return square(self, terms, const, weight)
 
-    def rec_row(block, add):
+    def rec_row(name, block, sign):
+        add = getattr(QpBuilder, name)
+
         def rec(self, terms, rhs):
             terms = list(terms)
-            calls.append((self, block, terms, None))
+            calls.append((self, block, [(i, sign * (self._p[a[0]] if isinstance(a, Slot) else a))
+                                        for i, a in terms], None))
             return add(self, terms, rhs)
-        return rec
+        monkeypatch.setattr(QpBuilder, name, rec)
     monkeypatch.setattr(QpBuilder, "add_square", rec_square)
-    monkeypatch.setattr(QpBuilder, "add_eq", rec_row("eq", add_eq))
-    monkeypatch.setattr(QpBuilder, "add_le", rec_row("le", add_le))
+    rec_row("add_eq", "eq", 1.0)
+    rec_row("add_le", "le", 1.0)
+    rec_row("add_ge", "le", -1.0)
     return calls
 
 
@@ -432,8 +437,7 @@ def test_assembly_matches_scipy_coo_reference(day_scenario, monkeypatch):
     # same row data, and Q's sums of repeated square terms to a few ulp.
     # scipy sums a long row in an order of its own; summing four terms of
     # one sign in any two orders differs by at most 3 eps relative. A
-    # window's program is the builder's declared one with the window's
-    # numbers refreshed, so the builder's own result is compared
+    # window that declares its frame is the builder's own program
     calls = _record_builder_calls(monkeypatch)
     built, build = [], QpBuilder.build
     monkeypatch.setattr(QpBuilder, "build", lambda self: built.append(build(self)) or built[-1])
@@ -462,6 +466,54 @@ def test_assembly_matches_scipy_coo_reference(day_scenario, monkeypatch):
 _COEFS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-3, 7.25])
 
 
+def _program_bytes(qp):
+    """Every number and index of a program, as bytes (so a zero's sign
+    counts), with the blocks' shapes."""
+    arrays = [qp.lb, qp.ub, qp.c, qp.b_eq, qp.b_le]
+    for m in (qp.Q, qp.A_eq, qp.A_le):
+        arrays += [m.data, m.indices, m.indptr]
+    return ([(a.dtype.str, a.tobytes()) for a in arrays],
+            [m.shape for m in (qp.Q, qp.A_eq, qp.A_le)], np.float64(qp.c0).tobytes())
+
+
+_SLOT = "slot"
+
+
+def _draw_number(data, values, params=range(6)):
+    """A number drawn from `values`, or a slot: (_SLOT, k) for the k-th
+    parameter, k drawn from `params`."""
+    if data.draw(st.booleans()):
+        return (_SLOT, data.draw(st.sampled_from(params)))
+    return data.draw(values)
+
+
+def _draw_params(data):
+    """Six numbers for any slot, then three for lower and three for upper
+    bounds, so that every box is nonempty."""
+    return ([data.draw(_COEFS) for _ in range(6)]
+            + [data.draw(st.sampled_from([-2.0, -0.0, 0.0])) for _ in range(3)]
+            + [data.draw(st.sampled_from([0.0, 1.0, 3.0])) for _ in range(3)])
+
+
+def _replay(n, bounds, ops, params):
+    """The builder and program of the drawn calls with slots at `params`."""
+    b = QpBuilder(params)
+    slots = b.param(list)
+    num = lambda x: slots[x[1]] if isinstance(x, tuple) else x
+    for lb, ub in bounds:
+        b.add_var(num(lb), num(ub))
+    for kind, ts, w in ops:
+        if kind == "square":
+            b.add_square(ts, num(w), 0.5)
+        elif kind == "linear":
+            b.add_linear(ts[0][0], num(ts[0][1]))
+        elif kind == "const":
+            b.add_const(num(w))
+        else:
+            getattr(b, "add_" + kind)([(i, num(a)) for i, a in ts], num(w))
+    return b, b.build()
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(n=st.integers(0, 5), data=st.data())
 def test_builder_blocks_equal_a_per_row_reference(n, data):
@@ -469,13 +521,32 @@ def test_builder_blocks_equal_a_per_row_reference(n, data):
     # coefficients and empty rows, build each block as a plain per-row
     # reference does: columns ascending, each entry the sum from 0.0 of
     # its terms in call order (a square's terms 2 w a_i a_j); the
-    # structure is scipy's coo -> csr, whose sums may take another order
+    # structure is scipy's coo -> csr, whose sums may take another order.
+    # Some numbers are slots: a bound, a side, a row coefficient alone in
+    # its column, a linear or a constant term, a square's constant. The
+    # template's program at other parameters is, byte for byte, what the
+    # same calls build there
     terms = st.lists(st.tuples(st.integers(0, n - 1), _COEFS), max_size=6) if n else st.just([])
-    ops = data.draw(st.lists(st.tuples(st.sampled_from(["eq", "le", "ge", "square"]), terms,
+    ops = data.draw(st.lists(st.tuples(st.sampled_from(["eq", "le", "ge", "square", "linear",
+                                                        "const"]), terms,
                                        st.sampled_from([0.0, 0.5, 2.0])), max_size=12))
-    b = QpBuilder()
-    for _ in range(n):
-        b.add_var()
+    ops = [(kind, ts, w) for kind, ts, w in ops if kind != "linear" or ts]
+    bounds = [(_draw_number(data, st.sampled_from([-INF, -2.0, -0.0]), range(6, 9)),
+               _draw_number(data, st.sampled_from([INF, 0.0, 3.0]), range(9, 12)))
+              for _ in range(n)]
+    for k, (kind, ts, w) in enumerate(ops):
+        cols = [i for i, _ in ts]
+        if kind in ("eq", "le", "ge"):
+            # a coefficient alone in its column may be a slot
+            ts = [(i, _draw_number(data, st.just(a)) if cols.count(i) == 1 else a)
+                  for i, a in ts]
+        elif kind == "linear":
+            ts = [(ts[0][0], _draw_number(data, st.just(ts[0][1])))]
+        ops[k] = (kind, ts, _draw_number(data, st.just(w)) if kind != "square" else
+                  _draw_number(data, st.just(1.0)))
+    params = _draw_params(data)
+    value = lambda x: params[x[1]] if isinstance(x, tuple) else x
+    b, qp = _replay(n, bounds, ops, params)
     ref = {"objective": [{} for _ in range(n)], "eq": [], "le": []}
     trip = {block: ([], [], []) for block in ref}
 
@@ -485,18 +556,15 @@ def test_builder_blocks_equal_a_per_row_reference(n, data):
             part.append(x)
     for kind, ts, w in ops:
         if kind == "square":
-            b.add_square(ts, 1.0, w)
-            nz = [(i, a) for i, a in ts if a != 0.0] if w > 0.0 else []
+            nz = [(i, a) for i, a in ts if a != 0.0]
             for i, ai in nz:
                 for j, aj in nz:
-                    add("objective", i, j, 2.0 * w * ai * aj)
-            continue
-        block, sign = ("eq", 1.0) if kind == "eq" else ("le", -1.0 if kind == "ge" else 1.0)
-        getattr(b, "add_" + kind)(ts, w)
-        ref[block].append({})
-        for i, a in ts:
-            add(block, len(ref[block]) - 1, i, sign * a)
-    qp = b.build()
+                    add("objective", i, j, 2.0 * 0.5 * ai * aj)
+        elif kind in ("eq", "le", "ge"):
+            block, sign = ("eq", 1.0) if kind == "eq" else ("le", -1.0 if kind == "ge" else 1.0)
+            ref[block].append({})
+            for i, a in ts:
+                add(block, len(ref[block]) - 1, i, sign * value(a))
     for block, got in zip(ref, (qp.Q, qp.A_eq, qp.A_le)):
         rows = ref[block]
         assert got.shape == (len(rows), n)
@@ -508,6 +576,24 @@ def test_builder_blocks_equal_a_per_row_reference(n, data):
         assert np.array_equal(got.indptr, coo.indptr)
         assert np.array_equal(got.indices, coo.indices)
         assert np.allclose(got.data, coo.data, rtol=1e-14, atol=0.0)
+    template = QpTemplate(b, qp)
+    other = _draw_params(data)
+    assert _program_bytes(template.program(other)) == _program_bytes(
+        _replay(n, bounds, ops, other)[1])
+    assert _program_bytes(template.program(params)) == _program_bytes(qp)
+
+
+@pytest.mark.parametrize("row", [[(0, "slot"), (0, 1.0)], [(1, 2.0), (0, 1.0), (0, "slot")],
+                                 [(0, "slot"), (0, "slot")]])
+def test_builder_rejects_a_slotted_coefficient_sharing_its_column(row):
+    # a slotted entry is the slot's value alone, so no other term may
+    # share its column in the row
+    b = QpBuilder([2.0])
+    (slot,) = b.param(list)
+    b.add_var()
+    b.add_var()
+    with pytest.raises(QpError, match="a slotted coefficient shares column 0"):
+        b.add_le([(i, slot if a == "slot" else a) for i, a in row], 0.0)
 
 
 def test_blocks_are_csr_rows_with_ascending_columns(day_scenario):
