@@ -175,9 +175,8 @@ class _Window:
     weights, step length and horizon, per device each step's power
     interval (PV's lower end only; its upper end follows the irradiance
     forecast) and so its class (0.0 where the interval holds both signs,
-    else the sign s with |P| = s*P), storage's window-end row, the EV
-    target step's position in the window, and the heat pump's
-    executed-step robustness role."""
+    else the sign s with |P| = s*P), storage's window-end row, and the EV
+    target step's position in the window."""
 
     def __init__(self, spec: AgentSpec, view: HorizonView, weights: ObjectiveWeights):
         H, t0 = view.length, view.t_start
@@ -205,8 +204,7 @@ class _Window:
             now = states_now.get(kind)
             start = self.start[kind] = d.initial_state if now is None else now
             if kind == dev.HEAT_PUMP:
-                signs = self.mode_signs[kind] = hp_mode_schedule(d, view, start)
-                shape.append(signs[0] > 0)
+                self.mode_signs[kind] = hp_mode_schedule(d, view, start)
                 continue
             shape.append(self._anchor_end(spec, d, start))
             if kind == dev.EV:
@@ -401,15 +399,15 @@ def _add_heat_pump(b: QpBuilder, lay: _MpoLayout, d, win: _Window,
     kind, H = dev.HEAT_PUMP, win.view.length
     th = d.theta(win.view.dt_hours)
     g = 1.0 - th
-    cooling = win.mode_signs[kind][0] > 0
-    limit = d.t_max if cooling else d.t_min
 
     def numbers(win):
-        """Each temperature row's side, the robustness side, and the
-        start temperature's comfort."""
+        """Each temperature row's side, the robustness side at the
+        executed step's mode, and the start temperature's comfort."""
         t, t_out = win.start[kind], win.view.outdoor_temp
-        return [th * t + g * t_out[0], *[g * x for x in t_out[1:]],
-                limit - th * t - g * t_out[0], w.xi_ac * (t - d.t_setpoint) ** 2]
+        robust = (d.t_max - th * t - g * t_out[0] if win.mode_signs[kind][0] > 0
+                  else -(d.t_min - th * t - g * t_out[0]))
+        return [th * t + g * t_out[0], *[g * x for x in t_out[1:]], robust,
+                w.xi_ac * (t - d.t_setpoint) ** 2]
 
     coef = b.param(lambda win: [-g * s * d.rho for s in win.mode_signs[kind]])
     side = b.param(numbers)
@@ -422,13 +420,9 @@ def _add_heat_pump(b: QpBuilder, lay: _MpoLayout, d, win: _Window,
     for k in range(1, H):
         temp[k] = b.add_eq([(S[k + 1], 1.0), (S[k], -th), (P[k], coef[k])], side[k])
     # executed-step robustness under upward deviation (P rises toward 0):
-    # cooling warms the room, heating cools it
-    if cooling:
-        lay.le.lists[kind, "robust_cool"] = [b.add_le(
-            [(P[0], g * d.rho), (D[0], g * d.rho)], side[H])]
-    else:
-        lay.le.lists[kind, "robust_heat"] = [b.add_ge(
-            [(P[0], -g * d.rho), (D[0], -g * d.rho)], side[H])]
+    # cooling warms the room toward t_max, heating cools it toward t_min
+    lay.le.lists[kind, "robust"] = [b.add_le(
+        [(P[0], g * d.rho), (D[0], g * d.rho)], side[H])]
     # comfort over the window's steps; step 0 is the fixed start
     b.add_const(side[H + 1])
     for k in range(1, H):

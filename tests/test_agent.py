@@ -442,16 +442,18 @@ def test_shift_equals_the_rule_by_name_on_the_bundled_day(day_scenario, monkeypa
 
 def test_shift_equals_the_rule_by_name_through_a_heat_pump_mode_flip(monkeypatch):
     # the outdoor temperature crosses the indoor one at every step, so the
-    # executed step's robustness row alternates robust_cool / robust_heat
-    # and the old row has no match in the new window
+    # executed step's mode flips at every clearing; its robustness row is
+    # one row whatever the mode, so every window keeps the frame and the
+    # old row starts the new one
     s = make_scenario({"heat_pump": HPD, "pv": PVD}, total=6, H=4,
                       temps=[75, 64, 76, 63, 77, 62])
-    flips = set()
-    for old, new in _checked_run(monkeypatch, s):
-        was, now = (next(role for _, role in lay.le.lists if role.startswith("robust"))
-                    for lay in (old, new))
-        flips.add((was, now))
-    assert flips == {("robust_cool", "robust_heat"), ("robust_heat", "robust_cool")}
+    built, build = [], agent.build_mpo
+    monkeypatch.setattr(agent, "build_mpo", lambda *a: built.append(build(*a)) or built[-1])
+    shifted = _checked_run(monkeypatch, s)
+    modes = [p.mode_signs[HEAT_PUMP][0] for p in built]
+    assert len(shifted) == 5 and all(a != b for a, b in zip(modes, modes[1:]))
+    assert all(old is new and (HEAT_PUMP, "robust") in new.le.lists for old, new in shifted)
+    assert len({id(p.frame) for p in built}) == 1
 
 
 _ROLES = {"eq": ("soc", "split"), "le": ("env_hi", "eps_lo", "gate_plus")}
@@ -636,19 +638,20 @@ def test_frame_declared_anew_where_the_window_end_becomes_an_equality(
 
 
 def test_frame_follows_heat_pump_mode_flips():
-    # window 1 keeps window 0's cooling step 0, so it refreshes the frame
-    # with other later signs; window 2 heats at step 0, a new role
+    # window 1 keeps window 0's cooling step 0 with other later signs, and
+    # window 2 heats at step 0: the robustness row is one row whose side
+    # follows the executed step's mode, so all three refresh one frame
     s = make_scenario({"heat_pump": HPD, "pv": PVD}, total=6, H=4,
                       temps=[75, 75, 64, 76, 63, 62])
     progs = _carried_builds(s.agents[0], [slice_horizon(s, t) for t in range(3)],
                             s.weights)
     assert [p.mode_signs[HEAT_PUMP] for p in progs[:2]] == [
         (1.0, 1.0, -1.0, 1.0), (1.0, -1.0, 1.0, -1.0)]
-    assert progs[1].frame is progs[0].frame
+    assert progs[2].mode_signs[HEAT_PUMP][0] == -1.0
+    assert progs[0].frame is progs[1].frame is progs[2].frame
     assert not np.array_equal(progs[0].base.A_eq.data, progs[1].base.A_eq.data)
-    assert progs[2].frame is not progs[1].frame
-    assert (HEAT_PUMP, "robust_cool") in progs[1].layout.le.lists
-    assert (HEAT_PUMP, "robust_heat") in progs[2].layout.le.lists
+    assert list(progs[2].layout.le.lists) == list(progs[0].layout.le.lists)
+    assert (HEAT_PUMP, "robust") in progs[2].layout.le.lists
 
 
 def test_frame_refreshes_pv_through_zero_irradiance():
