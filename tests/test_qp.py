@@ -463,7 +463,7 @@ def test_assembly_matches_scipy_coo_reference(day_scenario, monkeypatch):
                 assert np.array_equal(got.data, ref.data)
 
 
-_COEFS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-3, 7.25])
+_COEFS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-3, 7.25, 0.1, -1.7])
 
 
 def _program_bytes(qp):
@@ -504,7 +504,7 @@ def _replay(n, bounds, ops, params):
         b.add_var(num(lb), num(ub))
     for kind, ts, w in ops:
         if kind == "square":
-            b.add_square(ts, num(w), 0.5)
+            b.add_square(ts, num(w), 0.3)
         elif kind == "linear":
             b.add_linear(ts[0][0], num(ts[0][1]))
         elif kind == "const":
@@ -559,7 +559,7 @@ def test_builder_blocks_equal_a_per_row_reference(n, data):
             nz = [(i, a) for i, a in ts if a != 0.0]
             for i, ai in nz:
                 for j, aj in nz:
-                    add("objective", i, j, 2.0 * 0.5 * ai * aj)
+                    add("objective", i, j, 2.0 * 0.3 * ai * aj)
         elif kind in ("eq", "le", "ge"):
             block, sign = ("eq", 1.0) if kind == "eq" else ("le", -1.0 if kind == "ge" else 1.0)
             ref[block].append({})
