@@ -269,8 +269,9 @@ def _declare(spec: AgentSpec, win: _Window, w: ObjectiveWeights) -> tuple:
     # PV self-consumption: pull PV + battery + EV injections toward zero
     util = [lay.P.lists[kk,] for kk in (dev.PV, dev.BATTERY, dev.EV)
             if kk in lay.kinds]
-    for k in range(lay.H if util else 0):
-        b.add_square([(P[k], 1.0) for P in util], 0.0, w.utilization)
+    if util:
+        for k in range(lay.H):
+            b.add_square([(P[k], 1.0) for P in util], 0.0, w.utilization)
     # -P_total = -(sum_d P_d - fixed), the fixed load summed in step
     # order (Python 3.12's sum compensates)
     b.add_const(b.param(lambda win: [reduce(add, win.fixed, 0.0)])[0])

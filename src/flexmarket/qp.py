@@ -585,7 +585,7 @@ class QpBuilder:
         self._c0 = 0.0
         self._eq: tuple[list, list, list, list] = ([0], [], [], [])   # CSR lists, rhs
         self._le: tuple[list, list, list, list] = ([0], [], [], [])
-        self.source = source
+        self._source = source
         self._p = [1.0]          # 1.0, then the slots' values at source
         self._fns = []           # the functions that gave them
         # each slotted term (part, position, base, a, m1, m2, b) adds
@@ -605,7 +605,7 @@ class QpBuilder:
         """Slots for the numbers fn(source), a list of floats whose length
         the calls that use them fix."""
         start = len(self._p)
-        self._p += fn(self.source)
+        self._p += fn(self._source)
         self._fns.append(fn)
         return list(map(Slot, zip(range(start, len(self._p)))))
 
