@@ -634,10 +634,10 @@ class QpBuilder:
                     else self._c0 + float(value))
 
     def _sum(self, idx, prev: float, value, term=None) -> float:
-        """prev + value, the next sum of c[idx] (c0 at idx None), with
-        value recorded: a number, a slot, or a slot's product whose
-        (a, m1, m2, b) is `term`. From a sum's first slot on, each of its
-        terms is recorded."""
+        """prev + value, the next partial sum of c[idx] (of c0 at idx
+        None), with the term recorded: `value` is a number, a slot, or a
+        slot's product whose (a, m1, m2, b) is `term`. A sum's terms are
+        recorded from its first slot on, over the sum before it."""
         if type(value) is Slot:
             value, term = self._p[value[0]], (value[0], 1.0, 1.0, 0)
         value = float(value)
@@ -667,7 +667,8 @@ class QpBuilder:
             self.add_const(weight * const * const)
 
     def _add_row(self, block, parts, terms, rhs, sign=1.0) -> int:
-        """Row sign * sum(coef*x) <= sign * rhs."""
+        """Compress a row into `block`, its coefficients and side times
+        `sign`; a slot lands in `parts` (side, data)."""
         indptr, cols, vals, b = block
         last = slotted = None                        # slotted: len(vals) after a slot
         for j, a in sorted(terms, key=_column):      # stable: call order kept
