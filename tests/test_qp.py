@@ -504,7 +504,7 @@ def _replay(n, bounds, ops, params):
         b.add_var(num(lb), num(ub))
     for kind, ts, w in ops:
         if kind == "square":
-            b.add_square(ts, num(w), 0.3)
+            b.add_square(ts, num(w[0]), w[1])
         elif kind == "linear":
             b.add_linear(ts[0][0], num(ts[0][1]))
         elif kind == "const":
@@ -542,8 +542,10 @@ def test_builder_blocks_equal_a_per_row_reference(n, data):
                   for i, a in ts]
         elif kind == "linear":
             ts = [(ts[0][0], _draw_number(data, st.just(ts[0][1])))]
+        # a square takes (constant, weight); weight 0.3 makes 2 w a
+        # rounding product
         ops[k] = (kind, ts, _draw_number(data, st.just(w)) if kind != "square" else
-                  _draw_number(data, st.just(1.0)))
+                  (_draw_number(data, st.just(1.0)), data.draw(st.sampled_from([0.0, 0.3, 2.0]))))
     params = _draw_params(data)
     value = lambda x: params[x[1]] if isinstance(x, tuple) else x
     b, qp = _replay(n, bounds, ops, params)
@@ -556,10 +558,10 @@ def test_builder_blocks_equal_a_per_row_reference(n, data):
             part.append(x)
     for kind, ts, w in ops:
         if kind == "square":
-            nz = [(i, a) for i, a in ts if a != 0.0]
+            nz = [(i, a) for i, a in ts if a != 0.0] if w[1] > 0.0 else []
             for i, ai in nz:
                 for j, aj in nz:
-                    add("objective", i, j, 2.0 * 0.3 * ai * aj)
+                    add("objective", i, j, 2.0 * w[1] * ai * aj)
         elif kind in ("eq", "le", "ge"):
             block, sign = ("eq", 1.0) if kind == "eq" else ("le", -1.0 if kind == "ge" else 1.0)
             ref[block].append({})
