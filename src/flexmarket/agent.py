@@ -11,13 +11,16 @@ holds both signs (a battery's steps, an EV's steps at home), which makes
 the problem a mixed-integer QP; elsewhere |P| is P or -P. The first-step
 results aggregate into a FlexibilityOffer.
 
-An agent's consecutive windows often share a shape: the same
-variables, rows and sparsity, with other numbers. So a window's program
-is declared once per shape, as a frame. Each device's model is one
-function (`_add_*`) that builds the program with a parameter slot
-wherever a number depends on the window (`qp.QpBuilder.param`), and a
-later window of the frame's shape refreshes those numbers: its program
-is the frame's template evaluated at that window.
+An agent's consecutive windows often differ only in numbers: the same
+variables, rows and sparsity. So a window's program is declared once, as
+a frame, and serves every later window it fits. Each device's model is
+one function (`_add_*`) that reads the window only through the builder:
+a parameter slot wherever a number depends on the window
+(`qp.QpBuilder.param`), and a recorded read wherever the program's
+structure does (`qp.QpBuilder.fixed`). A window fits a frame when each
+recorded read returns there what it returned at the declaring window,
+and every window's program, the declaring one's too, is the frame's
+template evaluated at that window.
 
 Stage II: given announced prices, the agent's welfare is concave
 quadratic in its bid, so the best response has a closed form: saturate
@@ -78,7 +81,7 @@ class FlexibilityOffer:
     solver_status: str = "optimal"
     solver_gap: float = 0.0
     # the window's root relaxation and frame: the agent's next clearing
-    # starts from the one and refreshes the other
+    # starts from the one and builds through the other
     root: Optional["RootRelaxation"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -136,14 +139,14 @@ class _Families(Mapping):
 
 
 class _MpoLayout:
-    """Variable/row bookkeeping for one window shape's problem. Each
+    """Variable/row bookkeeping for one frame's problem. Each
     device's P, delta, state, plus, minus and z is one family over the
     window's steps, keyed (kind, k); a state family runs over k = 0..H
     with None at k = 0, whose state is the fixed start. Rows are families
     (kind, role) keyed (kind, role, k); a row that is not per step is a
     family of one, keyed (kind, role, 0), and a row with another
     definition has another role. A layout belongs to a frame and is
-    shared by every window of the frame's shape.
+    shared by every window the frame fits.
 
     `shift_root` moves a root onto the next window family by family: in
     a family of n steps, step k takes old step k+1 for k <= n-3, and
@@ -168,37 +171,30 @@ def _storage_rates(d, dt: float) -> tuple:
 
 
 class _Window:
-    """One agent's window: the numbers its program's slots read, taken
-    off the agent and the view with every per-window check, and its
-    shape. The shape is every discrete decision that names a variable,
-    row, column or family, and every number no slot reads: the agent,
-    weights, step length and horizon, per device each step's power
-    interval (PV's lower end only; its upper end follows the irradiance
-    forecast) and so its class (0.0 where the interval holds both signs,
-    else the sign s with |P| = s*P), storage's window-end row, and the EV
-    target step's position in the window."""
+    """One agent's window: what its device models read through the
+    builder, taken off the agent and the view with every per-window
+    check. Per device each step's power interval and its class (0.0
+    where the interval holds both signs, else the sign s with
+    |P| = s*P) and a start state; storage's window-end row and floor,
+    the EV target step's place, and the heat pump's mode signs."""
 
     def __init__(self, spec: AgentSpec, view: HorizonView, weights: ObjectiveWeights):
         H, t0 = view.length, view.t_start
-        self.view = view
-        self.fixed = spec.fixed_load[t0:t0 + H]
-        if not spec.devices and all(v == 0.0 for v in self.fixed):
+        self.spec, self.view, self.weights = spec, view, weights
+        self.load = spec.fixed_load[t0:t0 + H]
+        if not spec.devices and all(v == 0.0 for v in self.load):
             raise DegenerateAgentError(
                 f"agent {spec.id} has no devices and zero fixed load")
         states_now = view.device_states.get(spec.id, {})
         self.spans, self.steps, self.start, self.mode_signs = {}, {}, {}, {}
         self.end, self.floor, self.target = {}, {}, {}
-        shape = [spec, weights, view.dt_hours, H]
         interval = dev.feasible_power_interval
         for d in spec.devices:
             kind = d.kind
             alphas = view.irradiance_frac if kind == dev.PV else (0.0,) * H
             spans = self.spans[kind] = [interval(d, t0 + k, alphas[k]) for k in range(H)]
-            steps = self.steps[kind] = tuple([
+            self.steps[kind] = tuple([
                 0.0 if lo < 0.0 < hi else -1.0 if lo < 0.0 else 1.0 for lo, hi in spans])
-            # each step's interval, but for the upper end of PV's, which
-            # follows the irradiance forecast
-            shape.append(tuple(lo for lo, _ in spans) if kind == dev.PV else tuple(spans))
             if kind == dev.PV:
                 continue
             now = states_now.get(kind)
@@ -206,14 +202,12 @@ class _Window:
             if kind == dev.HEAT_PUMP:
                 self.mode_signs[kind] = hp_mode_schedule(d, view, start)
                 continue
-            shape.append(self._anchor_end(spec, d, start))
+            self._anchor_end(spec, d, start)
             if kind == dev.EV:
                 k_star = d.target_step - t0
                 self.target[kind] = k_star if 1 <= k_star <= H - 1 else None
-                shape.append(self.target[kind])
-        self.shape = tuple(shape)
 
-    def _anchor_end(self, spec: AgentSpec, d, soc0: float) -> tuple:
+    def _anchor_end(self, spec: AgentSpec, d, soc0: float) -> None:
         """Storage's window-end row. When the window holds the simulation's
         end step, the SOC there equals the configured initial SOC
         (start-equals-end over the whole day); otherwise an anti-depletion
@@ -235,48 +229,50 @@ class _Window:
                     f"agent {spec.id}: {kind} cannot return to its initial SOC "
                     f"{d.soc_init} by step {view.end_step} from {soc0} at step {t0} "
                     f"(reachable [{low:.6g}, {reach:.6g}])")
-            end = self.end[kind] = ("end_eq", k_end)
+            self.end[kind] = ("end_eq", k_end)
         else:
             self.floor[kind] = min(d.soc_init, reach)
-            end = self.end[kind] = ("end_floor",)
-        return end
+            self.end[kind] = ("end_floor",)
 
 
 class _Frame:
-    """One window shape's program, declared by the first window of the
-    shape: its layout, binaries and template. The template's program at
-    a window of the frame's shape is that window's program."""
+    """One declared window program: its layout, binaries and template.
+    The template's program at any window it fits is that window's
+    program."""
 
-    def __init__(self, shape: tuple, layout: _MpoLayout, template: QpTemplate):
-        self.shape, self.layout, self.template = shape, layout, template
+    def __init__(self, layout: _MpoLayout, template: QpTemplate):
+        self.layout, self.template = layout, template
         self.binary_vars = tuple(i for z in layout.z.lists.values()
                                  for i in z if i is not None)
 
 
-def _declare(spec: AgentSpec, win: _Window, w: ObjectiveWeights) -> tuple:
-    """A frame for the window's shape, and the window's program: each
-    device's model, with a slot wherever a number depends on the window."""
+def _declare(win: _Window) -> _Frame:
+    """A frame for the window: each device's model, with a slot wherever
+    a number depends on the window. The first fixed read tells agents,
+    weights, step lengths and horizons apart, so a frame's later reads
+    name the same devices."""
     b = QpBuilder(win)
-    lay = _MpoLayout(tuple(d.kind for d in spec.devices), win.view.length)
+    spec, w, dt, H = b.fixed(lambda win: (win.spec, win.weights, win.view.dt_hours,
+                                          win.view.length))
+    lay = _MpoLayout(tuple(d.kind for d in spec.devices), H)
     for d in spec.devices:
-        spans = _add_band(b, lay, d.kind, win, spec)
+        spans = _add_band(b, lay, d.kind, spec)
         if d.kind in (dev.BATTERY, dev.EV):
-            _add_storage(b, lay, d, win, w)
+            _add_storage(b, lay, d, dt, w)
         elif d.kind == dev.HEAT_PUMP:
-            _add_heat_pump(b, lay, d, win, w)
+            _add_heat_pump(b, lay, d, dt, w)
         else:
             _add_pv(b, lay, spans, w)
     # PV self-consumption: pull PV + battery + EV injections toward zero
     util = [lay.P.lists[kk,] for kk in (dev.PV, dev.BATTERY, dev.EV)
             if kk in lay.kinds]
     if util:
-        for k in range(lay.H):
+        for k in range(H):
             b.add_square([(P[k], 1.0) for P in util], 0.0, w.utilization)
     # -P_total = -(sum_d P_d - fixed), the fixed load summed in step
     # order (Python 3.12's sum compensates)
-    b.add_const(b.param(lambda win: [reduce(add, win.fixed, 0.0)])[0])
-    qp = b.build()
-    return _Frame(win.shape, lay, QpTemplate(b, qp)), qp
+    b.add_const(b.param(lambda win: [reduce(add, win.load, 0.0)])[0])
+    return _Frame(lay, QpTemplate(b))
 
 
 def build_mpo(spec: AgentSpec, view: HorizonView, weights: ObjectiveWeights,
@@ -290,22 +286,19 @@ def build_mpo(spec: AgentSpec, view: HorizonView, weights: ObjectiveWeights,
     the window's start states and heat-pump mode signs (`.start`,
     `.mode_signs`), so schedules can be read back from a solution, and
     its frame (`.frame`). A `frame` of an earlier window makes this
-    window's program when this window has the frame's shape; otherwise
-    this window declares a frame for its shape.
+    window's program when it fits this window; otherwise this window
+    declares a frame.
     """
     win = _Window(spec, view, weights)
-    if frame is not None and frame.shape == win.shape:
-        qp = frame.template.program(win)
-    else:
-        frame, qp = _declare(spec, win, weights)
-    miqp = MixedIntegerQp(qp, frame.binary_vars)
+    if frame is None or not frame.template.fits(win):
+        frame = _declare(win)
+    miqp = MixedIntegerQp(frame.template.program(win), frame.binary_vars)
     miqp.layout, miqp.frame = frame.layout, frame
     miqp.start, miqp.mode_signs = win.start, win.mode_signs
     return miqp
 
 
-def _add_band(b: QpBuilder, lay: _MpoLayout, kind: str, win: _Window,
-              spec: AgentSpec) -> list:
+def _add_band(b: QpBuilder, lay: _MpoLayout, kind: str, spec: AgentSpec) -> list:
     """Each step's power interval [lo, hi] bounds P, and the envelope's
     limits must hold at P +- delta; flexibility and net injection are
     rewarded. Then the eps band on flexibility,
@@ -313,11 +306,14 @@ def _add_band(b: QpBuilder, lay: _MpoLayout, kind: str, win: _Window,
     Where the interval holds both signs (class 0.0), P = P+ - P- with a
     binary z gating the halves, P+ <= hi*z and P- <= -lo*(1 - z), which
     makes |P| = P+ + P- exact. Elsewhere the interval fixes P's sign s,
-    |P| is s*P (P at lo = hi = 0), and there is no binary."""
-    spans = win.spans[kind]
+    |P| is s*P (P at lo = hi = 0), and there is no binary. PV's upper
+    ends follow the irradiance forecast, so they are slots."""
     if kind == dev.PV:
-        his = b.param(lambda win: [hi for _, hi in win.spans[kind]])
-        spans = [(lo, hi) for (lo, _), hi in zip(spans, his)]
+        spans = list(zip(b.fixed(lambda win: [lo for lo, _ in win.spans[kind]]),
+                         b.param(lambda win: [hi for _, hi in win.spans[kind]])))
+    else:
+        spans = b.fixed(lambda win: win.spans[kind])
+    steps = b.fixed(lambda win: win.steps[kind])
     P, D = lay.P.new(kind), lay.delta.new(kind)
     env_hi, env_lo = lay.le.new(kind, "env_hi"), lay.le.new(kind, "env_lo")
     for k, (lo, hi) in enumerate(spans):
@@ -327,13 +323,13 @@ def _add_band(b: QpBuilder, lay: _MpoLayout, kind: str, win: _Window,
         env_lo[k] = b.add_ge([(P[k], 1.0), (D[k], -1.0)], lo)
         b.add_linear(D[k], -1.0)        # reward flexibility
         b.add_linear(P[k], -1.0)        # reward net injection
-    if 0.0 in win.steps[kind]:
+    if 0.0 in steps:
         plus, minus, zs = lay.plus.new(kind), lay.minus.new(kind), lay.z.new(kind)
         split = lay.eq.new(kind, "split")
         gate_plus = lay.le.new(kind, "gate_plus")
         gate_minus = lay.le.new(kind, "gate_minus")
     eps_lo, eps_hi = lay.le.new(kind, "eps_lo"), lay.le.new(kind, "eps_hi")
-    for k, s in enumerate(win.steps[kind]):
+    for k, s in enumerate(steps):
         dl = D[k]
         if s == 0.0:
             lo, hi = spans[k]
@@ -353,10 +349,10 @@ def _add_band(b: QpBuilder, lay: _MpoLayout, kind: str, win: _Window,
     return spans
 
 
-def _add_storage(b: QpBuilder, lay: _MpoLayout, d, win: _Window,
+def _add_storage(b: QpBuilder, lay: _MpoLayout, d, dt: float,
                  w: ObjectiveWeights) -> None:
-    kind, H = d.kind, win.view.length
-    keep, coeff = _storage_rates(d, win.view.dt_hours)
+    kind, H = d.kind, lay.H
+    keep, coeff = _storage_rates(d, dt)
     # the start SOC enters step 0's side and the robustness side
     side0, robust = b.param(lambda win: [keep * win.start[kind],
                                          d.soc_min - keep * win.start[kind]])
@@ -371,7 +367,7 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, win: _Window,
             [(S[k + 1], 1.0), (S[k], -keep), (P[k], coeff)], 0.0)
     # the window end (`_Window._anchor_end`): an equality at the
     # simulation's end step, or a floor on the last state
-    end = win.end[kind]
+    end = b.fixed(lambda win: win.end[kind])
     if end[0] == "end_eq":
         lay.eq.lists[kind, "end_eq"] = [b.add_eq([(S[end[1]], 1.0)], d.soc_init)]
     else:
@@ -384,9 +380,10 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, win: _Window,
     # cycling: penalize step-to-step power changes
     for k in range(H - 1):
         b.add_square([(P[k + 1], 1.0), (P[k], -1.0)], 0.0, w.alpha_cyc)
-    if win.target.get(kind) is not None:
+    target = b.fixed(lambda win: win.target.get(kind))
+    if target is not None:
         # charge target at its step within the window
-        b.add_square([(S[win.target[kind]], 1.0)], -d.soc_target, w.xi_ev)
+        b.add_square([(S[target], 1.0)], -d.soc_target, w.xi_ev)
     elif kind == dev.EV:
         # at the window's first step the start state is fixed; 0 at others
         (first,) = b.param(lambda win: [
@@ -395,10 +392,10 @@ def _add_storage(b: QpBuilder, lay: _MpoLayout, d, win: _Window,
         b.add_const(first)
 
 
-def _add_heat_pump(b: QpBuilder, lay: _MpoLayout, d, win: _Window,
+def _add_heat_pump(b: QpBuilder, lay: _MpoLayout, d, dt: float,
                    w: ObjectiveWeights) -> None:
-    kind, H = dev.HEAT_PUMP, win.view.length
-    th = d.theta(win.view.dt_hours)
+    kind, H = dev.HEAT_PUMP, lay.H
+    th = d.theta(dt)
     g = 1.0 - th
 
     def numbers(win):
@@ -471,7 +468,7 @@ def _extract_schedules(spec: AgentSpec, miqp: MixedIntegerQp,
 class RootRelaxation:
     """One window's root relaxation with the frame whose layout names its
     entries; the agent's next clearing starts from it, shifted, and
-    refreshes the frame when its window has the same shape."""
+    builds through the frame when its window fits it."""
 
     t_start: int
     frame: _Frame
@@ -557,8 +554,8 @@ def solve_flexibility(spec: AgentSpec, view: HorizonView,
                       prev: RootRelaxation | None = None) -> FlexibilityOffer:
     """Stage I: solve the window problem and report the first-step offer.
     A `prev` (offer.root) of the window one step earlier, shifted, starts
-    the root relaxation, and its frame is refreshed when this window has
-    its shape."""
+    the root relaxation, and its frame builds this window's program when
+    it fits this window."""
     t0 = view.t_start
     miqp = build_mpo(spec, view, weights, None if prev is None else prev.frame)
     if prev is not None and prev.t_start == t0 - 1:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from operator import itemgetter
 
 import numpy as np
@@ -556,63 +557,71 @@ _LB, _UB, _C, _B_EQ, _B_LE, _EQ, _LE, _C0 = range(8)
 
 
 class QpBuilder:
-    """Incremental construction of a QuadraticProgram.
+    """Incremental construction of a QuadraticProgram, made by `QpTemplate`.
 
     Variables are added with box bounds; quadratic cost is accumulated
     from squares of affine expressions with finite nonnegative weights,
-    which keeps the result PSD by construction, so `build` skips the
-    dense check. Row indices returned by add_le are stable and index into
-    the final A_le block. Each row is compressed as it arrives into its
+    which keeps the result PSD by construction, so no program is checked
+    for it. Row indices returned by add_le are stable and index into the
+    final A_le block. Each row is compressed as it arrives into its
     block's CSR lists (indptr, indices, data): columns ascending, each
     entry summed from 0.0 over its terms in the order given. A square's
-    terms are kept per row of Q until `build` compresses each row the
-    same way, checks that every column names a variable, and turns the
-    lists into arrays.
+    terms are kept per row of Q until the template compresses each row
+    the same way and checks that every column names a variable.
 
-    A slot from `param` stands for a number that depends on the
-    builder's `source`: a bound, a row's side, a row coefficient alone in
-    its column, a linear or a constant term, or a square's constant. The
-    program built takes the slot's value at `source`, by the arithmetic
-    a number gets, and records where it went, so that `QpTemplate` makes
-    the same calls' program at another source.
+    The calls read the builder's `source` in two ways. `fixed(fn)` gives
+    fn(source), a value the calls may depend on in any way, and records
+    the read. `param(fn)` gives slots, stand-ins for the numbers
+    fn(source), which the builder takes in place of a bound, a row's
+    side, a row coefficient alone in its column, a linear or a constant
+    term, or a square's constant. It records where each slot goes and
+    computes no slot's value: the template does that, at any source.
     """
 
     def __init__(self, source=None):
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._q: dict[int, list] = {}        # Q's (column, value) terms per row
-        self._lin: dict[int, float] = {}
-        self._c0 = 0.0
+        self._lin: dict = {}     # c[i]'s sum at i, c0's at None; a slotted sum's base
         self._eq: tuple[list, list, list, list] = ([0], [], [], [])   # CSR lists, rhs
         self._le: tuple[list, list, list, list] = ([0], [], [], [])
         self._source = source
-        self._p = [1.0]          # 1.0, then the slots' values at source
-        self._fns = []           # the functions that gave them
-        # each slotted term (part, position, base, a, m1, m2, b) adds
-        # ((p[a] * m1) * m2) * p[b] to its base: -0.0 at a bound or side,
-        # 0.0 at a row entry, and at c[i] or c0 the sum before its first
-        # slot; from that slot on, each term of the sum is recorded, a
-        # number v as (0, v, 1.0, 0)
-        self._terms: list[tuple] = []
-        self._bases: dict = {}   # a slotted sum's base: c[i] at i, c0 at None
-        self._slotted = set()    # the blocks with a slotted coefficient
+        self._fixed = []         # (fn, fn(source)) per fixed read, in call order
+        self._fns = []           # the parameter functions
+        self._n_p = 1            # 1.0, then the slots
+        # each slotted term, six numbers (part, position, a, m1, m2, b),
+        # adds ((p[a] * m1) * m2) * p[b] to its entry. The entry holds its
+        # base: -0.0 at a bound or side, 0.0 at a row entry, and at c[i]
+        # or c0 the sum before its first slot; from that slot on, each
+        # term of the sum is recorded, a number v as (0, v, 1.0, 0)
+        self._terms: list = []
+        self._summed = set()     # the keys of _lin whose terms are recorded
 
     @property
     def n(self) -> int:
         return len(self._lb)
 
+    def fixed(self, fn):
+        """fn(source), recorded: a template fits another source where each
+        such read returns an equal value, so the first read should tell
+        unrelated sources apart."""
+        value = fn(self._source)
+        self._fixed.append((fn, value))
+        return value
+
     def param(self, fn) -> list:
         """Slots for the numbers fn(source), a list of floats whose length
-        the calls that use them fix."""
-        start = len(self._p)
-        self._p += fn(self._source)
+        the calls that use them fix; fn is called here only to count
+        them."""
+        start = self._n_p
+        self._n_p += len(fn(self._source))
         self._fns.append(fn)
-        return list(map(Slot, zip(range(start, len(self._p)))))
+        return list(map(Slot, zip(range(start, self._n_p))))
 
     def _slot(self, part: int, pos: int, s: Slot, sign=1.0, base=-0.0) -> float:
-        """Record slot s, times sign, at part[pos]; its value here."""
-        self._terms.append((part, pos, base, s[0], sign, 1.0, 0))
-        return self._p[s[0]] * sign
+        """Record slot s, times sign, at part[pos]; the entry's base."""
+        self._terms += (part, pos, s[0], sign, 1.0, 0)
+        return base
 
     def add_var(self, lb=-INF, ub=INF) -> int:
         i = len(self._lb)
@@ -624,27 +633,23 @@ class QpBuilder:
         self._ub.append(float(ub))
         return i
 
-    def add_linear(self, idx: int, coef) -> None:
-        prev = self._lin.get(idx, 0.0)
-        self._lin[idx] = (self._sum(idx, prev, coef) if type(coef) is Slot or idx in self._bases
-                          else prev + float(coef))
+    def add_linear(self, idx, coef) -> None:
+        """Add coef to c[idx] (to c0 at idx None)."""
+        if type(coef) is Slot:
+            self._sum(idx, coef[0], 1.0)
+        elif idx in self._summed:
+            self._sum(idx, 0, float(coef))
+        else:
+            self._lin[idx] = self._lin.get(idx, 0.0) + float(coef)
 
     def add_const(self, value) -> None:
-        self._c0 = (self._sum(None, self._c0, value) if type(value) is Slot or None in self._bases
-                    else self._c0 + float(value))
+        self.add_linear(None, value)
 
-    def _sum(self, idx, prev: float, value, term=None) -> float:
-        """prev + value, the next partial sum of c[idx] (of c0 at idx
-        None), with the term recorded: `value` is a number, a slot, or a
-        slot's product whose (a, m1, m2, b) is `term`. A sum's terms are
-        recorded from its first slot on, over the sum before it."""
-        if type(value) is Slot:
-            value, term = self._p[value[0]], (value[0], 1.0, 1.0, 0)
-        value = float(value)
-        base = self._bases.setdefault(idx, prev)
-        self._terms.append(((_C0, 0) if idx is None else (_C, idx)) + (base,)
-                           + (term or (0, value, 1.0, 0)))
-        return prev + value
+    def _sum(self, idx, a, m1, m2=1.0, b=0) -> None:
+        """Record ((p[a] * m1) * m2) * p[b] as c[idx]'s next term (c0's at None)."""
+        self._lin.setdefault(idx, 0.0)
+        self._summed.add(idx)
+        self._terms += ((_C0, 0) if idx is None else (_C, idx)) + (a, m1, m2, b)
 
     def add_square(self, terms, const=0.0, weight: float = 1.0) -> None:
         """Accumulate weight * (sum coef*x + const)^2 into the objective."""
@@ -656,11 +661,9 @@ class QpBuilder:
         for i, ai in terms:
             self._q.setdefault(i, []).extend((j, 2.0 * weight * ai * aj) for j, aj in terms)
         if type(const) is Slot:
-            j, v = const[0], self._p[const[0]]
             for i, ai in terms:
-                self._lin[i] = self._sum(i, self._lin.get(i, 0.0), 2.0 * weight * v * ai,
-                                         (j, 2.0 * weight, ai, 0))
-            self._c0 = self._sum(None, self._c0, weight * v * v, (j, weight, 1.0, j))
+                self._sum(i, const[0], 2.0 * weight, ai)
+            self._sum(None, const[0], weight, 1.0, const[0])
         elif const:
             for i, ai in terms:
                 self.add_linear(i, 2.0 * weight * const * ai)
@@ -678,8 +681,7 @@ class QpBuilder:
                 vals[-1] += sign * float(a)
                 continue
             if type(a) is Slot:
-                self._slotted.add(parts[1])
-                vals.append(0.0 + self._slot(parts[1], len(vals), a, sign, 0.0))
+                vals.append(self._slot(parts[1], len(vals), a, sign, 0.0))
                 slotted = len(vals)
             else:
                 vals.append(0.0 + sign * float(a))
@@ -703,56 +705,55 @@ class QpBuilder:
 
     def build(self) -> QuadraticProgram:
         """The program at the builder's source."""
-        n = self.n
-        # a square's rows are its columns, so Q's row keys name them all
-        for i in [*self._q, *self._lin]:
-            if not 0 <= i < n:
-                raise QpError(f"objective term names variable {i} of {n}")
-        q = ([0], [], [], [])                 # Q's CSR lists; its sides go unused
-        for i in range(n):
-            self._add_row(q, None, self._q.get(i, ()), 0.0)
-        c = np.zeros(n)
-        c[list(self._lin)] = list(self._lin.values())
-        (*eq, b_eq), (*le, b_le) = self._eq, self._le
-        return QuadraticProgram(n, _csr(q[:3], (n, n), "objective"), c,
-                                np.array(self._lb), np.array(self._ub),
-                                _csr(eq, (len(b_eq), n), "eq"), np.array(b_eq),
-                                _csr(le, (len(b_le), n), "le"), np.array(b_le),
-                                self._c0, validate_psd=False)
+        return QpTemplate(self).program(self._source)
 
 
 class QpTemplate:
-    """`program(source)` is the program a builder's calls build at
-    `source`: the builder's parameter functions give p = [1.0, ...] there,
-    and the recorded terms ((p[a] * m1) * m2) * p[b] are added, in call
-    order, to the program's numbers laid end to end (lb, ub, c, b_eq,
-    b_le, A_eq's and A_le's data, c0) with each slotted entry at its
-    base. That is the builder's arithmetic, since x + -0.0 is x and a
-    product keeps its value when its factors swap. Q, the blocks'
-    structure and each block without a slotted coefficient are shared
-    read-only."""
+    """The program a builder's calls make, at any source that the
+    builder's fixed reads fit.
 
-    def __init__(self, b: QpBuilder, qp: QuadraticProgram):
-        """`qp` is what `b` built, and `b` takes no further calls."""
-        self.n, self.Q, self._fns, self._n_p = qp.n, qp.Q, tuple(b._fns), len(b._p)
-        # the numbers as the builder holds them (c as built), and its terms
-        self._todo = ((b._lb, b._ub, qp.c.copy(), b._eq[3], b._le[3], b._eq[2], b._le[2],
-                       [qp.c0]), b._terms)
-        self._blocks = [(m, code in b._slotted) for m, code in ((qp.A_eq, _EQ), (qp.A_le, _LE))]
-        for m, own in [(qp.Q, False)] + self._blocks:
+    `program(source)` evaluates the builder's parameter functions there
+    to p = [1.0, ...] and adds the recorded terms ((p[a] * m1) * m2) *
+    p[b], in call order, to the program's numbers laid end to end (lb,
+    ub, c, b_eq, b_le, A_eq's and A_le's data, c0), each slotted entry
+    starting at its base. That is the arithmetic a number gets in the
+    builder, since x + -0.0 is x and a product keeps its value when its
+    factors swap. `fits(source)` tells whether the same calls are made
+    there: whether each fixed read returns an equal value, read in call
+    order up to the first that does not. Q, the blocks' structure and
+    each block without a slotted coefficient are shared read-only."""
+
+    def __init__(self, b: QpBuilder):
+        """`b` takes no further calls."""
+        n = self.n = b.n
+        # a square's rows are its columns, so Q's row keys name them all
+        for i in [*b._q, *b._lin]:
+            if i is not None and not 0 <= i < n:
+                raise QpError(f"objective term names variable {i} of {n}")
+        q = ([0], [], [], [])                 # Q's CSR lists; its sides go unused
+        for i in range(n):
+            b._add_row(q, None, b._q.get(i, ()), 0.0)
+        (*eq, b_eq), (*le, b_le) = b._eq, b._le
+        parts = (b._lb, b._ub, [b._lin.get(i, 0.0) for i in range(n)], b_eq, b_le, eq[2], le[2],
+                 [b._lin.get(None, 0.0)])
+        self._starts = list(accumulate(map(len, parts), initial=0))
+        x = self._x = np.fromiter(chain(*parts), float, self._starts[-1])
+        x.setflags(write=False)                           # each program copies it
+        part, pos, a, m1, m2, p_b = np.array(b._terms, dtype=float).reshape(-1, 6).T
+        self.Q = _csr(q[:3], (n, n), "objective")
+        self._blocks = [(_csr((*rows[:2], x[i:j]), (len(side), n), name), (part == code).any())
+                        for rows, side, name, code, i, j in (
+                            (eq, b_eq, "eq", _EQ, *self._starts[5:7]),
+                            (le, b_le, "le", _LE, *self._starts[6:8]))]
+        self._dst = np.array(self._starts)[part.astype(np.intp)] + pos.astype(np.intp)
+        self._a, self._m1, self._m2, self._b = a.astype(np.intp), m1, m2, p_b.astype(np.intp)
+        self._fns, self._n_p, self._fixed = tuple(b._fns), b._n_p, tuple(b._fixed)
+        for m, own in [(self.Q, False)] + self._blocks:
             for v in (m.indices, m.indptr) + (() if own else (m.data,)):
                 v.setflags(write=False)
 
-    def _plan(self) -> None:
-        parts, terms = self._todo
-        self._starts = np.cumsum([0] + [len(x) for x in parts])
-        self._x = np.concatenate(parts)
-        terms = np.array(terms, dtype=float).reshape(-1, 7).T
-        part, pos, a, b = terms[[0, 1, 3, 6]].astype(np.intp)
-        self._dst = self._starts[part] + pos
-        self._x[self._dst] = terms[2]
-        self._a, self._m1, self._m2, self._b = a, terms[4], terms[5], b
-        self._todo = None
+    def fits(self, source) -> bool:
+        return all(fn(source) == value for fn, value in self._fixed)
 
     def program(self, source) -> QuadraticProgram:
         p = [1.0]
@@ -760,8 +761,6 @@ class QpTemplate:
             p += fn(source)
         if len(p) != self._n_p:
             raise QpError(f"the parameters give {len(p) - 1} numbers, not {self._n_p - 1}")
-        if self._todo is not None:
-            self._plan()
         p = np.array(p)
         x = self._x.copy()
         np.add.at(x, self._dst, p[self._a] * self._m1 * self._m2 * p[self._b])
@@ -781,12 +780,12 @@ def _with_data(mat: sp.csr_matrix, data) -> sp.csr_matrix:
 
 
 def _csr(block, shape, name) -> sp.csr_matrix:
-    """The CSR matrix of a block's lists (indptr, indices, data); a column
-    outside the program names the block."""
+    """The CSR matrix of a block's lists (indptr, indices, data), its data
+    an array or a list; a column outside the program names the block."""
     indptr, cols, vals = block
     n = shape[1]
     if cols and not (0 <= min(cols) and max(cols) < n):
         bad = next(j for j in cols if not 0 <= j < n)
         raise QpError(f"{name} term names variable {bad} of {n}")
-    return sp.csr_matrix((np.array(vals, dtype=float), np.array(cols, dtype=np.int32),
+    return sp.csr_matrix((np.asarray(vals, dtype=float), np.array(cols, dtype=np.int32),
                           np.array(indptr, dtype=np.int32)), shape=shape)

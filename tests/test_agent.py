@@ -587,19 +587,48 @@ def test_bundled_day_window_programs_keep_their_bytes(day_scenario):
     # BLAS): the bytes of all 72 programs, hashed in call order, are
     # those this digest was taken from before slots replaced the frame's
     # hand-written refresh. They rest on IEEE doubles and on math.exp
-    # (a heat pump's theta) rounding as glibc's does
-    h = hashlib.sha256()
+    # (a heat pump's theta) rounding as glibc's does. The windows declare
+    # 55 frames, counted while every frame is alive, since a freed
+    # frame's id may be reused
+    h, frames = hashlib.sha256(), []
     for spec in day_scenario.agents:
         frame = None
         for t in range(day_scenario.time_grid.total_steps):
             miqp = build_mpo(spec, slice_horizon(day_scenario, t), day_scenario.weights, frame)
             frame, qp = miqp.frame, miqp.base
+            frames.append(frame)
             for part in (qp.Q.data, qp.Q.indices, qp.Q.indptr, qp.c, qp.lb, qp.ub,
                          qp.A_eq.data, qp.A_eq.indices, qp.A_eq.indptr, qp.b_eq,
                          qp.A_le.data, qp.A_le.indices, qp.A_le.indptr, qp.b_le):
                 h.update(part.tobytes())
             h.update(repr(float(qp.c0)).encode())
     assert h.hexdigest() == "8ec01c3108fb49a448a27b519b6693a6ea12591dc8a63d789eec4b79b516adbc"
+    assert len({id(f) for f in frames}) == 55
+
+
+def test_frame_declared_anew_for_another_agent_weights_step_length_or_horizon(day_scenario):
+    # a frame's first recorded read is the agent, the weights, the step
+    # length and the horizon, so home1's frame passed to any window that
+    # differs in one of them declares anew. home1 without its EV reads
+    # as home1 up to the EV, so a device read made before the agent's
+    # would raise there
+    home1, view, weights = (day_scenario.agent("home1"), slice_horizon(day_scenario, 0),
+                            day_scenario.weights)
+    frame = build_mpo(home1, view, weights).frame
+    doc = read_scenario_doc(DAY)
+    doc["time"]["dt_hours"] = 0.5
+    half = slice_horizon(scenario_from_dict(doc, base_dir=DAY.parent), 0)
+    assert half.dt_hours == 0.5 and half.length == view.length
+    # the first 6 steps of the 8-step window, with the same agent
+    short = dataclasses.replace(view, length=6, outdoor_temp=view.outdoor_temp[:6],
+                                irradiance_frac=view.irradiance_frac[:6])
+    no_ev = dataclasses.replace(home1, devices=tuple(d for d in home1.devices if d.kind != EV))
+    for spec, v, w in [(day_scenario.agent("home2"), view, weights), (no_ev, view, weights),
+                       (home1, view, dataclasses.replace(weights, xi_pv=2.0)),
+                       (home1, half, weights), (home1, short, weights)]:
+        got = build_mpo(spec, v, w, frame)
+        assert got.frame is not frame
+        assert _program_facts(got) == _program_facts(build_mpo(spec, v, w))
 
 
 def test_frame_follows_an_ev_leaving_home_inside_the_window():

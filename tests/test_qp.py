@@ -381,10 +381,16 @@ def _reference_programs(day_scenario):
 
 def _record_builder_calls(monkeypatch):
     """Record every builder's square and row calls, in call order, as
-    (builder, block, terms, weight), each slot evaluated at the builder's
-    source; add_ge is recorded as the <= row it adds, negated."""
-    calls = []
-    square = QpBuilder.add_square
+    (builder, block, terms, weight), each slot evaluated by calling the
+    parameter function that gave it at the builder's source; add_ge is
+    recorded as the <= row it adds, negated."""
+    calls, values = [], {}
+    square, param = QpBuilder.add_square, QpBuilder.param
+
+    def rec_param(self, fn):
+        slots = param(self, fn)
+        values.update(((self, s), v) for s, v in zip(slots, fn(self._source)))
+        return slots
 
     def rec_square(self, terms, const=0.0, weight=1.0):
         terms = list(terms)
@@ -396,10 +402,11 @@ def _record_builder_calls(monkeypatch):
 
         def rec(self, terms, rhs):
             terms = list(terms)
-            calls.append((self, block, [(i, sign * (self._p[a[0]] if isinstance(a, Slot) else a))
+            calls.append((self, block, [(i, sign * (values[self, a] if isinstance(a, Slot) else a))
                                         for i, a in terms], None))
             return add(self, terms, rhs)
         monkeypatch.setattr(QpBuilder, name, rec)
+    monkeypatch.setattr(QpBuilder, "param", rec_param)
     monkeypatch.setattr(QpBuilder, "add_square", rec_square)
     rec_row("add_eq", "eq", 1.0)
     rec_row("add_le", "le", 1.0)
@@ -436,11 +443,12 @@ def test_assembly_matches_scipy_coo_reference(day_scenario, monkeypatch):
     # coo -> csr conversion of their triplets: the same structure, the
     # same row data, and Q's sums of repeated square terms to a few ulp.
     # scipy sums a long row in an order of its own; summing four terms of
-    # one sign in any two orders differs by at most 3 eps relative. A
-    # window that declares its frame is the builder's own program
+    # one sign in any two orders differs by at most 3 eps relative. Each
+    # program is the template's at the builder's own source
     calls = _record_builder_calls(monkeypatch)
-    built, build = [], QpBuilder.build
-    monkeypatch.setattr(QpBuilder, "build", lambda self: built.append(build(self)) or built[-1])
+    built, program = [], QpTemplate.program
+    monkeypatch.setattr(QpTemplate, "program",
+                        lambda self, source: built.append(program(self, source)) or built[-1])
     for make in _reference_programs(day_scenario):
         calls.clear()
         built.clear()
@@ -496,7 +504,7 @@ def _draw_params(data):
 
 
 def _replay(n, bounds, ops, params):
-    """The builder and program of the drawn calls with slots at `params`."""
+    """The builder of the drawn calls, its source `params`."""
     b = QpBuilder(params)
     slots = b.param(list)
     num = lambda x: slots[x[1]] if isinstance(x, tuple) else x
@@ -511,21 +519,73 @@ def _replay(n, bounds, ops, params):
             b.add_const(num(w))
         else:
             getattr(b, "add_" + kind)([(i, num(a)) for i, a in ts], num(w))
-    return b, b.build()
+    return b
+
+
+def _reference_program(n, bounds, ops, params):
+    """`_program_bytes` of the drawn calls' program at `params`, and each
+    block's (row, column, value) triplets, made call by call with no
+    builder: a bound or side is its number (a `ge` row's coefficients
+    and side negated), a row entry and an entry of Q, c or c0 the sum
+    from 0.0 of its terms in call order. A square of weight w > 0 and
+    constant k adds, over its nonzero coefficients a, 2 w a_i a_j to Q
+    and 2 w k a_i to c, and w k k to c0."""
+    value = lambda x: params[x[1]] if isinstance(x, tuple) else x
+    lb, ub = ([float(value(box[side])) for box in bounds] for side in (0, 1))
+    c, c0 = [0.0] * n, 0.0
+    rows = {"objective": [{} for _ in range(n)], "eq": [], "le": []}
+    sides = {"eq": [], "le": []}
+    trip = {block: ([], [], []) for block in rows}
+
+    def add(block, r, j, v):
+        rows[block][r][j] = rows[block][r].get(j, 0.0) + v
+        for part, x in zip(trip[block], (r, j, v)):
+            part.append(x)
+    for kind, ts, w in ops:
+        if kind == "square":
+            k, weight = value(w[0]), w[1]
+            if weight == 0.0:
+                continue
+            nz = [(i, a) for i, a in ts if a != 0.0]
+            for i, ai in nz:
+                for j, aj in nz:
+                    add("objective", i, j, 2.0 * weight * ai * aj)
+                c[i] += 2.0 * weight * k * ai
+            c0 += weight * k * k
+        elif kind == "linear":
+            c[ts[0][0]] += value(ts[0][1])
+        elif kind == "const":
+            c0 += value(w)
+        else:
+            block, sign = ("eq", 1.0) if kind == "eq" else ("le", -1.0 if kind == "ge" else 1.0)
+            rows[block].append({})
+            for i, a in ts:
+                add(block, len(rows[block]) - 1, i, sign * value(a))
+            sides[block].append(sign * value(w))
+    arrays = [np.array(v, dtype=float) for v in (lb, ub, c, sides["eq"], sides["le"])]
+    shapes = []
+    for block in ("objective", "eq", "le"):
+        entries = [(j, row[j]) for row in rows[block] for j in sorted(row)]
+        arrays += [np.array([v for _, v in entries], dtype=float),
+                   np.array([j for j, _ in entries], dtype=np.int32),
+                   np.cumsum([0] + [len(row) for row in rows[block]], dtype=np.int32)]
+        shapes.append((len(rows[block]), n))
+    return ([(a.dtype.str, a.tobytes()) for a in arrays], shapes,
+            np.float64(c0).tobytes()), trip
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(n=st.integers(0, 5), data=st.data())
 def test_builder_blocks_equal_a_per_row_reference(n, data):
     # random streams of row and square calls, with repeated columns, zero
-    # coefficients and empty rows, build each block as a plain per-row
-    # reference does: columns ascending, each entry the sum from 0.0 of
-    # its terms in call order (a square's terms 2 w a_i a_j); the
-    # structure is scipy's coo -> csr, whose sums may take another order.
-    # Some numbers are slots: a bound, a side, a row coefficient alone in
-    # its column, a linear or a constant term, a square's constant. The
-    # template's program at other parameters is, byte for byte, what the
-    # same calls build there
+    # coefficients and empty rows. Some numbers are slots: a bound, a
+    # side, a row coefficient alone in its column, a linear or a constant
+    # term, a square's constant. The template's program at two drawn
+    # parameter sets is, byte for byte, what a per-call reference with no
+    # builder makes there: columns ascending, each number summed from 0.0
+    # over its terms in call order (a square's terms 2 w a_i a_j). The
+    # structure is also scipy's coo -> csr, whose sums may take another
+    # order
     terms = st.lists(st.tuples(st.integers(0, n - 1), _COEFS), max_size=6) if n else st.just([])
     ops = data.draw(st.lists(st.tuples(st.sampled_from(["eq", "le", "ge", "square", "linear",
                                                         "const"]), terms,
@@ -547,42 +607,17 @@ def test_builder_blocks_equal_a_per_row_reference(n, data):
         ops[k] = (kind, ts, _draw_number(data, st.just(w)) if kind != "square" else
                   (_draw_number(data, st.just(1.0)), data.draw(st.sampled_from([0.0, 0.3, 2.0]))))
     params = _draw_params(data)
-    value = lambda x: params[x[1]] if isinstance(x, tuple) else x
-    b, qp = _replay(n, bounds, ops, params)
-    ref = {"objective": [{} for _ in range(n)], "eq": [], "le": []}
-    trip = {block: ([], [], []) for block in ref}
-
-    def add(block, r, j, v):
-        ref[block][r][j] = ref[block][r].get(j, 0.0) + v
-        for part, x in zip(trip[block], (r, j, v)):
-            part.append(x)
-    for kind, ts, w in ops:
-        if kind == "square":
-            nz = [(i, a) for i, a in ts if a != 0.0] if w[1] > 0.0 else []
-            for i, ai in nz:
-                for j, aj in nz:
-                    add("objective", i, j, 2.0 * w[1] * ai * aj)
-        elif kind in ("eq", "le", "ge"):
-            block, sign = ("eq", 1.0) if kind == "eq" else ("le", -1.0 if kind == "ge" else 1.0)
-            ref[block].append({})
-            for i, a in ts:
-                add(block, len(ref[block]) - 1, i, sign * value(a))
-    for block, got in zip(ref, (qp.Q, qp.A_eq, qp.A_le)):
-        rows = ref[block]
-        assert got.shape == (len(rows), n)
-        want = [(j, row[j]) for row in rows for j in sorted(row)]
-        assert list(got.indptr) == list(np.cumsum([0] + [len(row) for row in rows]))
-        assert list(zip(got.indices.tolist(), got.data.tolist())) == want
-        rows_, cols_, vals_ = trip[block]
-        coo = sp.coo_matrix((vals_, (rows_, cols_)), shape=got.shape).tocsr()
-        assert np.array_equal(got.indptr, coo.indptr)
-        assert np.array_equal(got.indices, coo.indices)
-        assert np.allclose(got.data, coo.data, rtol=1e-14, atol=0.0)
-    template = QpTemplate(b, qp)
-    other = _draw_params(data)
-    assert _program_bytes(template.program(other)) == _program_bytes(
-        _replay(n, bounds, ops, other)[1])
-    assert _program_bytes(template.program(params)) == _program_bytes(qp)
+    template = QpTemplate(_replay(n, bounds, ops, params))
+    for ps in (params, _draw_params(data)):
+        qp = template.program(ps)
+        want, trip = _reference_program(n, bounds, ops, ps)
+        assert _program_bytes(qp) == want
+        for block, got in zip(trip, (qp.Q, qp.A_eq, qp.A_le)):
+            rows_, cols_, vals_ = trip[block]
+            coo = sp.coo_matrix((vals_, (rows_, cols_)), shape=got.shape).tocsr()
+            assert np.array_equal(got.indptr, coo.indptr)
+            assert np.array_equal(got.indices, coo.indices)
+            assert np.allclose(got.data, coo.data, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("row", [[(0, "slot"), (0, 1.0)], [(1, 2.0), (0, 1.0), (0, "slot")],
