@@ -741,11 +741,11 @@ class QpTemplate:
         x.setflags(write=False)                           # each program copies it
         part, pos, a, m1, m2, p_b = np.array(b._terms, dtype=float).reshape(-1, 6).T
         self.Q = _csr(q[:3], (n, n), "objective")
-        self._blocks = [(_csr((*rows[:2], x[i:j]), (len(side), n), name), (part == code).any())
-                        for rows, side, name, code, i, j in (
-                            (eq, b_eq, "eq", _EQ, *self._starts[5:7]),
-                            (le, b_le, "le", _LE, *self._starts[6:8]))]
-        self._dst = np.array(self._starts)[part.astype(np.intp)] + pos.astype(np.intp)
+        starts = self._starts                             # a part's code indexes them
+        self._blocks = [(_csr((*rows[:2], x[starts[k]:starts[k + 1]]), (len(side), n), name),
+                         (part == k).any())
+                        for k, rows, side, name in ((_EQ, eq, b_eq, "eq"), (_LE, le, b_le, "le"))]
+        self._dst = np.array(starts)[part.astype(np.intp)] + pos.astype(np.intp)
         self._a, self._m1, self._m2, self._b = a.astype(np.intp), m1, m2, p_b.astype(np.intp)
         self._fns, self._n_p, self._fixed = tuple(b._fns), b._n_p, tuple(b._fixed)
         for m, own in [(self.Q, False)] + self._blocks:
