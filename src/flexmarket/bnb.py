@@ -24,8 +24,8 @@ it prunes at the first branching. A root that is swept whole skips the
 dive, which exists only to supply an early incumbent.
 Fixing a binary only shrinks its box bounds, so every node reuses the
 one AdmmSolver workspace and starts from its parent's active set, and
-from its parent's factor when the parent is the workspace's last solve
-or last start. The root starts from the caller's `root_warm` (in a day
+from its parent's factor when the parent is the workspace's last solve.
+The root starts from the caller's `root_warm` (in a day
 simulation, the agent's previous root relaxation shifted one step) or
 cold, and comes back as `MiqpSolution.root` for the caller to carry
 on. Every node solve is exact, so a node's objective is a true bound

@@ -15,7 +15,7 @@ All functions here are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 BATTERY = "battery"
 EV = "ev"
@@ -152,8 +152,8 @@ class ObjectiveWeights:
     utilization: float = 1.0   # PV self-consumption coupling
 
     def __post_init__(self):
-        for name in ("alpha_cyc", "xi_ev", "xi_ac", "xi_pv", "utilization"):
-            _require(getattr(self, name) >= 0.0, name, "must be nonnegative")
+        for f in fields(self):
+            _require(getattr(self, f.name) >= 0.0, f.name, "must be nonnegative")
 
 
 def battery_soc_step(p: BatteryParams, soc: float, power_kw: float,
@@ -209,50 +209,53 @@ def feasible_power_interval(device, t: int, alpha_pv: float = 0.0):
     raise ValueError(f"unknown device kind {kind!r}")
 
 
-_STORAGE_FIELDS = ("self_discharge", "efficiency", "capacity_kwh", "p_min_kw",
-                   "p_max_kw", "soc_min", "soc_max", "soc_init")
+_DEVICE_CLASSES = {c.kind: c for c in (BatteryParams, EvParams, HpParams, PvParams)}
 
-_STEP_FIELDS = ("away_start", "away_end", "target_step")
 
-# config fields of each device kind, in constructor order
-_DEVICE_FIELDS = {
-    BATTERY: (BatteryParams, _STORAGE_FIELDS),
-    EV: (EvParams, _STORAGE_FIELDS + ("away_start", "away_end", "soc_target",
-                                      "target_step")),
-    HEAT_PUMP: (HpParams, ("r_th", "c_th", "cop", "p_rated_kw", "t_min",
-                           "t_max", "t_setpoint", "t_init")),
-    PV: (PvParams, ("p_rated_kw",)),
-}
+def read_number(value, integer: bool = False):
+    """A finite document value as a float, or as an int for a step count
+    or index; a fractional step is an error, not truncated, and a JSON
+    boolean is not a number. A ValueError carries the message alone, for
+    the caller to name the field."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"not a number: {value!r}") from exc
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {value!r}")
+    if not integer:
+        return x
+    if not x.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(x)
 
 
 def device_from_dict(kind: str, data: dict):
-    """Build a device parameter record from a config mapping."""
-    if kind not in _DEVICE_FIELDS:
+    """Build a device parameter record from a config mapping that gives
+    every field of the kind's class; a field annotated `int` is a step
+    index."""
+    if kind not in _DEVICE_CLASSES:
         raise DeviceValidationError(
             "kind", f"unknown device kind {kind!r}; expected one of {DEVICE_KINDS}")
-    ctor, fields = _DEVICE_FIELDS[kind]
-    unknown = set(data) - set(fields)
+    cls = _DEVICE_CLASSES[kind]
+    names = [f.name for f in fields(cls)]
+    unknown = set(data) - set(names)
     if unknown:
         raise DeviceValidationError(sorted(unknown)[0], "unknown parameter")
-    missing = [f for f in fields if f not in data]
+    missing = [f for f in names if f not in data]
     if missing:
         raise DeviceValidationError(missing[0], "missing parameter")
     vals = {}
-    for f in fields:
-        if isinstance(data[f], bool):
-            raise DeviceValidationError(f, f"not a number: {data[f]!r}")
+    for f in fields(cls):
         try:
-            vals[f] = float(data[f])
-        except (TypeError, ValueError) as exc:
-            raise DeviceValidationError(f, f"not a number: {data[f]!r}") from exc
-        _require(math.isfinite(vals[f]), f, f"must be finite, got {data[f]!r}")
-        if f in _STEP_FIELDS:
-            # a step index is never truncated: 3.7 is an error, 3.0 is step 3
-            _require(vals[f].is_integer(), f, f"must be an integer, got {data[f]!r}")
-            vals[f] = int(vals[f])
-    return ctor(**vals)
+            vals[f.name] = read_number(data[f.name], integer=f.type == "int")
+        except ValueError as exc:
+            raise DeviceValidationError(f.name, str(exc)) from exc
+    return cls(**vals)
 
 
 def device_to_dict(device) -> dict:
     """The config mapping device_from_dict reads back to an equal record."""
-    return {f: getattr(device, f) for f in _DEVICE_FIELDS[device.kind][1]}
+    return asdict(device)

@@ -27,6 +27,10 @@ from typing import Sequence
 
 from .agent import FlexibilityOffer
 
+# PositivityRegion.project keeps a strict lower end this far inside,
+# relative to max(1, |lo|)
+PROJECT_INSET = 1e-6
+
 
 class PricingError(ValueError):
     pass
@@ -95,11 +99,11 @@ class PositivityRegion:
             return False
         return p <= self.hi
 
-    def project(self, p: float, inset: float = 1e-6) -> float:
+    def project(self, p: float) -> float:
         """Nearest interior point, inset relatively from the boundary."""
         if self.empty:
             raise PricingError("positivity region is empty; cannot project")
-        step_lo = inset * max(1.0, abs(self.lo))
+        step_lo = PROJECT_INSET * max(1.0, abs(self.lo))
         lo_in = self.lo + step_lo if self.lo_strict else self.lo
         if lo_in > self.hi:
             lo_in = self.lo + 0.5 * (self.hi - self.lo)

@@ -36,12 +36,11 @@ changes only right-hand sides, so one workspace serves a whole search
 tree. A warm start begins from the active set read off the multipliers
 of a start of the program's shape: a search node's parent, or another
 window's solution moved onto this one. A start from the workspace's own
-last optimal solution, or from the solution it last started from, takes
-that working set and its factor as they were kept, without factoring
-K[W, W] again. All arithmetic is deterministic; repeated solves of the
-same data give bit-identical results. solve_qp builds a private
-workspace per call and is reentrant; an AdmmSolver instance belongs to
-one thread at a time.
+last optimal solution takes that working set and its factor as they
+were kept, without factoring K[W, W] again. All arithmetic is
+deterministic; repeated solves of the same data give bit-identical
+results. solve_qp builds a private workspace per call and is
+reentrant; an AdmmSolver instance belongs to one thread at a time.
 """
 
 from __future__ import annotations
@@ -223,19 +222,17 @@ class AdmmSolver:
     afresh (a drop, a swap); a join appends one column and one factor
     row.
 
-    Two slots each keep a solution object with its working set W, the
-    factor of K[W, W] and W's sides: the exit state of the last optimal
-    solve, until the next solve starts, and the last start factored from
-    a warm solution. A warm start from one of those very objects (`is`,
-    so a copy misses) takes them over when each row still has a finite
-    target under the new bounds and each row kept as an equality still
-    is one; otherwise it reads the set off the multipliers as any start
-    does. In a search that covers a dive's child of the node just
-    solved, and the second child of a popped node. The factor depends on
-    W alone, and every exit is checked, so a kept object changed in
-    place still solves exactly, if in more passes. The class keeps the
-    name of the former ADMM engine, and the `stiff_vars` it took is
-    accepted and ignored.
+    A slot keeps the exit state of the last optimal solve, until the
+    next solve starts: its solution object with its working set W, the
+    factor of K[W, W] and W's sides. A warm start from that very object
+    (`is`, so a copy misses) takes them over when each row still has a
+    finite target under the new bounds and each row kept as an equality
+    still is one; otherwise it reads the set off the multipliers as any
+    start does. In a search that covers a dive's child of the node just
+    solved. The factor depends on W alone, and every exit is checked, so
+    a kept object changed in place still solves exactly, if in more
+    passes. The class keeps the name of the former ADMM engine, and the
+    `stiff_vars` it took is accepted and ignored.
     """
 
     def __init__(self, qp: QuadraticProgram, stiff_vars=()):
@@ -246,9 +243,8 @@ class AdmmSolver:
         self.m = len(self._l0)
         self._shape = (qp.n_eq, qp.n_le, n, n)   # of [y_eq, y_le, y_bounds, x]
         # (solution, W, factor of K[W, W], sides of W): the exit state of
-        # the last optimal solve, released when the next solve starts, and
-        # the last start factored from a warm solution
-        self._exit = self._start = None
+        # the last optimal solve, released when the next solve starts
+        self._exit = None
         if n == 0:
             return
         # C = [A_eq; A_le; I]: the blocks' CSR arrays laid end to end
@@ -340,7 +336,6 @@ class AdmmSolver:
                                            <= _DEP_TOL * K.diagonal()[Ws]).any():
                     W, fac = Ws, fs
                     side[W] = np.where(free[W], 0.0, sw[W])
-                    self._start = (warm, W, fac, side[W])
             GW[:len(W)] = Gt[W]
             y[W] = yw[W]
         target = np.where(side < 0, l, u)
@@ -430,16 +425,16 @@ class AdmmSolver:
         return self._package(x, y, "iteration_limit", iters)
 
     def _kept_start(self, warm, l, u, free):
-        """W, its factor and its sides from the slot kept for `warm` itself,
-        if each row keeps a finite target under l, u and each row kept as
-        an equality (side 0, a multiplier of either sign) still is one;
-        else None."""
-        for slot in (self._exit, self._start):
-            if slot is not None and slot[0] is warm:
-                _, W, fac, sides = slot
-                if (np.isfinite(np.where(sides < 0, l[W], u[W])).all()
-                        and free[W][sides == 0].all()):
-                    return W, fac, np.where(free[W], 0.0, sides)
+        """W, its factor and its sides from the exit slot, if it was kept
+        for `warm` itself, each row keeps a finite target under l, u and
+        each row kept as an equality (side 0, a multiplier of either sign)
+        still is one; else None."""
+        if self._exit is None or self._exit[0] is not warm:
+            return None
+        _, W, fac, sides = self._exit
+        if (np.isfinite(np.where(sides < 0, l[W], u[W])).all()
+                and free[W][sides == 0].all()):
+            return W, fac, np.where(free[W], 0.0, sides)
         return None
 
     def _warm_duals(self, warm):

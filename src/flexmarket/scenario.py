@@ -5,6 +5,14 @@ A scenario is a single JSON document with sections `time`, `weights`,
 may be inline lists or references to CSV files with a header row and
 (step, value) columns, resolved relative to the scenario file.
 
+Each section's record is its dataclass, which is the only statement of
+that part of the document: a field's annotation picks how its value is
+read (a number, an `int` step count or index, a JSON boolean, or a
+string), a key the section omits takes the dataclass default (a
+device's fields and an agent's gamma are required), and
+scenario_to_dict writes each record's fields in their order. One number
+rule, devices.read_number, serves every number in the document.
+
 Raw series must cover the simulation (total_steps values). They are then
 padded by cyclically repeating the final day so that every receding
 horizon window, including the ones at the end of the day, is fully
@@ -19,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -67,9 +74,9 @@ def agent_id_problem(aid: str) -> Optional[str]:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    dt_hours: float
-    total_steps: int
-    horizon_len: int
+    dt_hours: float = 1.0
+    total_steps: int = 24
+    horizon_len: int = 24
     temperature_unit: str = "F"
 
     def __post_init__(self):
@@ -94,9 +101,9 @@ class ExogenousSeries:
 
     def validate(self, grid: TimeGrid) -> None:
         need = grid.padded_len
-        for name in ("outdoor_temp", "irradiance_frac", "lem_price"):
-            seq = getattr(self, name)
-            _check(len(seq) >= need, f"series.{name}",
+        for f in fields(self):
+            seq = getattr(self, f.name)
+            _check(len(seq) >= need, f"series.{f.name}",
                    f"length {len(seq)} is shorter than total_steps + horizon_len = {need}")
         _check(all(0.0 <= a <= 1.0 for a in self.irradiance_frac),
                "series.irradiance_frac", "values must lie in [0, 1]")
@@ -328,68 +335,72 @@ def _known_keys(sec: Mapping, known, path: str) -> None:
 
 
 def _number(value, name: str, integer: bool = False):
-    """A finite document value as a float, or as an int for a step count;
-    a fractional step count is an error, not truncated, and a JSON
-    boolean is not a number."""
-    if isinstance(value, bool):
-        raise ScenarioParseError(f"{name}: not a number: {value!r}")
+    """devices.read_number's value, its fault a parse error naming `name`."""
     try:
-        x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioParseError(f"{name}: not a number: {value!r}") from exc
-    if not math.isfinite(x):
-        raise ScenarioParseError(f"{name}: must be finite, got {value!r}")
-    if not integer:
-        return x
-    if not x.is_integer():
-        raise ScenarioParseError(f"{name}: must be an integer, got {value!r}")
-    return int(x)
+        return dev.read_number(value, integer)
+    except ValueError as exc:
+        raise ScenarioParseError(f"{name}: {exc}") from exc
+
+
+def _per_step(ref, grid: TimeGrid, base_dir: Path, name: str) -> list:
+    """A scalar taken at every clearing step, or a series."""
+    if isinstance(ref, (int, float)):
+        return [_number(ref, name)] * grid.total_steps
+    return _series_values(ref, base_dir, name)
+
+
+def _record(cls, sec: Mapping, path: str, **given):
+    """A `cls` record from its section: the fields in `given` as given,
+    the others read from `sec` by annotation (a number, an `int` step
+    count, a JSON boolean or a string) in field order, and the dataclass
+    default where `sec` omits them."""
+    vals = dict(given)
+    for f in fields(cls):
+        if f.name in given or f.name not in sec:
+            continue
+        value, name = sec[f.name], f"{path}.{f.name}"
+        if f.type == "bool":
+            # only a JSON boolean: bool("False") would be true
+            _check(isinstance(value, bool), name, f"must be true or false, got {value!r}")
+        elif f.type == "str":
+            value = str(value)
+        else:
+            value = _number(value, name, integer=f.type == "int")
+        vals[f.name] = value
+    try:
+        return cls(**vals)
+    except dev.DeviceValidationError as exc:
+        raise ScenarioValidationError(f"{path}.{exc.field}", exc.message) from exc
 
 
 def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
     _known_keys(doc, ("time", "weights", "policy", "series", "agents"), "")
     time_sec = _section(doc, "time")
     _known_keys(time_sec, (f.name for f in fields(TimeGrid)), "time")
-    grid = TimeGrid(
-        dt_hours=_number(time_sec.get("dt_hours", 1.0), "time.dt_hours"),
-        total_steps=_number(time_sec.get("total_steps", 24), "time.total_steps",
-                            integer=True),
-        horizon_len=_number(time_sec.get("horizon_len", 24), "time.horizon_len",
-                            integer=True),
-        temperature_unit=str(time_sec.get("temperature_unit", "F")))
+    grid = _record(TimeGrid, time_sec, "time")
 
     weights_sec = _section(doc, "weights", required=False)
     _known_keys(weights_sec, (f.name for f in fields(ObjectiveWeights)), "weights")
-    try:
-        weights = ObjectiveWeights(**{k: _number(v, f"weights.{k}")
-                                      for k, v in weights_sec.items()})
-    except dev.DeviceValidationError as exc:
-        raise ScenarioValidationError(f"weights.{exc.field}", "must be nonnegative") from exc
+    # read in the document's order, which names the first bad weight
+    weights = _record(ObjectiveWeights, weights_sec, "weights",
+                      **{k: _number(v, f"weights.{k}") for k, v in weights_sec.items()})
 
     series_sec = _section(doc, "series")
     _known_keys(series_sec, (f.name for f in fields(ExogenousSeries)), "series")
     raw = {}
-    for name in ("outdoor_temp", "irradiance_frac", "lem_price"):
-        if name not in series_sec:
-            raise ScenarioParseError(f"series.{name} is required")
-        raw[name] = _series_values(series_sec[name], base_dir, f"series.{name}")
-    series = ExogenousSeries(
-        outdoor_temp=pad_series(raw["outdoor_temp"], grid, "series.outdoor_temp"),
-        irradiance_frac=pad_series(raw["irradiance_frac"], grid, "series.irradiance_frac"),
-        lem_price=pad_series(raw["lem_price"], grid, "series.lem_price"))
+    for f in fields(ExogenousSeries):
+        name = f"series.{f.name}"
+        if f.name not in series_sec:
+            raise ScenarioParseError(f"{name} is required")
+        raw[f.name] = _series_values(series_sec[f.name], base_dir, name)
+    # every series is read before any is padded
+    series = ExogenousSeries(**{k: pad_series(v, grid, f"series.{k}")
+                                for k, v in raw.items()})
 
     policy_sec = _section(doc, "policy", required=False)
     _known_keys(policy_sec, (f.name for f in fields(SetpointPolicy)), "policy")
-    beta_ref = policy_sec.get("beta", 0.0)
-    if isinstance(beta_ref, (int, float)):
-        beta = (_number(beta_ref, "policy.beta"),) * grid.total_steps
-    else:
-        beta = tuple(_series_values(beta_ref, base_dir, "policy.beta"))
-    clip = policy_sec.get("clip_to_positivity", True)
-    # only a JSON boolean: bool("False") would be true
-    _check(isinstance(clip, bool), "policy.clip_to_positivity",
-           f"must be true or false, got {clip!r}")
-    policy = SetpointPolicy(beta=beta, clip_to_positivity=clip)
+    beta = _per_step(policy_sec.get("beta", 0.0), grid, base_dir, "policy.beta")
+    policy = _record(SetpointPolicy, policy_sec, "policy", beta=tuple(beta))
 
     agents_sec = doc.get("agents")
     if not isinstance(agents_sec, list) or not agents_sec:
@@ -406,10 +417,8 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
         if a.get("gamma") is None:
             raise ScenarioParseError(f"agents.{aid}.gamma is required")
         gamma = _number(a["gamma"], f"agents.{aid}.gamma")
-        fixed_ref = a.get("fixed_load", 0.0)
-        fixed = _series_values(fixed_ref, base_dir, f"agents.{aid}.fixed_load") \
-            if not isinstance(fixed_ref, (int, float)) \
-            else [_number(fixed_ref, f"agents.{aid}.fixed_load")] * grid.total_steps
+        fixed = _per_step(a.get("fixed_load", 0.0), grid, base_dir,
+                          f"agents.{aid}.fixed_load")
         devs = []
         dev_sec = a.get("devices", {})
         if not isinstance(dev_sec, dict):
@@ -425,11 +434,9 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
         if unknown:
             raise ScenarioValidationError(
                 f"agents.{aid}.devices.{sorted(unknown)[0]}", "unknown device kind")
-        agents.append(AgentSpec(
-            id=aid, gamma=gamma, devices=tuple(devs),
-            fixed_load=pad_series(fixed, grid, f"agents.{aid}.fixed_load"),
-            eps_lo=_number(a.get("eps_lo", 0.01), f"agents.{aid}.eps_lo"),
-            eps_hi=_number(a.get("eps_hi", 0.5), f"agents.{aid}.eps_hi")))
+        agents.append(_record(
+            AgentSpec, a, f"agents.{aid}", id=aid, gamma=gamma, devices=tuple(devs),
+            fixed_load=pad_series(fixed, grid, f"agents.{aid}.fixed_load")))
 
     return Scenario(time_grid=grid, agents=tuple(agents), series=series,
                     policy=policy, weights=weights)
@@ -459,36 +466,16 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    """Self-contained document (series inlined); reloads to an equal Scenario."""
-    grid = s.time_grid
+    """Self-contained document (series inlined), each record's keys in
+    field order; reloads to an equal Scenario."""
     return {
-        "time": {
-            "dt_hours": grid.dt_hours,
-            "total_steps": grid.total_steps,
-            "horizon_len": grid.horizon_len,
-            "temperature_unit": grid.temperature_unit,
-        },
+        "time": asdict(s.time_grid),
         "weights": asdict(s.weights),
-        "policy": {
-            "beta": list(s.policy.beta),
-            "clip_to_positivity": s.policy.clip_to_positivity,
-        },
-        "series": {
-            "outdoor_temp": list(s.series.outdoor_temp),
-            "irradiance_frac": list(s.series.irradiance_frac),
-            "lem_price": list(s.series.lem_price),
-        },
-        "agents": [
-            {
-                "id": a.id,
-                "gamma": a.gamma,
-                "eps_lo": a.eps_lo,
-                "eps_hi": a.eps_hi,
-                "fixed_load": list(a.fixed_load),
-                "devices": {d.kind: dev.device_to_dict(d) for d in a.devices},
-            }
-            for a in s.agents
-        ],
+        "policy": asdict(s.policy),
+        "series": asdict(s.series),
+        "agents": [{**asdict(a), "devices": {d.kind: dev.device_to_dict(d)
+                                             for d in a.devices}}
+                   for a in s.agents],
     }
 
 

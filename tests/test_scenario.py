@@ -1,10 +1,13 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from flexmarket.scenario import (ScenarioError, ScenarioFileError,
+from flexmarket.devices import (BatteryParams, EvParams, HpParams,
+                                ObjectiveWeights, PvParams)
+from flexmarket.scenario import (AgentSpec, ScenarioError, ScenarioFileError,
                                  ScenarioParseError, ScenarioValidationError,
-                                 load_scenario, save_scenario,
+                                 TimeGrid, load_scenario, save_scenario,
                                  scenario_from_dict, slice_horizon)
 
 
@@ -274,24 +277,44 @@ def test_clip_to_positivity_must_be_boolean(value):
     assert err.value.field == "policy.clip_to_positivity"
 
 
-EV_DOC = {"self_discharge": 0.0, "efficiency": 1.0, "capacity_kwh": 8.0,
-          "p_min_kw": -2.0, "p_max_kw": 2.0, "soc_min": 0.1, "soc_max": 0.9,
-          "soc_init": 0.4, "away_start": 2, "away_end": 3, "soc_target": 0.8,
+BATTERY_DOC = {"self_discharge": 0.0, "efficiency": 1.0, "capacity_kwh": 8.0,
+               "p_min_kw": -2.0, "p_max_kw": 2.0, "soc_min": 0.1, "soc_max": 0.9,
+               "soc_init": 0.4}
+EV_DOC = {**BATTERY_DOC, "away_start": 2, "away_end": 3, "soc_target": 0.8,
           "target_step": 4}
+# a valid device of every kind, so that each of their fields can be faulted
+DEVICE_DOCS = {"battery": BATTERY_DOC, "ev": EV_DOC,
+               "heat_pump": {"r_th": 2.0, "c_th": 2.0, "cop": 3.0, "p_rated_kw": 4.0,
+                             "t_min": 66.0, "t_max": 74.0, "t_setpoint": 70.0,
+                             "t_init": 70.0},
+               "pv": {"p_rated_kw": 4.0}}
+
+
+class _Missing:
+    """A value _with_value removes its key for."""
+
+    def __repr__(self):
+        return "<missing>"
+
+
+MISSING = _Missing()
 
 
 def _with_value(path, value):
     doc = minimal_doc()
-    doc["agents"][0]["devices"] = {"ev": dict(EV_DOC)}
+    doc["agents"][0]["devices"] = {k: dict(v) for k, v in DEVICE_DOCS.items()}
     *steps, leaf = path.split(".")
     node = doc
     for step in steps:
         node = node[int(step)] if isinstance(node, list) else node.setdefault(step, {})
-    node[leaf] = value
+    if value is MISSING:
+        del node[leaf]
+    else:
+        node[leaf] = value
     return doc
 
 
-@pytest.mark.parametrize("path, value, field", [
+NUMBER_CASES = [
     ("agents.0.eps_lo", "abc", "agents.a1.eps_lo"),
     ("agents.0.eps_hi", "abc", "agents.a1.eps_hi"),
     ("agents.0.gamma", [1.0], "agents.a1.gamma"),
@@ -311,14 +334,46 @@ def _with_value(path, value):
     ("series.lem_price", [0.1, True, 0.1, 0.1, 0.1, 0.1], "series.lem_price.1"),
     ("agents.0.devices.ev.efficiency", True, "agents.a1.devices.ev.efficiency"),
     ("agents.0.devices.ev.away_start", False, "agents.a1.devices.ev.away_start"),
-])
+]
+
+
+def _field_cases():
+    """Every number field of each device kind, the time grid, the weights
+    and an agent: a JSON boolean, and 3.7 where it is an int; each device
+    field, which is required, also removed."""
+    records = [(f"agents.0.devices.{c.kind}", f"agents.a1.devices.{c.kind}", c, True)
+               for c in (BatteryParams, EvParams, HpParams, PvParams)]
+    records += [("time", "time", TimeGrid, False),
+                ("weights", "weights", ObjectiveWeights, False),
+                ("agents.0", "agents.a1", AgentSpec, False)]
+    for doc_path, field_path, cls, required in records:
+        for f in fields(cls):
+            if f.type not in ("float", "int"):
+                continue
+            path, field = f"{doc_path}.{f.name}", f"{field_path}.{f.name}"
+            yield path, True, field
+            if f.type == "int":
+                yield path, 3.7, field
+            if required:
+                yield path, MISSING, field
+
+
+# the message each of these values reads with, wherever it stands
+_READS = {"True": "not a number: True", "3.7": "must be an integer, got 3.7",
+          "<missing>": "missing parameter"}
+
+
+@pytest.mark.parametrize("path, value, field", NUMBER_CASES + [
+    case for case in _field_cases() if case not in NUMBER_CASES])
 def test_wrong_number_type_names_field(path, value, field):
     # a non-number, a boolean, or a fractional step count or index, names
     # its field rather than surfacing as a bare ValueError, being read as
-    # 1.0 or 0.0, or being truncated
+    # 1.0 or 0.0, or being truncated; a device field may not be left out
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(_with_value(path, value))
     assert str(err.value).startswith(field + ":")
+    if repr(value) in _READS:
+        assert str(err.value) == f"{field}: {_READS[repr(value)]}"
 
 
 def test_integral_floats_load_as_steps():
@@ -326,5 +381,5 @@ def test_integral_floats_load_as_steps():
     doc["time"]["total_steps"] = 6.0
     s = scenario_from_dict(doc)
     assert s.time_grid.total_steps == 6 and isinstance(s.time_grid.total_steps, int)
-    ev = s.agents[0].devices[0]
+    ev = s.agents[0].device("ev")
     assert ev.away_start == 2 and isinstance(ev.away_start, int)
