@@ -136,9 +136,15 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
         nonlocal nodes
         lo = base.lb.copy()
         hi = base.ub.copy()
-        for j, v in fix.items():
-            lo[j] = max(lo[j], v)
-            hi[j] = min(hi[j], v)
+        if fix:
+            # each bound moves to its fixed value unless already past it;
+            # a tie keeps the bound, as max and min do, where np.maximum
+            # would take the fixed value, which may be a zero of the
+            # other sign
+            j = np.fromiter(fix, np.intp, len(fix))
+            v = np.fromiter(fix.values(), float, len(fix))
+            lo[j] = np.where(v > lo[j], v, lo[j])
+            hi[j] = np.where(v < hi[j], v, hi[j])
         sol = ws.solve(lo, hi, warm=warm)
         nodes += 1
         if sol.status == "iteration_limit":
@@ -153,6 +159,7 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
     if len(bins) == 0:
         return MiqpSolution(root.primal, (), root.objective, "optimal", 0.0,
                             nodes, root)
+    bin_list = bins.tolist()
     incumbent: QpSolution | None = None
     cut = np.inf                     # a bound at or above this cannot improve
 
@@ -168,8 +175,7 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
         # re-solve if that fixes a new one, and offer the result; False
         # when the budget, less `reserve` solves, has no room to re-solve
         leaf_fix = dict(fix)
-        for j in bins:
-            leaf_fix[int(j)] = float(np.round(sol.primal[j]))
+        leaf_fix.update(zip(bin_list, np.round(sol.primal[bins]).tolist()))
         if leaf_fix == fix:
             offer(sol)
         elif nodes + 1 + reserve <= cfg.node_limit:
@@ -185,10 +191,9 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
     def sweep(fix, rel):
         # every leaf below `fix` in Gray-code order from the rounded
         # relaxation: leaf i flips the free binary at i's lowest set bit
-        free = [int(j) for j in bins if int(j) not in fix]
+        free = [j for j in bin_list if j not in fix]
         leaf_fix = dict(fix)
-        for j in free:
-            leaf_fix[j] = float(np.round(rel.primal[j]))
+        leaf_fix.update(zip(free, np.round(rel.primal[free]).tolist()))
         warm = rel
         for i in range(2 ** len(free)):
             if i:
@@ -204,12 +209,13 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
         # fractional free binary at its rounded value, and re-solve
         fix: dict = {}
         cur = root
-        while cur.status == "optimal" and len(fix) < len(bins):
+        free = np.ones(len(bins), dtype=bool)          # the binaries not yet fixed
+        while cur.status == "optimal" and free.any():
             zv = np.clip(cur.primal[bins], 0.0, 1.0)
             frac = _fractionality(zv)
-            free = [k for k, j in enumerate(bins) if int(j) not in fix]
-            k = _first_tied(frac, free, frac[free].min())
-            fix[int(bins[k])] = float(np.round(zv[k]))
+            k = _first_tied(frac, np.flatnonzero(free), frac[free].min())
+            free[k] = False
+            fix[bin_list[k]] = float(np.round(zv[k]))
             cur = solve_node(fix, cur)
         offer(cur)
 

@@ -221,6 +221,9 @@ def read_number(value, integer: bool = False):
         raise ValueError(f"not a number: {value!r}")
     try:
         x = float(value)
+    except OverflowError as exc:
+        # an integer too large for a float, such as JSON's 1e400 written out
+        raise ValueError(f"must be finite, got {value!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"not a number: {value!r}") from exc
     if not math.isfinite(x):
@@ -239,6 +242,8 @@ def device_from_dict(kind: str, data: dict):
     if kind not in _DEVICE_CLASSES:
         raise DeviceValidationError(
             "kind", f"unknown device kind {kind!r}; expected one of {DEVICE_KINDS}")
+    if not isinstance(data, dict):
+        raise DeviceValidationError(kind, f"must be an object, got {data!r}")
     cls = _DEVICE_CLASSES[kind]
     names = [f.name for f in fields(cls)]
     unknown = set(data) - set(names)

@@ -26,11 +26,16 @@ The engine has that one tolerance: every optimal solve holds its rows to
 divided by the curvature of the minimizer, and its multipliers have the
 right signs.
 
-Each workspace factors Q + eps*I = L L' once, solves V = L^-1 C' over
-the dense C', and forms K = V'V = C (Q + eps*I)^-1 C', exactly
-symmetric, and G = L'^-1 V = (Q + eps*I)^-1 C'. Within a solve, each
-pass works on the working columns G[:, W]; a joining row grows the
-Cholesky factor of K[W, W] by one row, and a dropped row refactors it.
+Each workspace takes the Cholesky factor of Q + eps*I = L L' and C's
+CSR layout from its program's set-up base (`SetupBase`), which the
+programs of one template share and which the first workspace fills, so
+a frame factors its Q once; it then solves V = L^-1 C' over the dense
+C', and forms K = V'V = C (Q + eps*I)^-1 C', exactly symmetric, and
+G = L'^-1 V = (Q + eps*I)^-1 C', all in full for every workspace.
+Within a solve, the working set's rows, multipliers, sides, targets and
+columns G[:, W] are held in W's order: a joining row is appended and
+grows the Cholesky factor of K[W, W] by one row, and a dropped row is
+shifted out and the factor refactored from K's W rows and columns.
 Changing only lb/ub (as branch-and-bound does when fixing binaries)
 changes only right-hand sides, so one workspace serves a whole search
 tree. A warm start begins from the active set read off the multipliers
@@ -40,11 +45,14 @@ last optimal solution takes that working set and its factor as they
 were kept, without factoring K[W, W] again. All arithmetic is
 deterministic; repeated solves of the same data give bit-identical
 results. solve_qp builds a private workspace per call and is
-reentrant; an AdmmSolver instance belongs to one thread at a time.
+reentrant; an AdmmSolver instance belongs to one thread at a time. A
+set-up base is read-only once filled, and two workspaces that fill it
+at once compute the same bytes, so threads may share one.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
@@ -103,7 +111,7 @@ class QuadraticProgram:
 
     def __init__(self, n, Q=None, c=None, lb=None, ub=None,
                  A_eq=None, b_eq=None, A_le=None, b_le=None, c0=0.0,
-                 validate_psd=True):
+                 validate_psd=True, setup_base=None):
         self.n = int(n)
         if self.n < 0:
             raise QpError("variable count must be nonnegative")
@@ -129,6 +137,8 @@ class QuadraticProgram:
         self._check_finite()
         if self.n and validate_psd:
             self._check_psd()
+        # the set-up parts its workspaces share: a template's, or its own
+        self.setup_base = setup_base or SetupBase(self.Q, self.A_eq, self.A_le)
 
     @property
     def n_eq(self) -> int:
@@ -175,6 +185,64 @@ class QuadraticProgram:
         return float(0.5 * x @ (self.Q @ x) + self.c @ x + self.c0)
 
 
+class SetupBase:
+    """The set-up parts that workspaces share while their programs share
+    Q and the blocks' CSR structure: the lower Cholesky factor L of
+    Q + eps*I, and C = [A_eq; A_le; I] laid out from that structure.
+
+    A template's programs share one base, which dies with the template;
+    any other program has one of its own. The first workspace of a
+    program whose Q is the base's Q fills the factor, and the first whose
+    blocks hold the base's `indices` and `indptr` arrays fills C; a
+    workspace of a program whose Q or block was replaced computes its
+    own and leaves the base alone. The check is by identity, so Q's
+    values and the blocks' structure are taken as fixed once a program
+    has a workspace (a template's are read-only). Both parts are
+    read-only once filled, and two workspaces that fill one concurrently
+    compute the same bytes."""
+
+    __slots__ = ("Q", "rows", "chol", "C")
+
+    def __init__(self, Q, A_eq, A_le):
+        self.Q = Q
+        self.rows = (A_eq.indices, A_eq.indptr, A_le.indices, A_le.indptr)
+        self.chol = self.C = None
+
+    def factor(self, Q) -> np.ndarray:
+        """L with L L' = Q + eps*I: the base's, when Q is its Q."""
+        own = Q is self.Q
+        if own and self.chol is not None:
+            return self.chol
+        chol = _cholesky(Q.toarray() + _EPS * np.eye(Q.shape[0]))
+        if chol is None:
+            raise QpError("quadratic term not positive semidefinite")
+        if own:
+            chol.setflags(write=False)
+            self.chol = chol
+        return chol
+
+    def rows_of(self, A, B) -> sp.csr_matrix:
+        """C = [A; B; I], holding the base's layout when A and B share
+        its structure."""
+        n = A.shape[1]
+        data = np.concatenate([A.data, B.data, np.ones(n)])
+        own = all(a is b for a, b in zip(self.rows, (A.indices, A.indptr,
+                                                     B.indices, B.indptr)))
+        if own and self.C is not None:
+            return _with_data(self.C, data)
+        # the blocks' CSR arrays laid end to end
+        ids = np.arange(n + 1, dtype=np.int32)
+        C = sp.csr_matrix((data, np.concatenate([A.indices, B.indices, ids[:n]]),
+                           np.concatenate([A.indptr, A.nnz + B.indptr[1:],
+                                           A.nnz + B.nnz + ids[1:]])),
+                          shape=(A.shape[0] + B.shape[0] + n, n))
+        if own:
+            C.indices.setflags(write=False)
+            C.indptr.setflags(write=False)
+            self.C = C
+        return C
+
+
 @dataclass
 class QpSolution:
     """Primal/dual result of one QP solve."""
@@ -214,13 +282,19 @@ class AdmmSolver:
     Branch-and-bound fixes binaries by shrinking their box bounds, which
     changes only right-hand sides; `solve` accepts per-call overrides of
     the variable bounds plus an optional warm start, which may come from
-    another program of the same shape. Set-up lays the CSR arrays of
-    A_eq, A_le and the identity end to end as the loop's C, densifies
-    C', and overwrites it with V = L^-1 C' (L the Cholesky factor of
-    Q + eps*I), then V with G = L'^-1 V, after taking K = V'V.
-    A solve gathers G[:, W] when it starts warm or factors K[W, W]
-    afresh (a drop, a swap); a join appends one column and one factor
-    row.
+    another program of the same shape. Set-up takes L (the Cholesky
+    factor of Q + eps*I) and the loop's C, the CSR arrays of A_eq, A_le
+    and the identity end to end, from the program's `SetupBase`: L
+    while the program's Q is the base's, and C's layout, with this
+    program's data, while its blocks hold the base's structure arrays.
+    It densifies C' and overwrites it with V = L^-1 C', then V with
+    G = L'^-1 V, after taking K = V'V; nothing of V, K or G is kept
+    across workspaces. A solve keeps the working set W in W's order,
+    with its multipliers, sides, targets and G[:, W]' in buffers of the
+    workspace: a join appends a row and a factor row, and a drop (or a
+    swap) shifts the later rows up and refactors K[W, W], gathered from
+    K's W rows and columns; the multipliers are scattered to all rows
+    only when a result is packaged.
 
     A slot keeps the exit state of the last optimal solve, until the
     next solve starts: its solution object with its working set W, the
@@ -247,16 +321,9 @@ class AdmmSolver:
         self._exit = None
         if n == 0:
             return
-        # C = [A_eq; A_le; I]: the blocks' CSR arrays laid end to end
-        A, B, ids = qp.A_eq, qp.A_le, np.arange(n + 1, dtype=np.int32)
-        self._C = sp.csr_matrix((
-            np.concatenate([A.data, B.data, np.ones(n)]),
-            np.concatenate([A.indices, B.indices, ids[:n]]),
-            np.concatenate([A.indptr, A.nnz + B.indptr[1:], A.nnz + B.nnz + ids[1:]])),
-            shape=(self.m, n))
-        self._chol = _cholesky(qp.Q.toarray() + _EPS * np.eye(n))
-        if self._chol is None:
-            raise QpError("quadratic term not positive semidefinite")
+        base = qp.setup_base
+        self._C = base.rows_of(qp.A_eq, qp.A_le)
+        self._chol = base.factor(qp.Q)
         # H = L L': V = L^-1 C', K = V'V = C H^-1 C' (exactly symmetric)
         # and G = L'^-1 V = H^-1 C', which maps working multipliers to the
         # primal; these are the two solves dpotrs makes. V overwrites C'
@@ -264,6 +331,11 @@ class AdmmSolver:
         V = _tri_solve(self._chol, self._C.toarray().T, overwrite=1)
         self._K = V.T @ V
         self._G = _tri_solve(self._chol, V, trans=1, overwrite=1)
+        # the working set's state in W's order, rows [:k] in use: the
+        # rows, their multipliers, sides and targets, and G[:, W]'
+        self._W = np.empty(n, dtype=np.intp)
+        self._yW, self._sW, self._tW = np.empty(n), np.empty(n), np.empty(n)
+        self._GW = np.empty((n, n))
 
     def _bounds(self, lb, ub):
         """The rows' sides, with lb and ub of shape (n,) as variable bounds."""
@@ -311,12 +383,12 @@ class AdmmSolver:
         hi_lim = u + _ROW_TOL * (1.0 + np.abs(u))
         lo_lim = l - _ROW_TOL * (1.0 + np.abs(l))
         K, Gt = self._K, self._G.T
-        y = np.zeros(self.m)
-        side = np.zeros(self.m)              # +1 at u, -1 at l, 0 free
-        # the working rows W; fac is the lower Cholesky factor of K[W, W]
-        # and GW[:len(W)] holds G[:, W]', both in W's order (None: stale)
-        W, fac = np.zeros(0, dtype=np.intp), np.zeros((0, 0))
-        GW = np.empty((n, n))
+        # the working rows W[:k] with their multipliers yW, sides sW (+1
+        # at u, -1 at l, 0 free), targets tW and G[:, W]', all in W's
+        # order; a row outside W has multiplier 0. fac is the lower
+        # Cholesky factor of K[W, W] (None: stale)
+        W, yW, sW, tW, GW = self._W, self._yW, self._sW, self._tW, self._GW
+        k, fac = 0, np.zeros((0, 0))
         x_c = np.zeros(n)
         yw = None if warm is None else self._warm_duals(warm)
         kept = None if yw is None else self._kept_start(warm, l, u, free)
@@ -324,21 +396,24 @@ class AdmmSolver:
         if yw is not None:
             x_c = warm.primal
             if kept is not None:
-                W, fac, side[W] = kept
+                Ws, fac, sides = kept
             else:
                 sw = np.sign(yw)
                 Ws = np.flatnonzero(((sw > 0) & np.isfinite(u))
                                     | ((sw < 0) & np.isfinite(l)))
                 # the rows must pass the test a joining row passes: a
                 # relative Schur complement above _DEP_TOL at every pivot
-                fs = _cholesky(K[Ws][:, Ws]) if 0 < len(Ws) <= n else None
+                fs = _cholesky(K[Ws[:, None], Ws]) if 0 < len(Ws) <= n else None
                 if fs is not None and not (fs.diagonal() ** 2
                                            <= _DEP_TOL * K.diagonal()[Ws]).any():
-                    W, fac = Ws, fs
-                    side[W] = np.where(free[W], 0.0, sw[W])
-            GW[:len(W)] = Gt[W]
-            y[W] = yw[W]
-        target = np.where(side < 0, l, u)
+                    fac, sides = fs, np.where(free[Ws], 0.0, sw[Ws])
+                else:
+                    Ws = Ws[:0]
+            k = len(Ws)
+            if k:
+                W[:k], yW[:k], sW[:k] = Ws, yw[Ws], sides
+                GW[:k] = Gt[Ws]
+                tW[:k] = np.where(sides < 0, l[Ws], u[Ws])
         iters = 0
         x = x_c
         for _ in range(max_iter):
@@ -346,27 +421,24 @@ class AdmmSolver:
             q = _EPS * x_c - qp.c
             xu = _chol_solve(self._chol, q)
             while iters <= max_iter:
-                k = len(W)
                 if fac is None:
-                    fac = _cholesky(K[W][:, W])
+                    fac = _cholesky(K[W[:k, None], W[:k]])
                     if fac is None:
                         raise QpError("working rows are linearly dependent")
-                    GW[:k] = Gt[W]
                 if k:
-                    ys = _chol_solve(fac, GW[:k] @ q - target[W])
-                    wrong = side[W] * ys < 0.0
+                    ys = _chol_solve(fac, GW[:k] @ q - tW[:k])
+                    wrong = sW[:k] * ys < 0.0
                     if wrong.any():
                         # step toward ys until the first multiplier
                         # reaches zero, and drop that row
-                        yW = y[W]
-                        ratio = yW[wrong] / (yW[wrong] - ys[wrong])
+                        yk = yW[:k]
+                        ratio = yk[wrong] / (yk[wrong] - ys[wrong])
                         i = int(np.flatnonzero(wrong)[np.argmin(ratio)])
-                        y[W] = yW + ratio.min() * (ys - yW)
-                        y[W[i]] = 0.0
-                        W, fac = np.delete(W, i), None
+                        yW[:k] = yk + ratio.min() * (ys - yk)
+                        k, fac = self._drop(i, k), None
                         iters += 1
                         continue
-                    y[W] = ys
+                    yW[:k] = ys
                     x = xu - ys @ GW[:k]
                 else:
                     x = xu
@@ -374,13 +446,13 @@ class AdmmSolver:
                 over = s - hi_lim
                 under = lo_lim - s
                 viol = np.maximum(over, under)
-                viol[W] = -INF
+                viol[W[:k]] = -INF
                 j = int(np.argmax(viol))
                 if not viol[j] > 0.0:
                     break
                 sj = 1.0 if over[j] > 0.0 else -1.0
                 # row j joins the factor as [lj', sqrt(schur)]
-                lj = _tri_solve(fac, K[j, W])
+                lj = _tri_solve(fac, K[j, W[:k]])
                 schur = K[j, j] - lj @ lj
                 if k == n or schur <= _DEP_TOL * K[j, j]:
                     # row j depends on the working set: move the
@@ -388,41 +460,47 @@ class AdmmSolver:
                     # r = K[W, W]^-1 K[W, j], which leaves x in place,
                     # until one reaches zero
                     p = -sj * _tri_solve(fac, lj, trans=1)
-                    block = side[W] * p < -_DEP_TOL * max(1.0, _inf_norm(p))
+                    block = sW[:k] * p < -_DEP_TOL * max(1.0, _inf_norm(p))
                     if not block.any():
                         return self._empty("infeasible", iters)
-                    ratio = -y[W][block] / p[block]
+                    ratio = -yW[:k][block] / p[block]
                     i = int(np.flatnonzero(block)[np.argmin(ratio)])
-                    y[W] += ratio.min() * p
-                    y[j] = ratio.min() * sj
-                    y[W[i]] = 0.0
-                    W, fac = np.delete(W, i), None
+                    yW[:k] += ratio.min() * p
+                    yj = ratio.min() * sj
+                    k, fac = self._drop(i, k), None
                     iters += 1
                 else:
                     grown = np.zeros((k + 1, k + 1), order="F")
                     grown[:k, :k], grown[k, :k], grown[k, k] = fac, lj, np.sqrt(schur)
-                    fac = grown
-                    GW[k] = Gt[j]
-                W = np.append(W, j)
-                side[j] = 0.0 if free[j] else sj
-                target[j] = l[j] if sj < 0 else u[j]
+                    fac, yj = grown, 0.0
+                W[k], yW[k], GW[k] = j, yj, Gt[j]
+                sW[k] = 0.0 if free[j] else sj
+                tW[k] = l[j] if sj < 0 else u[j]
+                k += 1
                 iters += 1
             if iters > max_iter:
-                return self._package(xu - y[W] @ Gt[W], y, "iteration_limit", iters)
+                return self._package(xu - yW[:k] @ GW[:k], k, "iteration_limit", iters)
             # Q x + c + C'y = eps (x_c - x) holds at the round's end, so
             # this is the solve's only stationarity error
             if _EPS * _inf_norm(x - x_c) <= _ROW_TOL:
-                if len(W):
+                if k:
                     # one refinement step: K[W, W] can be ill-conditioned,
                     # so pin the working rows on x itself
-                    dy = _chol_solve(fac, s[W] - target[W])
-                    y[W] += dy
-                    x -= dy @ GW[:len(W)]
-                sol = self._package(x, y, "optimal", iters)
-                self._exit = (sol, W, fac, side[W])
+                    dy = _chol_solve(fac, s[W[:k]] - tW[:k])
+                    yW[:k] += dy
+                    x -= dy @ GW[:k]
+                sol = self._package(x, k, "optimal", iters)
+                self._exit = (sol, W[:k].copy(), fac, sW[:k].copy())
                 return sol
             x_c = x
-        return self._package(x, y, "iteration_limit", iters)
+        return self._package(x, k, "iteration_limit", iters)
+
+    def _drop(self, i, k) -> int:
+        """Remove the working row at position i of k, keeping W's order;
+        the new count."""
+        for a in (self._W, self._yW, self._sW, self._tW, self._GW):
+            a[i:k - 1] = a[i + 1:k]
+        return k - 1
 
     def _kept_start(self, warm, l, u, free):
         """W, its factor and its sides from the exit slot, if it was kept
@@ -446,9 +524,13 @@ class AdmmSolver:
         yw = np.concatenate(parts[:3])
         return yw if np.isfinite(yw).all() and np.isfinite(warm.primal).all() else None
 
-    def _package(self, x, y, status, iters) -> QpSolution:
+    def _package(self, x, k, status, iters) -> QpSolution:
+        """The solution at x, with the multipliers of the working rows
+        W[:k] scattered to their places and 0 elsewhere."""
         qp = self.qp
         n_row = qp.n_eq + qp.n_le
+        y = np.zeros(self.m)
+        y[self._W[:k]] = self._yW[:k]
         return QpSolution(
             primal=x,
             dual_bounds=y[n_row:].copy(),
@@ -716,7 +798,8 @@ class QpTemplate:
     factors swap. `fits(source)` tells whether the same calls are made
     there: whether each fixed read returns an equal value, read in call
     order up to the first that does not. Q, the blocks' structure and
-    each block without a slotted coefficient are shared read-only."""
+    each block without a slotted coefficient are shared read-only, and
+    so is the set-up base of Q's factor and C's layout (`SetupBase`)."""
 
     def __init__(self, b: QpBuilder):
         """`b` takes no further calls."""
@@ -746,6 +829,7 @@ class QpTemplate:
         for m, own in [(self.Q, False)] + self._blocks:
             for v in (m.indices, m.indptr) + (() if own else (m.data,)):
                 v.setflags(write=False)
+        self._setup = SetupBase(self.Q, *(m for m, _ in self._blocks))
 
     def fits(self, source) -> bool:
         return all(fn(source) == value for fn, value in self._fixed)
@@ -763,13 +847,14 @@ class QpTemplate:
                                                                self._starts[1:-1]))
         A_eq, A_le = (_with_data(m, d) if own else m for (m, own), d in zip(self._blocks, data))
         return QuadraticProgram(self.n, self.Q, c, lb, ub, A_eq, b_eq, A_le, b_le, x[-1],
-                                validate_psd=False)
+                                validate_psd=False, setup_base=self._setup)
 
 
 def _with_data(mat: sp.csr_matrix, data) -> sp.csr_matrix:
     """A CSR block holding `data` in the structure of `mat`, whose indices
-    and indptr it shares."""
-    out = sp.csr_matrix(mat)
+    and indptr arrays it holds (a shallow copy: scipy's constructor would
+    take a new view of the indices)."""
+    out = copy.copy(mat)
     out.data = data
     return out
 

@@ -428,8 +428,10 @@ def scenario_from_dict(doc: dict, base_dir: Path = Path(".")) -> Scenario:
                 try:
                     devs.append(dev.device_from_dict(kind, dev_sec[kind]))
                 except dev.DeviceValidationError as exc:
+                    # a fault of the entry itself names the kind
+                    at = f"agents.{aid}.devices.{kind}"
                     raise ScenarioValidationError(
-                        f"agents.{aid}.devices.{kind}.{exc.field}", exc.message) from exc
+                        at if exc.field == kind else f"{at}.{exc.field}", exc.message) from exc
         unknown = set(dev_sec) - set(dev.DEVICE_KINDS)
         if unknown:
             raise ScenarioValidationError(

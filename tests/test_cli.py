@@ -97,6 +97,17 @@ def test_run_device_error_names_its_field_once(tmp_path, capsys, value, message)
     assert err.count("capacity_kwh") == 1
 
 
+@pytest.mark.parametrize("override, message", [
+    ("agents.0.devices.pv=null", "agents.a1.devices.pv: must be an object, got None"),
+    (f"agents.0.gamma={10**400}", "agents.a1.gamma: must be finite")])
+def test_run_entry_faults_exit_2(tmp_path, capsys, override, message):
+    # both escaped as a TypeError or an OverflowError, exiting 1
+    code = main(["run", "--scenario", MINI, "--out", str(tmp_path / "o"),
+                 "--override", override])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("path", ["agents.5.gamma", "agents.-1.gamma",
                                   "agents.x.gamma", "time.dt_hours.x",
                                   "agents.0.gamma.x"])

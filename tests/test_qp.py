@@ -1,4 +1,7 @@
 import dataclasses
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from flexmarket.agent import build_mpo
 from flexmarket.bnb import solve_miqp
 from flexmarket.qp import (INF, AdmmSolver, QpBuilder, QpError, QpSolution, QpTemplate,
                            QuadraticProgram, Slot, check_kkt, solve_qp)
-from flexmarket.scenario import scenario_from_dict, slice_horizon
+from flexmarket.scenario import read_scenario_doc, scenario_from_dict, slice_horizon
+
+DAY = Path(__file__).resolve().parent.parent / "scenarios" / "three_agent_day.json"
 
 
 def test_interior_minimum():
@@ -665,6 +670,113 @@ def test_workspace_setup_matches_vstack_reference(day_scenario):
         assert np.all(np.abs(ws._K - K) <= 4 * np.spacing(np.abs(K).max()))
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(ws._C, part), getattr(C, part))
+
+
+def _heat_pump_day():
+    """The bundled day with each home's heat pump and PV only: no
+    binaries, and most windows carry their frame."""
+    doc = read_scenario_doc(DAY)
+    for a in doc["agents"]:
+        a["devices"] = {kind: a["devices"][kind] for kind in ("heat_pump", "pv")}
+    return scenario_from_dict(doc, base_dir=DAY.parent)
+
+
+def _own_copy(qp):
+    """A copy of a program that no template made, sharing no array."""
+    return QuadraticProgram(qp.n, qp.Q.copy(), qp.c.copy(), qp.lb.copy(), qp.ub.copy(),
+                            qp.A_eq.copy(), qp.b_eq.copy(), qp.A_le.copy(), qp.b_le.copy(),
+                            qp.c0, validate_psd=False)
+
+
+def _set_up_arrays(ws):
+    return (ws._chol, ws._K, ws._G, ws._C.data, ws._C.indices, ws._C.indptr)
+
+
+@pytest.mark.parametrize("day", ["bundled", "heat_pump"])
+def test_frame_set_ups_match_workspaces_of_their_own(day_scenario, monkeypatch, day):
+    # every window built through the frame the window before left: its
+    # workspace takes the frame's factor and C's layout, and its factor,
+    # K, G and C equal those of a copy's workspace that shares nothing.
+    # Only a frame's first workspace factors Q + eps I
+    s = day_scenario if day == "bundled" else _heat_pump_day()
+    calls = _counted_cholesky(monkeypatch)
+    frames, factored = [], 0
+    for spec in s.agents:
+        frame = None
+        for t in range(s.time_grid.total_steps):
+            miqp = build_mpo(spec, slice_horizon(s, t), s.weights, frame)
+            frame, qp = miqp.frame, miqp.base
+            frames.append(frame)
+            before = len(calls)
+            ws = AdmmSolver(qp)
+            factored += len(calls) - before
+            assert ws._chol is qp.setup_base.chol
+            assert ws._C.indices is qp.setup_base.C.indices
+            ref = AdmmSolver(_own_copy(qp))
+            assert ref._chol is not ws._chol
+            for got, want in zip(_set_up_arrays(ws), _set_up_arrays(ref)):
+                assert np.array_equal(got, want)
+    assert factored == len({id(f) for f in frames}) == (55 if day == "bundled" else 3)
+
+
+def test_a_replaced_q_or_block_takes_nothing_from_the_frame():
+    # a program whose Q, or one of whose blocks, was replaced after the
+    # template made it factors its own Q or lays out its own C, and
+    # leaves the frame's alone
+    s = _heat_pump_day()
+    spec = s.agents[0]
+    first = build_mpo(spec, slice_horizon(s, 0), s.weights)
+    shared = AdmmSolver(first.base)
+    second = build_mpo(spec, slice_horizon(s, 1), s.weights, first.frame)
+    assert second.frame is first.frame
+    base = second.base.setup_base
+    qp = second.base
+    qp.Q = qp.Q * 2.0
+    ws = AdmmSolver(qp)
+    assert ws._chol is not shared._chol and ws._C.indices is shared._C.indices
+    assert np.array_equal(ws._chol, AdmmSolver(_own_copy(qp))._chol)
+    assert not np.array_equal(ws._chol, shared._chol)
+    qp = build_mpo(spec, slice_horizon(s, 2), s.weights, first.frame).base
+    qp.A_le = qp.A_le.copy()
+    ws = AdmmSolver(qp)
+    assert ws._chol is shared._chol and ws._C.indices is not shared._C.indices
+    assert np.array_equal(ws._C.indices, shared._C.indices)
+    assert base.chol is shared._chol and base.C is shared._C
+
+
+def test_threads_filling_one_base_compute_the_same_bytes():
+    # a base is filled without a lock: workspaces of one frame's programs
+    # set up at once, from a barrier with a short switch interval, must
+    # each hold the bytes a workspace of its own would
+    s = _heat_pump_day()
+    spec, frame, qps = s.agents[0], None, []
+    for t in range(12):
+        miqp = build_mpo(spec, slice_horizon(s, t), s.weights, frame)
+        frame = miqp.frame
+        qps.append(miqp.base)
+    assert len({id(qp.setup_base) for qp in qps}) == 1
+    assert qps[0].setup_base.chol is None
+    barrier, out = threading.Barrier(len(qps)), {}
+
+    def set_up(i):
+        barrier.wait(timeout=10)
+        out[i] = AdmmSolver(qps[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=set_up, args=(i,)) for i in range(len(qps))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and len(out) == len(qps)
+    for i, qp in enumerate(qps):
+        ref = AdmmSolver(_own_copy(qp))
+        for got, want in zip(_set_up_arrays(out[i]), _set_up_arrays(ref)):
+            assert np.array_equal(got, want)
 
 
 def test_empty_program_workspace():

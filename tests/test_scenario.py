@@ -3,8 +3,9 @@ from dataclasses import fields
 
 import pytest
 
-from flexmarket.devices import (BatteryParams, EvParams, HpParams,
-                                ObjectiveWeights, PvParams)
+from flexmarket.devices import (BatteryParams, DeviceValidationError, EvParams,
+                                HpParams, ObjectiveWeights, PvParams,
+                                device_from_dict, read_number)
 from flexmarket.scenario import (AgentSpec, ScenarioError, ScenarioFileError,
                                  ScenarioParseError, ScenarioValidationError,
                                  TimeGrid, load_scenario, save_scenario,
@@ -265,6 +266,31 @@ def test_unknown_device_kind_rejected():
     doc["agents"][0]["devices"] = {"flux_capacitor": {}}
     with pytest.raises(ScenarioValidationError):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("entry", [None, 3.7, True, "abc", []])
+def test_device_entry_must_be_an_object(entry):
+    # None, a number or a boolean used to escape as a TypeError, and "abc"
+    # read as the unknown parameter "a"
+    with pytest.raises(DeviceValidationError) as err:
+        device_from_dict("pv", entry)
+    assert err.value.field == "pv"
+    doc = minimal_doc()
+    doc["agents"][0]["devices"] = {"pv": entry}
+    with pytest.raises(ScenarioValidationError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == f"agents.a1.devices.pv: must be an object, got {entry!r}"
+
+
+@pytest.mark.parametrize("path", ["agents.0.gamma", "agents.0.devices.pv.p_rated_kw",
+                                  "time.dt_hours"])
+def test_integer_beyond_float_range_is_not_finite(path):
+    # float(10**400) raises OverflowError, which is not a ValueError
+    with pytest.raises(ValueError, match="must be finite"):
+        read_number(10**400)
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(_with_value(path, 10**400))
+    assert str(err.value).startswith(path.replace("agents.0", "agents.a1") + ": must be finite")
 
 
 @pytest.mark.parametrize("value", ["False", "false", "no", 0])
