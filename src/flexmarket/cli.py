@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 from .agent import FlexibilityOffer
@@ -18,7 +19,8 @@ from .market import (MarketError, clear_market, run_simulation,
                      verify_equilibrium)
 from .pricing import check_budget_balance
 from .scenario import ScenarioError, read_scenario_doc, scenario_from_dict
-from .traceio import TraceIoError, read_trace, write_report, write_trace
+from .traceio import (TraceIoError, make_out_dir, read_trace, write_report,
+                      write_trace)
 
 
 def _parse_override(text: str):
@@ -65,12 +67,18 @@ def _load(args):
     return scenario_from_dict(doc, base_dir=path.parent)
 
 
-def cmd_run(args) -> int:
+def _simulate(args, out: str):
+    """Run the day and write its trace to `out`, made before the run."""
     s = _load(args)
+    make_out_dir(out)
     trace = run_simulation(s)
-    out = Path(args.out)
     write_trace(trace, out, [a.gamma for a in s.agents])
-    print(f"wrote trace to {out}/ ({len(trace.clearings)} clearings)")
+    return trace
+
+
+def cmd_run(args) -> int:
+    trace = _simulate(args, args.out)
+    print(f"wrote trace to {Path(args.out)}/ ({len(trace.clearings)} clearings)")
     print(f"{'step':>4} {'pi':>7} {'mu':>8} {'mu_tilde':>8} {'p_tilde':>9} "
           f"{'tracking':>10} {'budget':>10}")
     for cr in trace.clearings:
@@ -112,23 +120,15 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     if args.grid_points < 100:
         raise ValueError(f"--grid-points must be at least 100, got {args.grid_points}")
-    if args.scenario:
-        s = _load(args)
-        trace = run_simulation(s)
-        gammas = [a.gamma for a in s.agents]
-        if args.out:
-            write_trace(trace, args.out, gammas)
-        checks = []
-        for cr in trace.clearings:
-            offers = [FlexibilityOffer(r.agent_id, r.p0, r.p_lo, r.p_hi, {})
-                      for r in cr.agents]
-            checks.append((cr, offers, gammas, "-"))
-    else:
-        if not args.out:
-            print("verify: give --scenario to run inline or --out with a trace",
-                  file=sys.stderr)
-            return 2
-        checks = _recleared(read_trace(args.out))
+    if not (args.scenario or args.out):
+        print("verify: give --scenario to run inline or --out with a trace",
+              file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        out = args.out or tmp
+        if args.scenario:  # an inline run is audited from the trace it writes
+            _simulate(args, out)
+        checks = _recleared(read_trace(out))
 
     failures = []
     print(f"{'step':>4} {'nash':>6} {'stackelberg':>12} {'budget':>10} "
@@ -138,7 +138,7 @@ def cmd_verify(args) -> int:
                                  grid_points=args.grid_points, tol=args.tol)
         budget = check_budget_balance(cr.prices, cr.bids, cr.agg, cr.pi,
                                       tol=args.tol)
-        if not (rep.passed and budget.ok and replay in ("ok", "-")):
+        if not (rep.passed and budget.ok and replay == "ok"):
             failures.append(cr.step)
         impr = max(rep.improvements.values()) if rep.improvements else 0.0
         print(f"{cr.step:>4} {str(rep.nash_ok):>6} {str(rep.stackelberg_ok):>12} "
@@ -152,9 +152,7 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     if args.scenario:
-        s = _load(args)
-        trace = run_simulation(s)
-        write_trace(trace, args.out, [a.gamma for a in s.agents])
+        _simulate(args, args.out)
     data = read_trace(args.out)
     if not data.agents:
         raise TraceIoError("trace has no agent rows")

@@ -192,8 +192,10 @@ def positivity_region(agg: AggregateFlex, pi: float) -> PositivityRegion:
     """Setpoint interval on which both closed-form prices are positive.
 
     Net load (p0_t < 0): the flexibility price is positive strictly
-    above p0_t + pi*gamma_t/2 and the energy price is positive
-    throughout, so the region is (p0_t + pi*gamma_t/2, p_hi_t].
+    above p0_t + pi*gamma_t/2 and strictly below zero, where the
+    setpoint would cross the baseline's sign, and the energy price is
+    positive throughout. The region is (p0_t + pi*gamma_t/2, hi] with
+    hi = min(p_hi_t, -PROJECT_INSET*max(1, |lo|)), so that it excludes 0.
     Net generator (p0_t > 0): the energy price additionally requires
     the setpoint between the roots a1 <= a2 of
     (P - p0_t)^2 = pi*P*gamma_t/2.
@@ -203,7 +205,9 @@ def positivity_region(agg: AggregateFlex, pi: float) -> PositivityRegion:
         raise PricingError("aggregate baseline is zero; region is undefined")
     lo_tilde = p0 + pi * gt / 2.0
     if p0 < 0.0:
-        return PositivityRegion(lo=lo_tilde, hi=agg.p_hi_t, lo_strict=True)
+        below_zero = -PROJECT_INSET * max(1.0, abs(lo_tilde))
+        return PositivityRegion(lo=lo_tilde, hi=min(agg.p_hi_t, below_zero),
+                                lo_strict=True)
     disc = pi * gt / 2.0 * (4.0 * p0 + pi * gt / 2.0)
     root = 0.5 * math.sqrt(max(disc, 0.0))
     a1 = p0 + pi * gt / 4.0 - root

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -61,8 +62,29 @@ def _fmt(v):
     return v
 
 
+def make_out_dir(out_dir) -> Path:
+    """out_dir as a directory, made with its parents if missing; a path
+    that cannot be one (a file, or a path under a file) is a TraceIoError."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise TraceIoError(f"cannot make directory {out}: {exc.strerror}") from exc
+    return out
+
+
+@contextmanager
+def _writing(path: Path):
+    """path opened for writing; an OSError becomes a TraceIoError naming it."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise TraceIoError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with _writing(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows([_fmt(v) for v in row] for row in rows)
@@ -70,8 +92,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def write_trace(trace: SimulationTrace, out_dir, gammas: Sequence[float]) -> None:
     """Write the three CSVs and metadata.json into out_dir."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir)
     gamma_of = dict(zip(trace.agent_ids, gammas))
     _write_csv(out / "clearings.csv", CLEARING_COLUMNS, (
         (cr.step, cr.pi, cr.agg.p0_t, cr.agg.p_lo_t, cr.agg.p_hi_t,
@@ -93,7 +114,7 @@ def write_trace(trace: SimulationTrace, out_dir, gammas: Sequence[float]) -> Non
     meta = dict(trace.metadata)
     meta["agent_ids"] = list(trace.agent_ids)
     meta["final_states"] = {a: dict(m) for a, m in trace.final_states.items()}
-    with open(out / "metadata.json", "w") as fh:
+    with _writing(out / "metadata.json") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
 
@@ -158,8 +179,7 @@ def write_report(data: TraceData, out_dir, agent_id: str) -> list:
     problem = agent_id_problem(agent_id)
     if problem:
         raise TraceIoError(f"agent id {problem}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir)
     agent_ids = {r["agent_id"] for r in data.agents}
     if agent_id not in agent_ids:
         raise TraceIoError(f"unknown agent id {agent_id!r}; trace has "

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -10,6 +11,31 @@ from flexmarket.scenario import load_scenario, scenario_from_dict
 REPO = Path(__file__).resolve().parent.parent
 DAY_SCENARIO = REPO / "scenarios" / "three_agent_day.json"
 MINI_SCENARIO = REPO / "scenarios" / "mini_two_agent.json"
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded by path: bench/ is not a package, and
+    putting it on sys.path would let its run.py and checks.py shadow
+    other modules."""
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  REPO / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def generated_days(tmp_path_factory):
+    """The benchmark's generated days, `fleet_thermal` (30 heat-pump and
+    PV homes) and `exact_storage` (five storage homes): workload name ->
+    scenario file, written from the bundled homes and series only."""
+    workloads, out = _bench_workloads(), tmp_path_factory.mktemp("generated")
+    return {w: workloads.scenario_path(w, out) for w in ("fleet_thermal", "exact_storage")}
+
+
+@pytest.fixture(scope="session")
+def fleet_scenario(generated_days):
+    return load_scenario(generated_days["fleet_thermal"])
 
 
 @pytest.fixture(scope="session")

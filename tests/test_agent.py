@@ -581,29 +581,36 @@ def test_a_carried_frame_builds_what_a_fresh_build_does(data):
         frame = got.frame
 
 
-def test_bundled_day_window_programs_keep_their_bytes(day_scenario):
+@pytest.mark.parametrize("day, digest, windows, frames", [
+    pytest.param("day_scenario", "8ec01c3108fb49a448a27b519b6693a6ea12591dc8a63d789eec4b79b516adbc",
+                 72, 55, id="bundled"),
+    pytest.param("fleet_scenario", "bc35d5880cbcdd98ef9d4473c49df3c5b03eaecf4748c2ca6e718d8b13bba93b",
+                 720, 30, id="fleet")])
+def test_window_programs_keep_their_bytes(request, day, digest, windows, frames):
     # each agent's 24 windows from the scenario's initial states, each
     # built through the frame the window before left (no solve, so no
-    # BLAS): the bytes of all 72 programs, hashed in call order, are
-    # those this digest was taken from before slots replaced the frame's
+    # BLAS): the bytes of every program, hashed in call order, are those
+    # each digest was taken from before slots replaced the frame's
     # hand-written refresh. They rest on IEEE doubles and on math.exp
-    # (a heat pump's theta) rounding as glibc's does. The windows declare
-    # 55 frames, counted while every frame is alive, since a freed
-    # frame's id may be reused
-    h, frames = hashlib.sha256(), []
-    for spec in day_scenario.agents:
+    # (a heat pump's theta) rounding as glibc's does. The bundled day
+    # declares most of its frames afresh, and the generated fleet day
+    # refreshes 690 of its 720 windows. The frames are counted while
+    # every frame is alive, since a freed frame's id may be reused
+    s = request.getfixturevalue(day)
+    h, made = hashlib.sha256(), []
+    for spec in s.agents:
         frame = None
-        for t in range(day_scenario.time_grid.total_steps):
-            miqp = build_mpo(spec, slice_horizon(day_scenario, t), day_scenario.weights, frame)
+        for t in range(s.time_grid.total_steps):
+            miqp = build_mpo(spec, slice_horizon(s, t), s.weights, frame)
             frame, qp = miqp.frame, miqp.base
-            frames.append(frame)
+            made.append(frame)
             for part in (qp.Q.data, qp.Q.indices, qp.Q.indptr, qp.c, qp.lb, qp.ub,
                          qp.A_eq.data, qp.A_eq.indices, qp.A_eq.indptr, qp.b_eq,
                          qp.A_le.data, qp.A_le.indices, qp.A_le.indptr, qp.b_le):
                 h.update(part.tobytes())
             h.update(repr(float(qp.c0)).encode())
-    assert h.hexdigest() == "8ec01c3108fb49a448a27b519b6693a6ea12591dc8a63d789eec4b79b516adbc"
-    assert len({id(f) for f in frames}) == 55
+    assert h.hexdigest() == digest
+    assert len(made) == windows and len({id(f) for f in made}) == frames
 
 
 def test_frame_declared_anew_for_another_agent_weights_step_length_or_horizon(day_scenario):

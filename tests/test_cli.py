@@ -1,13 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import flexmarket
 from flexmarket.cli import main
 from flexmarket.traceio import TraceIoError, read_trace, write_report
 
-MINI = str(Path(__file__).resolve().parent.parent / "scenarios" / "mini_two_agent.json")
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+MINI = str(SCENARIOS / "mini_two_agent.json")
 
 
 @pytest.fixture(scope="module")
@@ -181,12 +186,51 @@ def test_override_changes_behavior(tmp_path):
         assert float(r["tracking_error"]) == 0.0
 
 
+def _no_run(monkeypatch):
+    import flexmarket.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulation ran before the options were checked")
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+
+
+@pytest.mark.parametrize("command", ["run", "report", "verify"])
+@pytest.mark.parametrize("where", ["a file", "under a file"])
+def test_an_out_that_cannot_be_a_directory_fails_before_running(
+        tmp_path, monkeypatch, capsys, command, where):
+    # it used to simulate the whole day, then end in a traceback from
+    # the trace writer's mkdir
+    _no_run(monkeypatch)
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" if where == "a file" else tmp_path / "taken" / "trace"
+    assert main([command, "--scenario", MINI, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
+def test_write_report_turns_os_errors_into_trace_io_errors(mini_run, tmp_path):
+    bad = tmp_path / "taken" / "trace"
+    (tmp_path / "taken").write_text("")
+    with pytest.raises(TraceIoError, match="cannot make directory"):
+        write_report(read_trace(mini_run), bad, "a1")
+    (tmp_path / "out" / "report_prices.csv").mkdir(parents=True)
+    with pytest.raises(TraceIoError, match="cannot write"):
+        write_report(read_trace(mini_run), tmp_path / "out", "a1")
+
+
 def test_verify_trace_passes(mini_run):
     assert main(["verify", "--out", str(mini_run)]) == 0
 
 
-def test_verify_inline_scenario(tmp_path):
+def test_verify_inline_scenario(tmp_path, capsys):
+    # the inline run is audited from the trace it wrote, so each clearing
+    # also replays bit for bit
     assert main(["verify", "--scenario", MINI]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    assert len(rows) == 6 and all(r.split()[-1] == "ok" for r in rows)
+    out = tmp_path / "o"
+    assert main(["verify", "--scenario", MINI, "--out", str(out)]) == 0
+    assert main(["verify", "--out", str(out)]) == 0
 
 
 def test_verify_corrupted_bid_fails(mini_run, tmp_path, capsys):
@@ -228,11 +272,7 @@ def test_verify_needs_input(capsys):
 ])
 def test_verify_rejects_bad_audit_option_before_running(monkeypatch, capsys,
                                                         option, value):
-    import flexmarket.cli as cli
-
-    def no_run(*args, **kwargs):
-        raise AssertionError("simulation ran before the options were checked")
-    monkeypatch.setattr(cli, "run_simulation", no_run)
+    _no_run(monkeypatch)
     assert main(["verify", "--scenario", MINI, f"{option}={value}"]) == 2
     assert option in capsys.readouterr().err
 
@@ -295,6 +335,40 @@ def test_report_rejects_a_trace_agent_id_that_names_a_path(mini_run, tmp_path, c
     with pytest.raises(TraceIoError):
         write_report(data, out, "../../escaped")
     assert sorted(p for p in tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("day", ["bundled", "fleet"])
+def test_separate_processes_write_identical_traces(tmp_path, generated_days, day):
+    # two child processes with different hash seeds must write the same
+    # trace files, so nothing in a trace rests on hash order or object
+    # identity. The bundled day declares most of its window programs
+    # afresh; the fleet day refreshes most windows through its agent's
+    # frame. Both children run at one BLAS thread: the thread count sets
+    # the order in which BLAS sums (README), and the fleet day runs several
+    # times slower at two
+    scenario = (SCENARIOS / "three_agent_day.json" if day == "bundled"
+                else generated_days["fleet_thermal"])
+    src = str(Path(flexmarket.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    children = [subprocess.Popen(
+        [sys.executable, "-m", "flexmarket.cli", "run", "--scenario", str(scenario),
+         "--out", str(tmp_path / seed)],
+        env={**env, "PYTHONHASHSEED": seed}, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True) for seed in ("0", "1")]
+    try:
+        for child in children:
+            _, err = child.communicate(timeout=300)
+            assert child.returncode == 0, err
+    finally:
+        for child in children:
+            child.kill()  # a child a failure or a timeout left running
+            child.wait()
+    first, second = (sorted((tmp_path / seed).iterdir()) for seed in ("0", "1"))
+    assert [f.name for f in first] == [f.name for f in second]
+    assert "metadata.json" in [f.name for f in first]
+    for a, b in zip(first, second):
+        assert a.read_bytes() == b.read_bytes(), a.name
 
 
 def test_outputs_deterministic(tmp_path):

@@ -183,6 +183,31 @@ def test_region_projection():
     assert r.project(agg.p_hi_t) == agg.p_hi_t
 
 
+@settings(max_examples=200, deadline=None)
+@given(p0=st.floats(-50.0, -0.01), up=st.floats(0.0, 100.0),
+       gamma_t=st.floats(0.05, 10.0), pi=st.floats(0.01, 2.0),
+       frac=st.floats(1e-6, 1.0), request=st.floats(-100.0, 100.0))
+@example(p0=-1.0, up=3.0, gamma_t=1.0, pi=0.1, frac=1.0, request=1.0)
+def test_netload_region_admits_only_setpoints_that_price(p0, up, gamma_t, pi,
+                                                         frac, request):
+    # the region's upper end stops short of zero: a setpoint at or past
+    # it would cross the baseline's sign, which compute_prices refuses,
+    # or price flexibility at zero. The upper end, points from 1e-6 of
+    # the width above the strict lower end, and every projection into
+    # the region price with both prices positive (within a few ulps of
+    # the lower end, mu_tilde can round to zero)
+    agg = AggregateFlex(p0_t=p0, p_lo_t=p0 - 1.0, p_hi_t=p0 + up, gamma_t=gamma_t,
+                        agent_gammas=(1.0 / gamma_t,), agent_spans=(up,))
+    r = positivity_region(agg, pi)
+    assert r.hi < 0.0 and not r.contains(0.0)
+    assume(not r.empty)
+    projected = r.project(request)
+    assert r.contains(projected)
+    for point in (r.hi, r.lo + frac * (r.hi - r.lo), projected):
+        if r.contains(point):
+            assert compute_prices(agg, point, pi).positivity_ok, point
+
+
 def test_region_zero_baseline_rejected():
     zero = AggregateFlex(p0_t=0.0, p_lo_t=0.0, p_hi_t=0.0, gamma_t=1.0)
     with pytest.raises(PricingError):
