@@ -23,21 +23,22 @@ solves, against 14 for a subtree branching cannot prune and 2 for one
 it prunes at the first branching. A root that is swept whole skips the
 dive, which exists only to supply an early incumbent.
 Fixing a binary only shrinks its box bounds, so every node reuses the
-one AdmmSolver workspace and starts from its parent's active set, and
-from its parent's factor when the parent is the workspace's last solve.
-The root starts from the caller's `root_warm` (in a day
-simulation, the agent's previous root relaxation shifted one step) or
-cold, and comes back as `MiqpSolution.root` for the caller to carry
-on. Every node solve is exact, so a node's objective is a true bound
-and an incumbent is a feasible leaf. Every solve after the dive fits
-in `node_limit`; an integral node the budget cannot re-solve as a leaf
-stays open, and its bound enters the gap.
+one AdmmSolver workspace and starts from its parent's working set and
+factor, which the parent's solution carries. The root starts from the
+caller's `root_warm` (in a day simulation, the agent's previous root
+relaxation shifted one step) or cold, and comes back as
+`MiqpSolution.root` for the caller to carry on, without that state: the
+root outlives the workspace. Every node solve is exact, so a node's
+objective is a true bound and an incumbent is a feasible leaf. Every
+solve after the dive fits in `node_limit`; an integral node the budget
+cannot re-solve as a leaf stays open, and its bound enters the gap.
 The search runs single-threaded, which is what guarantees bit-identical
 results for identical inputs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import numbers
 from dataclasses import dataclass, field
@@ -153,12 +154,13 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
         return sol
 
     root = solve_node({}, miqp.root_warm)
+    bare_root = dataclasses.replace(root)        # without its exit state
     if root.status == "infeasible":
         return MiqpSolution(np.full(base.n, np.nan), (), np.nan, "infeasible",
-                            np.inf, nodes, root)
+                            np.inf, nodes, bare_root)
     if len(bins) == 0:
         return MiqpSolution(root.primal, (), root.objective, "optimal", 0.0,
-                            nodes, root)
+                            nodes, bare_root)
     bin_list = bins.tolist()
     incumbent: QpSolution | None = None
     cut = np.inf                     # a bound at or above this cannot improve
@@ -258,7 +260,7 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
         # without a feasible leaf, only a finished search proves infeasibility
         return MiqpSolution(np.full(base.n, np.nan), (), np.nan,
                             "node_limit" if open_bound < np.inf else "infeasible",
-                            np.inf, nodes, root)
+                            np.inf, nodes, bare_root)
 
     gap = max(0.0, (incumbent.objective - open_bound)
               / max(1.0, abs(incumbent.objective)))
@@ -266,7 +268,7 @@ def solve_miqp(miqp: MixedIntegerQp, cfg: BnbConfig | None = None) -> MiqpSoluti
     assignment = tuple(int(round(incumbent.primal[j])) for j in bins)
     return MiqpSolution(incumbent.primal, assignment, incumbent.objective,
                         "node_limit" if gap > cfg.gap_tol else "optimal",
-                        gap, nodes, root)
+                        gap, nodes, bare_root)
 
 
 def enumerate_binaries(miqp: MixedIntegerQp):

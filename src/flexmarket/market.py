@@ -195,7 +195,10 @@ def run_simulation(s: Scenario, solver_cfg: Optional[BnbConfig] = None) -> Simul
             p_tilde = min(p_tilde, cap)
         if s.policy.clip_to_positivity and p_tilde != agg.p0_t:
             region = positivity_region(agg, pi)
-            if not region.empty and not region.contains(p_tilde):
+            if region.empty:
+                # no setpoint prices both positive: request no flexibility
+                p_tilde = agg.p0_t
+            elif not region.contains(p_tilde):
                 p_tilde = min(region.project(p_tilde), cap)
         try:
             cr = clear_market(offers, gammas, p_tilde, pi, step=t)

@@ -27,8 +27,8 @@ from typing import Sequence
 
 from .agent import FlexibilityOffer
 
-# PositivityRegion.project keeps a strict lower end this far inside,
-# relative to max(1, |lo|)
+# a net-load region admits setpoints from this far above its strict
+# lower end, relative to max(1, |lo|)
 PROJECT_INSET = 1e-6
 
 
@@ -77,7 +77,9 @@ class PositivityRegion:
     """Admissible setpoint interval for strictly positive prices.
 
     lo_strict marks the net-load case, whose lower endpoint (where the
-    flexibility price crosses zero) is excluded.
+    flexibility price crosses zero) is excluded: the region admits
+    setpoints from `start`, PROJECT_INSET*max(1, |lo|) above it, so no
+    admitted setpoint prices flexibility at a rounded zero.
     """
 
     lo: float
@@ -85,29 +87,24 @@ class PositivityRegion:
     lo_strict: bool
 
     @property
-    def empty(self) -> bool:
+    def start(self) -> float:
+        """The lowest admitted setpoint."""
         if self.lo_strict:
-            return not self.lo < self.hi
-        return not self.lo <= self.hi
+            return self.lo + PROJECT_INSET * max(1.0, abs(self.lo))
+        return self.lo
+
+    @property
+    def empty(self) -> bool:
+        return not self.start <= self.hi
 
     def contains(self, p: float) -> bool:
-        if self.empty:
-            return False
-        if self.lo_strict and not p > self.lo:
-            return False
-        if not self.lo_strict and not p >= self.lo:
-            return False
-        return p <= self.hi
+        return self.start <= p <= self.hi
 
     def project(self, p: float) -> float:
-        """Nearest interior point, inset relatively from the boundary."""
+        """The nearest admitted setpoint."""
         if self.empty:
             raise PricingError("positivity region is empty; cannot project")
-        step_lo = PROJECT_INSET * max(1.0, abs(self.lo))
-        lo_in = self.lo + step_lo if self.lo_strict else self.lo
-        if lo_in > self.hi:
-            lo_in = self.lo + 0.5 * (self.hi - self.lo)
-        return min(max(p, lo_in), self.hi)
+        return min(max(p, self.start), self.hi)
 
 
 def aggregate_offers(offers: Sequence[FlexibilityOffer],

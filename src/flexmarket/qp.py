@@ -35,17 +35,20 @@ G = L'^-1 V = (Q + eps*I)^-1 C', all in full for every workspace.
 Within a solve, the working set's rows, multipliers, sides, targets and
 columns G[:, W] are held in W's order: a joining row is appended and
 grows the Cholesky factor of K[W, W] by one row, and a dropped row is
-shifted out and the factor refactored from K's W rows and columns.
-Changing only lb/ub (as branch-and-bound does when fixing binaries)
-changes only right-hand sides, so one workspace serves a whole search
-tree. A warm start begins from the active set read off the multipliers
-of a start of the program's shape: a search node's parent, or another
-window's solution moved onto this one. A start from the workspace's own
-last optimal solution takes that working set and its factor as they
-were kept, without factoring K[W, W] again. All arithmetic is
-deterministic; repeated solves of the same data give bit-identical
-results. solve_qp builds a private workspace per call and is
-reentrant; an AdmmSolver instance belongs to one thread at a time. A
+shifted out and deleted from the factor (Gill, Golub, Murray & Saunders
+1974), which refactors only the rows after it. Changing only lb/ub (as
+branch-and-bound does when fixing binaries) changes only right-hand
+sides, so one workspace serves a whole search tree. Each optimal
+solution carries its exit state: its working set, that set's factor and
+its sides, tagged with the workspace that solved it. A warm start from
+such a solution, given back to that workspace, takes the set and its
+factor as they were, so every node of a search restarts from its own
+parent's factor. Any other start (another workspace's solution, a copy,
+a shifted root, a kept set that no longer fits) begins from the active
+set read off its multipliers, and that set is factored from K. All
+arithmetic is deterministic; repeated solves of the same data give
+bit-identical results. solve_qp builds a private workspace per call and
+is reentrant; an AdmmSolver instance belongs to one thread at a time. A
 set-up base is read-only once filled, and two workspaces that fill it
 at once compute the same bytes, so threads may share one.
 """
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import itemgetter
 
@@ -254,6 +257,11 @@ class QpSolution:
     objective: float
     status: str                      # "optimal" | "infeasible" | "iteration_limit" | "shifted"
     iterations: int = 0              # active-set changes
+    # an optimal solve's exit state for a warm start from it: (its
+    # workspace's token, W, the factor of K[W, W], W's sides). A copy or
+    # a replace() starts without it
+    exit_state: tuple | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     @property
     def polished(self) -> bool:      # the former ADMM engine's flag, derived
@@ -291,22 +299,24 @@ class AdmmSolver:
     G = L'^-1 V, after taking K = V'V; nothing of V, K or G is kept
     across workspaces. A solve keeps the working set W in W's order,
     with its multipliers, sides, targets and G[:, W]' in buffers of the
-    workspace: a join appends a row and a factor row, and a drop (or a
-    swap) shifts the later rows up and refactors K[W, W], gathered from
-    K's W rows and columns; the multipliers are scattered to all rows
-    only when a result is packaged.
+    workspace: a join appends a row and a factor row, a drop shifts the
+    later rows up and deletes its row from the factor, and a swap (a
+    joining row that depends on W replaces one of W's) refactors K[W, W],
+    gathered from K's W rows and columns; the multipliers are scattered
+    to all rows only when a result is packaged.
 
-    A slot keeps the exit state of the last optimal solve, until the
-    next solve starts: its solution object with its working set W, the
-    factor of K[W, W] and W's sides. A warm start from that very object
-    (`is`, so a copy misses) takes them over when each row still has a
-    finite target under the new bounds and each row kept as an equality
-    still is one; otherwise it reads the set off the multipliers as any
-    start does. In a search that covers a dive's child of the node just
-    solved. The factor depends on W alone, and every exit is checked, so
-    a kept object changed in place still solves exactly, if in more
-    passes. The class keeps the name of the former ADMM engine, and the
-    `stiff_vars` it took is accepted and ignored.
+    Each optimal solution carries its exit state (`exit_state`): W, the
+    factor of K[W, W] and W's sides, tagged with this workspace's token.
+    A warm start from a solution that holds this workspace's token takes
+    them over when each row still has a finite target under the new
+    bounds and each row kept as an equality still is one; otherwise it
+    reads the set off the multipliers as any start does. In a search that
+    covers every node's start from its parent. A copy (`replace`), or a
+    solution of another workspace, holds no state this workspace takes.
+    The factor depends on W alone, and every exit is checked, so a kept
+    object changed in place still solves exactly, if in more passes. The
+    class keeps the name of the former ADMM engine, and the `stiff_vars`
+    it took is accepted and ignored.
     """
 
     def __init__(self, qp: QuadraticProgram, stiff_vars=()):
@@ -316,9 +326,8 @@ class AdmmSolver:
         self._u0 = np.concatenate([qp.b_eq, qp.b_le, qp.ub])
         self.m = len(self._l0)
         self._shape = (qp.n_eq, qp.n_le, n, n)   # of [y_eq, y_le, y_bounds, x]
-        # (solution, W, factor of K[W, W], sides of W): the exit state of
-        # the last optimal solve, released when the next solve starts
-        self._exit = None
+        # tags the exit states of this workspace's solutions
+        self._token = object()
         if n == 0:
             return
         base = qp.setup_base
@@ -358,8 +367,8 @@ class AdmmSolver:
         of this program's shape, whatever its status: a branch-and-bound
         parent's solution, or the previous clearing's root shifted one
         step (`agent.shift_root`). The rows its multipliers price start
-        the working set (for an object a slot keeps, the set kept with
-        it), and its primal is the first proximal centre.
+        the working set (for a solution of this workspace, the set it
+        carries), and its primal is the first proximal centre.
         When those rows do not factor (a foreign start may price
         dependent rows), the solve starts from the empty set instead;
         the optimal value does not depend on the start. `tol` is
@@ -392,7 +401,6 @@ class AdmmSolver:
         x_c = np.zeros(n)
         yw = None if warm is None else self._warm_duals(warm)
         kept = None if yw is None else self._kept_start(warm, l, u, free)
-        self._exit = None
         if yw is not None:
             x_c = warm.primal
             if kept is not None:
@@ -403,7 +411,7 @@ class AdmmSolver:
                                     | ((sw < 0) & np.isfinite(l)))
                 # the rows must pass the test a joining row passes: a
                 # relative Schur complement above _DEP_TOL at every pivot
-                fs = _cholesky(K[Ws[:, None], Ws]) if 0 < len(Ws) <= n else None
+                fs = _cholesky(K[Ws][:, Ws]) if 0 < len(Ws) <= n else None
                 if fs is not None and not (fs.diagonal() ** 2
                                            <= _DEP_TOL * K.diagonal()[Ws]).any():
                     fac, sides = fs, np.where(free[Ws], 0.0, sw[Ws])
@@ -422,7 +430,8 @@ class AdmmSolver:
             xu = _chol_solve(self._chol, q)
             while iters <= max_iter:
                 if fac is None:
-                    fac = _cholesky(K[W[:k, None], W[:k]])
+                    # after a swap
+                    fac = _cholesky(K[W[:k]][:, W[:k]])
                     if fac is None:
                         raise QpError("working rows are linearly dependent")
                 if k:
@@ -435,7 +444,7 @@ class AdmmSolver:
                         ratio = yk[wrong] / (yk[wrong] - ys[wrong])
                         i = int(np.flatnonzero(wrong)[np.argmin(ratio)])
                         yW[:k] = yk + ratio.min() * (ys - yk)
-                        k, fac = self._drop(i, k), None
+                        k, fac = self._drop(i, k), _delete_row(fac, i)
                         iters += 1
                         continue
                     yW[:k] = ys
@@ -490,7 +499,7 @@ class AdmmSolver:
                     yW[:k] += dy
                     x -= dy @ GW[:k]
                 sol = self._package(x, k, "optimal", iters)
-                self._exit = (sol, W[:k].copy(), fac, sW[:k].copy())
+                sol.exit_state = (self._token, W[:k].copy(), fac, sW[:k].copy())
                 return sol
             x_c = x
         return self._package(x, k, "iteration_limit", iters)
@@ -503,13 +512,14 @@ class AdmmSolver:
         return k - 1
 
     def _kept_start(self, warm, l, u, free):
-        """W, its factor and its sides from the exit slot, if it was kept
-        for `warm` itself, each row keeps a finite target under l, u and
+        """W, its factor and its sides from `warm`'s exit state, if this
+        workspace solved it, each row keeps a finite target under l, u and
         each row kept as an equality (side 0, a multiplier of either sign)
         still is one; else None."""
-        if self._exit is None or self._exit[0] is not warm:
+        state = getattr(warm, "exit_state", None)
+        if state is None or state[0] is not self._token:
             return None
-        _, W, fac, sides = self._exit
+        _, W, fac, sides = state
         if (np.isfinite(np.where(sides < 0, l[W], u[W])).all()
                 and free[W][sides == 0].all()):
             return W, fac, np.where(free[W], 0.0, sides)
@@ -599,10 +609,29 @@ def check_kkt(qp: QuadraticProgram, sol: QpSolution, tol: float = DEFAULT_TOL) -
 
 
 def _cholesky(a):
-    """Lower Cholesky factor of a symmetric matrix, or None if it is not
-    positive definite."""
-    fac, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=0)
+    """Lower Cholesky factor of a symmetric matrix, its strict upper
+    triangle zero, or None if it is not positive definite."""
+    fac, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1)
     return fac if info == 0 else None
+
+
+def _delete_row(fac, i):
+    """The lower Cholesky factor of M without its row and column i, from
+    fac, M's factor with a zero strict upper triangle (Gill, Golub, Murray
+    & Saunders 1974): the rows and columns before i stay, and the
+    trailing block is the factor of B B' with B = fac[i+1:, i:]. Fortran
+    ordered, its upper triangle zero."""
+    k = len(fac) - 1
+    out = np.zeros((k, k), order="F")
+    out[:i, :i] = fac[:i, :i]
+    if i < k:
+        out[i:, :i] = fac[i + 1:, :i]
+        B = fac[i + 1:, i:]
+        trail = _cholesky(B @ B.T)
+        if trail is None:
+            raise QpError("working rows are linearly dependent")
+        out[i:, i:] = trail
+    return out
 
 
 def _chol_solve(fac, b):

@@ -5,7 +5,8 @@ from flexmarket import devices as dev
 from flexmarket.agent import FlexibilityOffer
 from flexmarket.market import (AgentClearing, ClearingResult, MarketError,
                                clear_market, run_simulation, verify_equilibrium)
-from flexmarket.pricing import PriceSignal, PricingError, aggregate_offers, compute_prices
+from flexmarket.pricing import (PriceSignal, PricingError, aggregate_offers, compute_prices,
+                                positivity_region)
 from flexmarket.scenario import scenario_from_dict
 from flexmarket.traceio import read_trace, write_trace
 
@@ -222,6 +223,38 @@ def test_market_error_carries_step():
     with pytest.raises(MarketError) as err:
         run_simulation(bad)
     assert err.value.step == 0
+
+
+def _sign_crossing_day(clip):
+    # a home whose PV almost covers its load: the baseline is a small net
+    # load whose upward range can reach past zero, and at pi = 1.2 no
+    # setpoint prices flexibility above zero, so the region is empty
+    return scenario_from_dict({
+        "time": {"dt_hours": 1.0, "total_steps": 3, "horizon_len": 2},
+        "series": {"outdoor_temp": [70.0] * 3, "irradiance_frac": [0.6] * 3,
+                   "lem_price": [1.2] * 3},
+        "policy": {"beta": 1.0, "clip_to_positivity": clip},
+        "agents": [{"id": "a", "gamma": 1.0, "fixed_load": 0.65, "devices": {
+            "battery": {"self_discharge": 0.0, "efficiency": 1.0,
+                        "capacity_kwh": 10.0, "p_min_kw": -3.0, "p_max_kw": 3.0,
+                        "soc_min": 0.1, "soc_max": 0.9, "soc_init": 0.5},
+            "pv": {"p_rated_kw": 1.0}}}],
+    })
+
+
+def test_an_empty_positivity_region_clears_at_the_baseline():
+    # with clip_to_positivity on, a clearing whose region is empty falls
+    # back to the degenerate clearing, also where the request would cross
+    # the baseline's sign; with it off, such a request stops the run
+    crossed = 0
+    for cr in run_simulation(_sign_crossing_day(clip=True)).clearings:
+        if positivity_region(cr.agg, cr.pi).empty:
+            assert cr.degenerate and cr.p_tilde == cr.agg.p0_t
+            assert (cr.prices.mu, cr.prices.mu_tilde) == (cr.pi, 0.0)
+            crossed += cr.agg.p0_t < 0.0 < cr.agg.p_hi_t
+    assert crossed
+    with pytest.raises(MarketError, match="must share a sign"):
+        run_simulation(_sign_crossing_day(clip=False))
 
 
 def test_trace_metadata_records_configuration(mini_trace):

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flexmarket.agent import FlexibilityOffer, best_response
-from flexmarket.pricing import (AggregateFlex, PricingError, aggregate_offers,
-                                check_budget_balance, operator_utility,
-                                compute_prices, positivity_region, saturation_cap)
+from flexmarket.pricing import (PROJECT_INSET, AggregateFlex, PricingError,
+                                aggregate_offers, check_budget_balance, compute_prices,
+                                operator_utility, positivity_region, saturation_cap)
 
 
 def offer(p0, p_lo, p_hi, aid="a"):
@@ -204,6 +206,33 @@ def test_netload_region_admits_only_setpoints_that_price(p0, up, gamma_t, pi,
     projected = r.project(request)
     assert r.contains(projected)
     for point in (r.hi, r.lo + frac * (r.hi - r.lo), projected):
+        if r.contains(point):
+            assert compute_prices(agg, point, pi).positivity_ok, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(p0=st.floats(-50.0, -0.01), up=st.floats(0.0, 100.0),
+       gamma_t=st.floats(0.05, 10.0), pi=st.floats(0.0, 2.0),
+       frac=st.floats(0.0, 1.0), request=st.floats(-100.0, 100.0))
+@example(p0=-2.0353206796036454, up=3.0, gamma_t=2.442544558758639,
+         pi=0.9170110592989833, frac=0.0, request=-0.9154004929975316)
+def test_netload_region_admits_from_one_rule(p0, up, gamma_t, pi, frac, request):
+    # the strict lower end admits setpoints from PROJECT_INSET*max(1, |lo|)
+    # above it, for contains and project alike: the smallest admitted
+    # float is that point, and it, the float one ulp above lo, the upper
+    # end, points between and every projection price with both prices
+    # positive wherever they are admitted
+    agg = AggregateFlex(p0_t=p0, p_lo_t=p0 - 1.0, p_hi_t=p0 + up, gamma_t=gamma_t,
+                        agent_gammas=(1.0 / gamma_t,), agent_spans=(up,))
+    r = positivity_region(agg, pi)
+    start = r.lo + PROJECT_INSET * max(1.0, abs(r.lo))
+    assert not r.contains(math.nextafter(start, -math.inf))
+    assert r.contains(start) == (not r.empty) == (start <= r.hi)
+    points = [math.nextafter(r.lo, math.inf), start, r.hi, start + frac * (r.hi - start)]
+    if not r.empty:
+        points.append(r.project(request))
+        assert r.project(-math.inf) == start
+    for point in points:
         if r.contains(point):
             assert compute_prices(agg, point, pi).positivity_ok, point
 

@@ -13,7 +13,7 @@ from scipy.optimize import linprog
 
 import flexmarket.qp as qpmod
 from flexmarket.agent import build_mpo
-from flexmarket.bnb import solve_miqp
+from flexmarket.bnb import BnbConfig, MixedIntegerQp, solve_miqp
 from flexmarket.qp import (INF, AdmmSolver, QpBuilder, QpError, QpSolution, QpTemplate,
                            QuadraticProgram, Slot, check_kkt, solve_qp)
 from flexmarket.scenario import read_scenario_doc, scenario_from_dict, slice_horizon
@@ -854,15 +854,38 @@ def test_foreign_warm_start_matches_cold_solve(seed, other, n, rank, n_eq, n_le)
             assert check_kkt(qp, sol, 1e-7).ok
 
 
+class _Factorizations(list):
+    """The sizes of the matrices factored whole (K[W, W] gathered from K,
+    or Q + eps*I at set-up), in call order; `deleted` holds, per row
+    deleted from a factor, the size of the trailing block it refactors
+    (0 for the last row, a slice)."""
+
+    def __init__(self):
+        super().__init__()
+        self.deleted = []
+
+
 def _counted_cholesky(monkeypatch):
-    calls = []
-    real = qpmod._cholesky
+    calls = _Factorizations()
+    real_cholesky, real_delete = qpmod._cholesky, qpmod._delete_row
+    deleting = False
 
     def counted(a):
-        calls.append(a.shape[0])
-        return real(a)
+        if not deleting:
+            calls.append(a.shape[0])
+        return real_cholesky(a)
+
+    def counted_delete(fac, i):
+        nonlocal deleting
+        calls.deleted.append(len(fac) - 1 - i)
+        deleting = True
+        try:
+            return real_delete(fac, i)
+        finally:
+            deleting = False
 
     monkeypatch.setattr(qpmod, "_cholesky", counted)
+    monkeypatch.setattr(qpmod, "_delete_row", counted_delete)
     return calls
 
 
@@ -881,15 +904,15 @@ def test_cold_joins_grow_the_factor_without_refactoring(monkeypatch):
     calls = _counted_cholesky(monkeypatch)
     sol = ws.solve()
     assert sol.status == "optimal" and sol.iterations == 6
-    assert calls == []
+    assert calls == [] and calls.deleted == []
     assert check_kkt(qp, sol, 1e-7).ok
     assert np.allclose(sol.primal, np.clip(xstar, -1.0, 1.0), rtol=0, atol=1e-9)
 
 
 def _drop_two_join_one(monkeypatch, copy):
     # widening two active bounds makes their warm rows leave, and
-    # tightening the last one makes its bound join: one factorization
-    # per drop and none for the join
+    # tightening the last one makes its bound join: one row deletion per
+    # drop, and no factorization for the join
     qp, xstar = _separable_program()
     ws = AdmmSolver(qp)
     warm = ws.solve()
@@ -905,26 +928,31 @@ def _drop_two_join_one(monkeypatch, copy):
     return calls
 
 
-def test_warm_solve_refactors_once_per_drop(monkeypatch):
-    # a start from the workspace's own last solution takes its kept
-    # working set and factor
-    assert _drop_two_join_one(monkeypatch, copy=False) == [5, 4]
+def test_warm_solve_deletes_a_row_per_drop(monkeypatch):
+    # a start from the workspace's own solution takes the working set and
+    # factor it carries, so nothing is factored from K. The cold solve
+    # joined x5, x4, x1, x0, x3, x2: x0's row drops at position 3 and x1's
+    # at 2, each refactoring the two rows after it
+    calls = _drop_two_join_one(monkeypatch, copy=False)
+    assert calls == [] and calls.deleted == [2, 2]
 
 
-def test_copied_warm_start_factors_its_start(monkeypatch):
-    # a copy of that solution misses the slot: its set is read off the
-    # multipliers and factored before the drops
-    assert _drop_two_join_one(monkeypatch, copy=True) == [6, 5, 4]
+def test_copied_warm_start_factors_only_its_start(monkeypatch):
+    # a copy of that solution carries no exit state: its set is read off
+    # the multipliers in row order and factored once, and the two drops
+    # delete the first row each time
+    calls = _drop_two_join_one(monkeypatch, copy=True)
+    assert calls == [6] and calls.deleted == [5, 4]
 
 
 @pytest.mark.parametrize("first, second, factors", [
-    # x0's upper bound is active, then gone: its row has no target, and
-    # the start factors the other five
-    ({}, {"ub": (0, np.inf)}, [5]),
+    # (factored whole, deleted): x0's upper bound is active, then gone:
+    # its row has no target, and the start factors the other five
+    ({}, {"ub": (0, np.inf)}, ([5], [])),
     # x6 is fixed, so its row takes a multiplier of either sign; then
     # it is a box again, where only one sign is right: the start factors
-    # all seven, and x6's row drops
-    ({"lb": (6, 0.2), "ub": (6, 0.2)}, {}, [7, 6]),
+    # all seven, and x6's row, the last, drops as a slice
+    ({"lb": (6, 0.2), "ub": (6, 0.2)}, {}, ([7], [0])),
 ])
 def test_kept_start_that_no_longer_fits_is_factored_anew(monkeypatch, first, second,
                                                          factors):
@@ -941,7 +969,7 @@ def test_kept_start_that_no_longer_fits_is_factored_anew(monkeypatch, first, sec
     lb, ub = bounds(second)
     calls = _counted_cholesky(monkeypatch)
     sol = ws.solve(lb, ub, warm=warm)
-    assert calls == factors
+    assert (calls, calls.deleted) == factors
     assert sol.status == "optimal"
     assert check_kkt(QuadraticProgram(7, qp.Q, qp.c, lb, ub), sol, 1e-7).ok
     assert np.allclose(sol.primal, np.clip(xstar, lb, ub), rtol=0, atol=1e-9)
@@ -1040,3 +1068,131 @@ def test_dependent_join_swaps_and_refactors(monkeypatch):
     assert sol.primal[0] == pytest.approx(1.0, abs=1e-12)
     assert sol.dual_bounds[0] == 0.0
     assert sol.dual_ineq[0] == pytest.approx(2.0, abs=1e-9)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       shift=st.floats(1e-2, 10.0))
+def test_deleting_a_row_equals_factoring_the_reduced_matrix(seed, n, shift):
+    # for every position: the rows before it kept, the trailing block
+    # refactored from the old factor alone
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(n, n))
+    K = M @ M.T + shift * np.eye(n)
+    fac = qpmod._cholesky(K)
+    for i in range(n):
+        got = qpmod._delete_row(fac, i)
+        reduced = np.delete(np.delete(K, i, axis=0), i, axis=1)
+        want = scipy.linalg.cholesky(reduced, lower=True) if n > 1 else reduced
+        assert got.shape == want.shape and got.flags.f_contiguous
+        assert not np.triu(got, 1).any()
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=1.0)
+
+
+def _binary_program(seed, n=8, n_bin=4, n_le=4):
+    """A strictly convex program whose first n_bin variables lie in
+    [0, 1], with dense <= rows around an interior point."""
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(n, n))
+    lb = np.r_[np.zeros(n_bin), -rng.uniform(0.5, 2.0, n - n_bin)]
+    ub = np.r_[np.ones(n_bin), rng.uniform(0.5, 2.0, n - n_bin)]
+    A = rng.normal(size=(n_le, n))
+    x0 = rng.uniform(lb, ub)
+    qp = QuadraticProgram(n, M @ M.T, 3.0 * rng.normal(size=n), lb, ub,
+                          A_le=A, b_le=A @ x0 + rng.uniform(0.0, 0.5, n_le))
+    return MixedIntegerQp(qp, range(n_bin))
+
+
+def test_search_factors_nothing_from_k(monkeypatch):
+    # the cold root grows its factor by joins, and the dive's steps, the
+    # branch children and the swept leaves each restart from their
+    # parent's factor, deleting rows as they drop; no node joins a
+    # dependent row here, so nothing is factored from K
+    miqp = _binary_program(2)
+    AdmmSolver(miqp.base)                # factors Q + eps*I into the base
+    calls = _counted_cholesky(monkeypatch)
+    sol = solve_miqp(miqp, BnbConfig(node_limit=10_000))
+    assert sol.status == "optimal" and sol.nodes == 16
+    assert calls == [] and len(calls.deleted) == 12
+
+
+def test_another_workspace_or_a_copy_reads_the_set_off_multipliers(monkeypatch):
+    # only the workspace that solved a solution takes its exit state; a
+    # second workspace of the same program, and a replace() copy, factor
+    # the rows its multipliers price
+    qp, _ = _separable_program()
+    ws, other = AdmmSolver(qp), AdmmSolver(qp)
+    sol = ws.solve()
+    assert sol.exit_state is not None
+    assert dataclasses.replace(sol).exit_state is None
+    calls = _counted_cholesky(monkeypatch)
+    for start, workspace in ((sol, other), (dataclasses.replace(sol), ws), (sol, ws)):
+        workspace.solve(warm=start)
+    assert calls == [6, 6] and calls.deleted == []
+
+
+def test_the_returned_root_carries_no_exit_state(monkeypatch):
+    miqp = _binary_program(2)
+    roots = []
+    solve = AdmmSolver.solve
+
+    def recorded(self, *args, **kw):
+        roots.append(solve(self, *args, **kw))
+        return roots[-1]
+
+    monkeypatch.setattr(AdmmSolver, "solve", recorded)
+    sol = solve_miqp(miqp)
+    assert roots[0].exit_state is not None
+    assert sol.root.exit_state is None
+    assert np.array_equal(sol.root.primal, roots[0].primal)
+    assert sol.root.status == roots[0].status == "optimal"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), n_le=st.integers(1, 6),
+       bound=st.booleans(), scale=st.sampled_from([1.0, -1.0, 2.0, 1e-3, 1e3]),
+       fixes=st.integers(0, 4), noise=st.floats(0.0, 1.0))
+def test_programs_with_a_repeated_row_solve_exactly(seed, n, n_le, bound, scale, fixes,
+                                                     noise):
+    # an exact or scaled copy of a <= row or of a bound makes joins depend
+    # on the working set, so solves swap rows; binary fixes and perturbed
+    # warm starts move which rows are in it. Each solve is optimal with
+    # its KKT residuals small, or infeasible, and none runs into the
+    # iteration limit
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+    lb, ub = -rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+    n_bin = min(n, 4)
+    lb[:n_bin], ub[:n_bin] = 0.0, 1.0
+    A = rng.normal(size=(n_le, n))
+    b = A @ rng.uniform(lb, ub) + rng.uniform(0.0, 0.5, n_le)
+    if bound:
+        j = int(rng.integers(n))
+        row, side = np.eye(n)[j], ub[j]
+    else:
+        r = int(rng.integers(n_le))
+        row, side = A[r], b[r]
+    A, b = np.vstack([A, scale * row]), np.r_[b, scale * side]
+    qp = QuadraticProgram(n, M @ M.T, 3.0 * rng.normal(size=n), lb, ub, A_le=A, b_le=b)
+    ws = AdmmSolver(qp)
+    warm = ws.solve()
+    assert warm.status in ("optimal", "infeasible")
+    for _ in range(fixes + 1):
+        lo, hi = qp.lb.copy(), qp.ub.copy()
+        j = rng.choice(n_bin, int(rng.integers(1, n_bin + 1)), replace=False)
+        lo[j] = hi[j] = rng.integers(0, 2, len(j))
+        starts = [warm]
+        if warm.status == "optimal" and noise:
+            # a start that prices the last optimum's rows a little off
+            starts.append(QpSolution(warm.primal + noise * rng.normal(size=n),
+                                     warm.dual_bounds * rng.uniform(0.5, 1.5, n), warm.dual_eq,
+                                     warm.dual_ineq * rng.uniform(0.5, 1.5, n_le + 1),
+                                     np.nan, "shifted"))
+        for start in starts:
+            sol = ws.solve(lo, hi, warm=start)
+            assert sol.status in ("optimal", "infeasible")
+            if sol.status == "optimal":
+                sub = QuadraticProgram(n, qp.Q, qp.c, lo, hi, A_le=A, b_le=b)
+                assert check_kkt(sub, sol, 1e-7).ok
+        if sol.status == "optimal":
+            warm = sol
