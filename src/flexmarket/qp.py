@@ -395,7 +395,7 @@ class AdmmSolver:
         # the working rows W[:k] with their multipliers yW, sides sW (+1
         # at u, -1 at l, 0 free), targets tW and G[:, W]', all in W's
         # order; a row outside W has multiplier 0. fac is the lower
-        # Cholesky factor of K[W, W] (None: stale)
+        # Cholesky factor of K[W, W] (None after a swap, until refactored)
         W, yW, sW, tW, GW = self._W, self._yW, self._sW, self._tW, self._GW
         k, fac = 0, np.zeros((0, 0))
         x_c = np.zeros(n)
@@ -516,7 +516,7 @@ class AdmmSolver:
         workspace solved it, each row keeps a finite target under l, u and
         each row kept as an equality (side 0, a multiplier of either sign)
         still is one; else None."""
-        state = getattr(warm, "exit_state", None)
+        state = warm.exit_state
         if state is None or state[0] is not self._token:
             return None
         _, W, fac, sides = state
