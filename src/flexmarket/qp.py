@@ -310,8 +310,8 @@ class AdmmSolver:
     A warm start from a solution that holds this workspace's token takes
     them over when each row still has a finite target under the new
     bounds and each row kept as an equality still is one; otherwise it
-    reads the set off the multipliers as any start does. In a search that
-    covers every node's start from its parent. A copy (`replace`), or a
+    reads the set off the multipliers as any start does. In a search,
+    every node so starts from its parent. A copy (`replace`), or a
     solution of another workspace, holds no state this workspace takes.
     The factor depends on W alone, and every exit is checked, so a kept
     object changed in place still solves exactly, if in more passes. The
