@@ -81,7 +81,8 @@ class FlexibilityOffer:
     solver_status: str = "optimal"
     solver_gap: float = 0.0
     # the window's root relaxation and frame: the agent's next clearing
-    # starts from the one and builds through the other
+    # starts from the one and builds through the other; at the first
+    # clearing, agents with the same device kinds start from the root too
     root: Optional["RootRelaxation"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -468,7 +469,9 @@ def _extract_schedules(spec: AgentSpec, miqp: MixedIntegerQp,
 class RootRelaxation:
     """One window's root relaxation with the frame whose layout names its
     entries; the agent's next clearing starts from it, shifted, and
-    builds through the frame when its window fits it."""
+    builds through the frame when its window fits it. At the clearing
+    that solved it, another agent with the same device kinds may start
+    from its solution as it is, but never builds through its frame."""
 
     t_start: int
     frame: _Frame
@@ -555,10 +558,17 @@ def solve_flexibility(spec: AgentSpec, view: HorizonView,
     """Stage I: solve the window problem and report the first-step offer.
     A `prev` (offer.root) of the window one step earlier, shifted, starts
     the root relaxation, and its frame builds this window's program when
-    it fits this window."""
+    it fits this window. A `prev` of this window's step is another
+    agent's root at this clearing: its solution starts the root as it
+    is, and this window declares its own frame, so no agent builds
+    through another's. A root of another shape starts nothing."""
     t0 = view.t_start
-    miqp = build_mpo(spec, view, weights, None if prev is None else prev.frame)
-    if prev is not None and prev.t_start == t0 - 1:
+    peer = prev is not None and prev.t_start == t0
+    miqp = build_mpo(spec, view, weights,
+                     None if prev is None or peer else prev.frame)
+    if peer:
+        miqp.root_warm = prev.solution
+    elif prev is not None and prev.t_start == t0 - 1:
         miqp.root_warm = shift_root(prev.layout, prev.solution, miqp.layout,
                                     miqp.base)
     sol = solve_miqp(miqp, cfg or BnbConfig())

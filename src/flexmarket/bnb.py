@@ -26,7 +26,8 @@ Fixing a binary only shrinks its box bounds, so every node reuses the
 one AdmmSolver workspace and starts from its parent's working set and
 factor, which the parent's solution carries. The root starts from the
 caller's `root_warm` (in a day simulation, the agent's previous root
-relaxation shifted one step) or cold, and comes back as
+relaxation shifted one step, or at the first clearing the root of the
+first agent with the same device kinds) or cold, and comes back as
 `MiqpSolution.root` for the caller to carry on, without that state: the
 root outlives the workspace. Every node solve is exact, so a node's
 objective is a true bound and an incumbent is a feasible leaf. Every

@@ -159,7 +159,12 @@ def default_solver_config() -> BnbConfig:
 
 
 def run_simulation(s: Scenario, solver_cfg: Optional[BnbConfig] = None) -> SimulationTrace:
-    """Run the full receding-horizon day: one clearing per step."""
+    """Run the full receding-horizon day: one clearing per step.
+
+    Each agent's root relaxation starts from its own root at the clearing
+    before, shifted one step. At the first clearing, where no agent has
+    one, the first agent with a given tuple of device kinds solves cold,
+    and each later agent with the same kinds starts from that root."""
     cfg = solver_cfg or default_solver_config()
     grid = s.time_grid
     gammas = [a.gamma for a in s.agents]        # reported once, held fixed
@@ -170,12 +175,19 @@ def run_simulation(s: Scenario, solver_cfg: Optional[BnbConfig] = None) -> Simul
     solver_notes = []
     # each agent's last root relaxation: a warm start, never a constraint
     roots = [None] * len(s.agents)
+    kinds = [tuple(d.kind for d in a.devices) for a in s.agents]
 
     for t in range(grid.total_steps):
         view = slice_horizon(s, t, states)
+        # device kinds -> the root its first agent solved at this clearing
+        firsts = {}
+        offers = []
         try:
-            offers = [solve_flexibility(a, view, s.weights, cfg, root)
-                      for a, root in zip(s.agents, roots)]
+            for a, key, root in zip(s.agents, kinds, roots):
+                offer = solve_flexibility(a, view, s.weights, cfg,
+                                          firsts.get(key) if root is None else root)
+                firsts.setdefault(key, offer.root)
+                offers.append(offer)
         except Exception as exc:
             raise MarketError(t, f"stage-I scheduling failed: {exc}") from exc
         roots = [offer.root for offer in offers]

@@ -39,6 +39,12 @@ def fleet_scenario(generated_days):
 
 
 @pytest.fixture(scope="session")
+def short_fleet_scenario():
+    """`fleet_thermal`'s 30 homes over an 8-step day."""
+    return scenario_from_dict(_bench_workloads().fleet_thermal_doc(total_steps=8))
+
+
+@pytest.fixture(scope="session")
 def day_scenario():
     return load_scenario(DAY_SCENARIO)
 

@@ -1,13 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from flexmarket import devices as dev
+from flexmarket import market
 from flexmarket.agent import FlexibilityOffer
 from flexmarket.market import (AgentClearing, ClearingResult, MarketError,
                                clear_market, run_simulation, verify_equilibrium)
 from flexmarket.pricing import (PriceSignal, PricingError, aggregate_offers, compute_prices,
                                 positivity_region)
-from flexmarket.scenario import scenario_from_dict
+from flexmarket.qp import AdmmSolver
+from flexmarket.scenario import load_scenario, scenario_from_dict
 from flexmarket.traceio import read_trace, write_trace
 
 
@@ -298,3 +302,76 @@ def test_read_trace_returns_every_written_field_exactly(day_scenario, day_run,
     assert data.metadata["agent_ids"] == list(trace.agent_ids)
     assert repr(data.metadata["final_states"]) == repr(
         {a: dict(m) for a, m in trace.final_states.items()})
+
+
+class _Stop(Exception):
+    pass
+
+
+def _first_two_clearings(monkeypatch, s):
+    """Per stage-I solve of clearings 0 and 1 of `s`: the agent, its view,
+    the solver config, the root it was given, its offer and the
+    active-set changes it took. The run stops at clearing 2."""
+    solve, qp_solve = market.solve_flexibility, AdmmSolver.solve
+    changes = [0]
+
+    def counted(ws, *args, **kwargs):
+        sol = qp_solve(ws, *args, **kwargs)
+        changes[0] += sol.iterations
+        return sol
+
+    def recorded(spec, view, weights, cfg, prev=None):
+        if view.t_start > 1:
+            raise _Stop
+        before = changes[0]
+        offer = solve(spec, view, weights, cfg, prev)
+        calls.append(SimpleNamespace(spec=spec, view=view, cfg=cfg, prev=prev,
+                                     offer=offer, changes=changes[0] - before))
+        return offer
+
+    calls = []
+    monkeypatch.setattr(AdmmSolver, "solve", counted)
+    monkeypatch.setattr(market, "solve_flexibility", recorded)
+    with pytest.raises(MarketError) as err:
+        run_simulation(s)
+    assert isinstance(err.value.__cause__, _Stop)
+    return calls, solve, changes
+
+
+def test_clearing_zero_starts_each_fleet_root_from_its_group_first(
+        monkeypatch, short_fleet_scenario):
+    # the 30 homes all hold a heat pump and PV: the first solves cold, the
+    # other 29 start from its root, and their offers are a cold solve's
+    calls, solve, changes = _first_two_clearings(monkeypatch, short_fleet_scenario)
+    first = [c for c in calls if c.view.t_start == 0]
+    assert len(first) == 30 and first[0].prev is None
+    assert all(c.prev is first[0].offer.root for c in first[1:])
+    warm = sum(c.changes for c in first)
+    changes[0] = 0
+    for c in first:
+        cold = solve(c.spec, c.view, short_fleet_scenario.weights, c.cfg, prev=None)
+        for name in ("p0", "p_lo", "p_hi"):
+            got, want = getattr(c.offer, name), getattr(cold, name)
+            assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (c.spec.id, name)
+    assert 4 * warm <= changes[0], (warm, changes[0])
+    # at clearing 1 each agent starts from its own root again
+    own = {c.spec.id: c.offer.root for c in first}
+    assert all(c.prev is own[c.spec.id] for c in calls if c.view.t_start == 1)
+
+
+def test_clearing_zero_groups_roots_by_device_kinds(monkeypatch, generated_days,
+                                                    day_scenario):
+    # exact_storage: s0, s1 and s4 hold a battery, s2 and s3 an EV. The
+    # bundled homes hold three different device sets, so none gets a root
+    # but its own
+    storage = load_scenario(generated_days["exact_storage"])
+    calls, _, _ = _first_two_clearings(monkeypatch, storage)
+    roots = {c.spec.id: c.offer.root for c in calls if c.view.t_start == 0}
+    given = {c.spec.id: c.prev for c in calls if c.view.t_start == 0}
+    assert given["s0"] is None and given["s2"] is None
+    assert given["s1"] is roots["s0"] and given["s4"] is roots["s0"]
+    assert given["s3"] is roots["s2"]
+    calls, _, _ = _first_two_clearings(monkeypatch, day_scenario)
+    roots = {c.spec.id: c.offer.root for c in calls if c.view.t_start == 0}
+    for c in calls:
+        assert c.prev is (None if c.view.t_start == 0 else roots[c.spec.id])
