@@ -147,6 +147,32 @@ def _apportion(offer: FlexibilityOffer, deviation: float) -> dict:
     return out
 
 
+def request_setpoint(agg: AggregateFlex, beta: float, pi: float,
+                     clip_to_positivity: bool) -> float:
+    """The setpoint the operator requests at one clearing.
+
+    A fraction beta of the offered upward range, capped just below the
+    least-flexible agent's saturation point, so that every best response
+    stays interior. With clip_to_positivity, a request outside the
+    positivity region is projected into it. Where no setpoint lies both
+    in the region and under the cap (the region is empty, or starts
+    above the cap), the request is the baseline: no flexibility.
+    """
+    p_tilde = agg.p0_t + beta * (agg.p_hi_t - agg.p0_t)
+    cap = saturation_cap(agg)
+    if cap < math.inf:
+        cap = agg.p0_t + (cap - agg.p0_t) * (1.0 - 1e-6)
+        p_tilde = min(p_tilde, cap)
+    if clip_to_positivity and p_tilde != agg.p0_t:
+        region = positivity_region(agg, pi)
+        if region.empty or region.start > cap:
+            p_tilde = agg.p0_t
+        elif not region.contains(p_tilde):
+            # p_tilde <= cap and region.start <= cap, so the projection is too
+            p_tilde = region.project(p_tilde)
+    return p_tilde
+
+
 def default_solver_config() -> BnbConfig:
     """Day-simulation solver budget: a node count bounded at 24.
 
@@ -199,19 +225,8 @@ def run_simulation(s: Scenario, solver_cfg: Optional[BnbConfig] = None) -> Simul
 
         agg = aggregate_offers(offers, gammas)
         pi = s.series.lem_price[t]
-        p_tilde = agg.p0_t + s.policy.beta[t] * (agg.p_hi_t - agg.p0_t)
-        # the operator never requests past any agent's saturation point
-        cap = saturation_cap(agg)
-        if cap < math.inf:
-            cap = agg.p0_t + (cap - agg.p0_t) * (1.0 - 1e-6)
-            p_tilde = min(p_tilde, cap)
-        if s.policy.clip_to_positivity and p_tilde != agg.p0_t:
-            region = positivity_region(agg, pi)
-            if region.empty:
-                # no setpoint prices both positive: request no flexibility
-                p_tilde = agg.p0_t
-            elif not region.contains(p_tilde):
-                p_tilde = min(region.project(p_tilde), cap)
+        p_tilde = request_setpoint(agg, s.policy.beta[t], pi,
+                                   s.policy.clip_to_positivity)
         try:
             cr = clear_market(offers, gammas, p_tilde, pi, step=t)
         except Exception as exc:

@@ -2,12 +2,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from flexmarket import devices as dev
 from flexmarket import market
 from flexmarket.agent import FlexibilityOffer
 from flexmarket.market import (AgentClearing, ClearingResult, MarketError,
-                               clear_market, run_simulation, verify_equilibrium)
+                               clear_market, request_setpoint, run_simulation,
+                               verify_equilibrium)
 from flexmarket.pricing import (PriceSignal, PricingError, aggregate_offers, compute_prices,
                                 positivity_region)
 from flexmarket.qp import AdmmSolver
@@ -375,3 +378,32 @@ def test_clearing_zero_groups_roots_by_device_kinds(monkeypatch, generated_days,
     roots = {c.spec.id: c.offer.root for c in calls if c.view.t_start == 0}
     for c in calls:
         assert c.prev is (None if c.view.t_start == 0 else roots[c.spec.id])
+
+
+_offer = st.tuples(st.floats(-60.0, 10.0), st.floats(0.0, 30.0),     # p0, span
+                   st.floats(0.01, 5.0))                              # gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(others=st.lists(_offer, min_size=1, max_size=4),
+       small=st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 0.2), st.floats(0.1, 5.0)),
+       pi=st.floats(0.0, 2.0), beta=st.floats(0.0, 1.0))
+# the fleet day's clearing 5: its agents' sum, with f01 (gamma 1.0007)
+# the least flexible, gamma*span 0.0283 < pi/2; the region starts at
+# -146.0315, above the saturation cap -146.0819
+@example(others=[(-146.9334987016685 + 0.5, 19.399355838471399 - 0.028307921,
+                  1.0 / (30.06082563338085 - 1.0 / 1.0007))],
+         small=(-0.5, 0.028307921, 1.0007), pi=0.06, beta=1.0)
+def test_a_clipped_request_is_the_baseline_or_prices_positive_and_interior(
+        others, small, pi, beta):
+    # a net load whose least flexible agent saturates before the
+    # positivity region starts has no setpoint that both prices positive
+    # and keeps every best response interior: it requests the baseline
+    offers = [offer(p0, p0 - span, p0 + span, str(i))
+              for i, (p0, span, _) in enumerate(others + [small])]
+    agg = aggregate_offers(offers, [g for _, _, g in others + [small]])
+    assume(agg.p0_t < 0.0)
+    p_tilde = request_setpoint(agg, beta, pi, clip_to_positivity=True)
+    if p_tilde != agg.p0_t:
+        prices = compute_prices(agg, p_tilde, pi)
+        assert prices.positivity_ok and prices.saturation_ok, (p_tilde, prices)
