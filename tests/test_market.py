@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flexmarket import devices as dev
 from flexmarket import market
-from flexmarket.agent import FlexibilityOffer
+from flexmarket.agent import FlexibilityOffer, solve_flexibility
 from flexmarket.market import (AgentClearing, ClearingResult, MarketError,
                                clear_market, request_setpoint, run_simulation,
                                verify_equilibrium)
@@ -314,8 +314,9 @@ class _Stop(Exception):
 def _first_two_clearings(monkeypatch, s):
     """Per stage-I solve of clearings 0 and 1 of `s`: the agent, its view,
     the solver config, the root it was given, its offer and the
-    active-set changes it took. The run stops at clearing 2."""
-    solve, qp_solve = market.solve_flexibility, AdmmSolver.solve
+    active-set changes it took; and the count of all changes, which goes
+    on counting after the run. The run stops at clearing 2."""
+    qp_solve = AdmmSolver.solve
     changes = [0]
 
     def counted(ws, *args, **kwargs):
@@ -327,7 +328,7 @@ def _first_two_clearings(monkeypatch, s):
         if view.t_start > 1:
             raise _Stop
         before = changes[0]
-        offer = solve(spec, view, weights, cfg, prev)
+        offer = solve_flexibility(spec, view, weights, cfg, prev)
         calls.append(SimpleNamespace(spec=spec, view=view, cfg=cfg, prev=prev,
                                      offer=offer, changes=changes[0] - before))
         return offer
@@ -338,21 +339,22 @@ def _first_two_clearings(monkeypatch, s):
     with pytest.raises(MarketError) as err:
         run_simulation(s)
     assert isinstance(err.value.__cause__, _Stop)
-    return calls, solve, changes
+    return calls, changes
 
 
 def test_clearing_zero_starts_each_fleet_root_from_its_group_first(
         monkeypatch, short_fleet_scenario):
     # the 30 homes all hold a heat pump and PV: the first solves cold, the
     # other 29 start from its root, and their offers are a cold solve's
-    calls, solve, changes = _first_two_clearings(monkeypatch, short_fleet_scenario)
+    calls, changes = _first_two_clearings(monkeypatch, short_fleet_scenario)
     first = [c for c in calls if c.view.t_start == 0]
     assert len(first) == 30 and first[0].prev is None
     assert all(c.prev is first[0].offer.root for c in first[1:])
     warm = sum(c.changes for c in first)
     changes[0] = 0
     for c in first:
-        cold = solve(c.spec, c.view, short_fleet_scenario.weights, c.cfg, prev=None)
+        cold = solve_flexibility(c.spec, c.view, short_fleet_scenario.weights, c.cfg,
+                                 prev=None)
         for name in ("p0", "p_lo", "p_hi"):
             got, want = getattr(c.offer, name), getattr(cold, name)
             assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (c.spec.id, name)
@@ -368,13 +370,13 @@ def test_clearing_zero_groups_roots_by_device_kinds(monkeypatch, generated_days,
     # bundled homes hold three different device sets, so none gets a root
     # but its own
     storage = load_scenario(generated_days["exact_storage"])
-    calls, _, _ = _first_two_clearings(monkeypatch, storage)
+    calls, _ = _first_two_clearings(monkeypatch, storage)
     roots = {c.spec.id: c.offer.root for c in calls if c.view.t_start == 0}
     given = {c.spec.id: c.prev for c in calls if c.view.t_start == 0}
     assert given["s0"] is None and given["s2"] is None
     assert given["s1"] is roots["s0"] and given["s4"] is roots["s0"]
     assert given["s3"] is roots["s2"]
-    calls, _, _ = _first_two_clearings(monkeypatch, day_scenario)
+    calls, _ = _first_two_clearings(monkeypatch, day_scenario)
     roots = {c.spec.id: c.offer.root for c in calls if c.view.t_start == 0}
     for c in calls:
         assert c.prev is (None if c.view.t_start == 0 else roots[c.spec.id])
